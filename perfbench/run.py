@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """The listvote benchmark: one workload, end to end through the CLI.
 
-    python3 perfbench/run.py --workload tally-ball --seed 1 --seconds 25 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 25   # each in turn
+    python3 perfbench/run.py --workload tally-ball --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 20   # each in turn
 
 Run from the root of a source checkout; the library is imported from
 ``src/``. The run
@@ -10,17 +10,22 @@ Run from the root of a source checkout; the library is imported from
 1. generates the workload's inputs from ``--seed`` (``workloads.py``) and
    computes their expected outputs with an independent reference, outside
    every timed region;
-2. with ``--trace 0``, measures set-up (``import listvote`` plus the first
-   op, in fresh processes) and then runs the closed timed loop in one fresh
-   process: one client, one op at a time, whole cycles over the instances
-   until ``--seconds`` have passed and at least MIN_OPS ops were timed;
+2. with ``--trace 0``, runs the closed timed loop in one fresh process:
+   one client, one op at a time, whole cycles over the instances until
+   ``--seconds`` have passed and at least MIN_OPS ops were timed. Each op is
+   followed by one timed run of a fixed yardstick (``workloads.yardstick``),
+   and op times are reported in units of the yardsticks around them. Between
+   cycles, spread over the run, the loop waits for SETUP_PROBES fresh
+   processes that each time set-up: ``import listvote`` plus the first op;
 3. with ``--trace 1``, runs the same loop with every other op traced
    (``tracing.py``) and reports per-layer self times and input-property
    counts instead;
 4. checks every op's output against the reference, and that a corrupted
    reference is caught;
 5. prints each metric with its unit, then one JSON line with ``correct``,
-   ``attempted``, ``failed`` and ``metrics``.
+   ``attempted``, ``failed`` and ``metrics``, which holds the metrics that
+   ``BENCHMARK.json`` declares (``end_to_end`` for ``--trace 0``,
+   ``per_layer`` for ``--trace 1``).
 
 It exits 1 when any output disagrees with the reference or any op fails,
 and 2 when the checkout has no ``src/listvote`` to measure.
@@ -48,7 +53,7 @@ WORK = ROOT_DIR / ".bench_work"
 OUT = ROOT_DIR / ".bench_out"
 
 MIN_OPS = 100
-SETUP_PROBES = 7
+SETUP_PROBES = 10
 CHILD_TIMEOUT_S = 150
 
 sys.path.insert(0, str(HERE))
@@ -78,6 +83,17 @@ def mismatches(text: str, expected: dict) -> list[str]:
     return [key for key, value in expected.items() if doc.get(key, MISSING) != value]
 
 
+def _other_committee(winners: list[list[int]], n: int) -> list[int]:
+    """A valid committee (sorted, members in 1..n) that is not among ``winners``."""
+    first = winners[0]
+    for out in first:
+        for into in range(1, n + 1):
+            other = sorted(set(first) - {out} | {into})
+            if len(other) == len(first) and other not in winners:
+                return other
+    raise BenchError("every committee is a winner; no wrong committee to substitute")
+
+
 def corruptions(expected: dict) -> list[dict]:
     """Deliberately wrong references; the check must reject the true output against each."""
     out = []
@@ -85,10 +101,22 @@ def corruptions(expected: dict) -> list[dict]:
         bad = copy.deepcopy(expected)
         bad["best_value"] = workloads.fmt(Fraction(expected["best_value"]) + Fraction(1, 7))
         out.append(bad)
+        winners = expected["winners"]
+        other = _other_committee(winners, expected["params"]["n"])
         bad = copy.deepcopy(expected)
-        bad["winners"] = expected["winners"][:-1] + [expected["winners"][-1][::-1]]
+        bad["winners"] = sorted(winners[:-1] + [other])  # one winner swapped for a loser
+        out.append(bad)
+        bad = copy.deepcopy(expected)
+        bad["winners"] = winners[:-1]  # one winner dropped
+        out.append(bad)
+        bad = copy.deepcopy(expected)
+        bad["winners"] = sorted(winners + [other])  # one loser added
         out.append(bad)
     if "worst_case" in expected:
+        bad = copy.deepcopy(expected)
+        value = Fraction(expected["worst_case"]["value"])
+        bad["worst_case"]["value"] = workloads.fmt(value + Fraction(1, 7))
+        out.append(bad)
         bad = copy.deepcopy(expected)
         bad["worst_case"]["weights"] = bad["worst_case"]["weights"][::-1] + ["0"]
         out.append(bad)
@@ -111,12 +139,32 @@ def _median(values) -> float:
     return statistics.median(values) if values else 0.0
 
 
-def end_to_end(times, completed, result, setup) -> dict[str, float]:
+def _p90(values) -> float:
+    return statistics.quantiles(values, n=10)[8] if len(values) > 1 else 0.0
+
+
+def end_to_end(ops, ok, result) -> dict[str, float]:
+    """Op times in seconds and in yardstick units, set-up, and memory.
+
+    ``yards[i]`` and ``yards[i + 1]`` are the yardstick runs just before and
+    just after op ``i``; the op's relative time is its seconds over their mean,
+    so a change of core speed that lasts longer than one op cancels out.
+    """
+    yards = result["yards"]
+    timed = [(i, op[2]) for i, (op, good) in enumerate(zip(ops, ok)) if good and not op[4]]
+    times = [seconds for _, seconds in timed]
+    rel = [seconds * 2 / (yards[i] + yards[i + 1]) for i, seconds in timed]
     return {
         "op_p50_s": _median(times),
-        "op_p90_s": statistics.quantiles(times, n=10)[8] if len(times) > 1 else 0.0,
-        "ops_per_s": completed / result["phase_s"],
-        "setup_s": _median(setup),
+        "op_p90_s": _p90(times),
+        "ops_per_s": len(times) / sum(times),
+        "yardstick_s": _median(yards),
+        "op_p50_rel": _median(rel),
+        "op_p90_rel": _p90(rel),
+        "op_mean_rel": statistics.fmean(rel),
+        # The median of probes spread over the run: across ten-seed sets it moved
+        # less than their minimum did (see NOTES.md).
+        "setup_s": _median(result["setup"]),
         "peak_rss_mb": result["maxrss_kb"] / 1024,
     }
 
@@ -162,57 +210,26 @@ def per_layer(workload, instances, result) -> dict[str, float]:
         row.update({f"{layer}.share": layer_self[layer] / op["op_s"] for layer in LAYERS})
         row.update(instances[index].props)
         rows.append((row, op["op_s"]))
+    if not rows:
+        raise BenchError(f"{workload}: no traced op succeeded")
     traced_times = [op_s for _, op_s in rows]
     untraced = [op[2] for op in result["ops"] if not op[4] and op[1] == 0]
-    special = ("tally.strategy_sparse_frac", "trace.overhead_s")
-    metrics = {name: _median([row[name] for row, _ in rows])
-               for name in PER_LAYER if name not in special}
-    metrics["tally.strategy_sparse_frac"] = (
-        statistics.fmean(row["tally.strategy_sparse_frac"] for row, _ in rows) if rows else 0.0)
+    metrics = {name: _median([row[name] for row, _ in rows]) for name in rows[0][0]}
+    metrics["tally.strategy_sparse_frac"] = statistics.fmean(
+        row["tally.strategy_sparse_frac"] for row, _ in rows)
     metrics["trace.overhead_s"] = _median(traced_times) - _median(untraced)
     return metrics
 
 
-END_TO_END = {"op_p50_s": "s", "op_p90_s": "s", "ops_per_s": "1/s", "setup_s": "s", "peak_rss_mb": "MB"}
-PER_LAYER = {
-    "tally.kernel_s": "s",
-    "tally.share": "ratio",
-    "theory.lp_s": "s",
-    "theory.floor_s": "s",
-    "theory.share": "ratio",
-    "theory.lp_calls": "count",
-    "ballots.read_s": "s",
-    "ballots.parse_s": "s",
-    "ballots.complete_s": "s",
-    "ballots.normalize_s": "s",
-    "ballots.share": "ratio",
-    "johnson.ball_s": "s",
-    "johnson.share": "ratio",
-    "cli.self_s": "s",
-    "cli.share": "ratio",
-    "trace.overhead_s": "s",
-    "ballots.records": "count",
-    "ballots.bytes": "B",
-    "ballots.support": "count",
-    "ballots.dedup_ratio": "ratio",
-    "johnson.ball_lists": "count",
-    "tally.scatter_work": "count",
-    "tally.dense_work": "count",
-    "tally.denominator_bits": "bit",
-    "tally.winners": "count",
-    "tally.strategy_sparse_frac": "ratio",
-    "theory.lp_vars": "count",
-    "theory.lp_classes": "count",
-    "cli.out_bytes": "B",
-}
+# Printed with the declared metrics but not declared: wall-clock op times move with
+# the core's drifting speed, so they are shown for reading, not gated on.
+SHOWN_ONLY = {"op_p50_s": "s", "op_p90_s": "s", "ops_per_s": "1/s", "yardstick_s": "s"}
 
 
-def check_declared(trace: int) -> None:
-    """The metrics this run prints must be the ones BENCHMARK.json declares, with the same units."""
+def declared_units(trace: int) -> dict[str, str]:
+    """Name -> unit of the metrics BENCHMARK.json declares for this kind of run."""
     declared = json.loads((ROOT_DIR / "BENCHMARK.json").read_text())
-    declared = {m["name"]: m["unit"] for m in declared["per_layer" if trace else "end_to_end"]}
-    if declared != (PER_LAYER if trace else END_TO_END):
-        raise BenchError("metrics or units differ from BENCHMARK.json")
+    return {m["name"]: m["unit"] for m in declared["per_layer" if trace else "end_to_end"]}
 
 
 def inputs_digest(workload: str, seed: int, instances, order) -> str:
@@ -225,7 +242,7 @@ def inputs_digest(workload: str, seed: int, instances, order) -> str:
 
 def run(args) -> int:
     _import_library()
-    check_declared(args.trace)
+    units = declared_units(args.trace)
     start = perf_counter()
     instances = workloads.build(args.workload, args.seed)
     order = workloads.cycle_order(args.workload, args.seed, len(instances))
@@ -244,14 +261,11 @@ def run(args) -> int:
             "seconds": args.seconds,
             "trace": args.trace,
             "min_ops": MIN_OPS,
+            # The set-up op is instance 0, which the timed loop runs and checks many times.
+            "probes": 0 if args.trace else SETUP_PROBES,
         }
         (workdir / "plan.json").write_text(json.dumps(plan))
 
-        # The set-up op is instance 0, which the timed loop runs and checks many times.
-        setup = []
-        if not args.trace:
-            for _ in range(SETUP_PROBES):
-                setup.append(json.loads(_child("probe", workdir).stdout)["setup_s"])
         _child("loop", workdir)
         result = json.loads((workdir / "result.json").read_text())
     finally:
@@ -269,20 +283,20 @@ def run(args) -> int:
         what = rc if rc != 0 else f"fields {wrong[index, text_id]} disagree with the reference"
         print(f"FAILED op on {' '.join(instances[index].argv)}: {what}", file=sys.stderr)
 
-    # negative self-test: the check must reject the true output against a corrupted reference
+    # negative self-test: the check must reject each instance's first correct output
+    # against every corrupted version of its reference
+    tested = set()
     for op, good in zip(ops, ok):
-        if good:
+        if good and op[0] not in tested:
+            tested.add(op[0])
             for bad in corruptions(instances[op[0]].expected):
                 if not mismatches(result["texts"][op[3]], bad):
                     raise BenchError("self-test: a corrupted reference was accepted")
-            break
 
     if args.trace:
         metrics = per_layer(args.workload, instances, result)
     else:
-        untraced_ok = [op[2] for op, good in zip(ops, ok) if good and not op[4]]
-        metrics = end_to_end(untraced_ok, sum(ok), result, setup)
-    units = PER_LAYER if args.trace else END_TO_END
+        metrics = end_to_end(ops, ok, result)
     OUT.mkdir(exist_ok=True)
     record = OUT / f"{args.workload}-seed{args.seed}-trace{args.trace}.json"
     record.write_text(json.dumps({
@@ -290,7 +304,8 @@ def run(args) -> int:
         "argvs": [inst.argv for inst in instances],
         "op_fields": ["instance", "exit code or error", "seconds", "output id", "traced"],
         "ops": result["ops"],
-        "setup_s": setup,
+        "yardstick_s": result["yards"],
+        "setup_s": result["setup"],
         "span_fields": ["op", "name", "start", "end", "parent"],
         "spans": result["spans"],
     }))
@@ -303,12 +318,12 @@ def run(args) -> int:
           f"{traced} traced; inputs and reference {reference_s:.2f} s")
     print(f"error_rate = {len(failed) / len(ops):.6g} ratio  ({len(failed)} of {len(ops)})")
     for name, value in metrics.items():
-        print(f"{name} = {value:.6g} {units[name]}")
+        print(f"{name} = {value:.6g} {units[name] if name in units else SHOWN_ONLY[name]}")
     print(json.dumps({
         "correct": not failed,
         "attempted": len(ops),
         "failed": len(failed),
-        "metrics": {name: {"value": value, "unit": units[name]} for name, value in metrics.items()},
+        "metrics": {name: {"value": metrics[name], "unit": unit} for name, unit in units.items()},
     }))
     return 1 if failed else 0
 

@@ -161,6 +161,7 @@ def tally_instance(name, shape, records, weights, argv_tail, reference, declared
     text = ballot_text(n, k, j, records)
     value, winners = reference
     expected = {
+        "params": {"n": n, "k": k, "j": j},
         "best_value": fmt(value),
         "winners": winners,
         "global_floor": fmt(global_floor(n, k, j)),
@@ -184,6 +185,14 @@ def _random_counts(rng: Random, lists: list[tuple[int, ...]], support: int, vote
     return counts
 
 
+def _uniform_counts(rng: Random, lists: list[tuple[int, ...]], voters: int):
+    """``voters`` independent uniform draws from ``lists``."""
+    counts: dict[tuple[int, ...], int] = {}
+    for lst in rng.choices(lists, k=voters):
+        counts[lst] = counts.get(lst, 0) + 1
+    return counts
+
+
 def _shuffled(rng: Random, members) -> list[int]:
     out = list(members)
     rng.shuffle(out)
@@ -201,7 +210,7 @@ def _center(rng: Random, n: int, j: int) -> tuple[int, ...]:
 # tally-ball: containment rule on a declared radius-2 ball, n=14 k=7 j=4.
 BALL_SHAPE = (14, 7, 4, 2)
 BALL_KINDS = ("uniform", "random", "uniform", "random", "random")
-BALL_SUPPORT, BALL_VOTERS = 120, 3000
+BALL_VOTERS = 3000
 
 # Op cost grows with the support (tally-threshold) and the record count (ingest).
 # Each cycle spreads the size around its middle value: when all ops cost the same,
@@ -230,7 +239,7 @@ def build_tally_ball(rng: Random) -> list[Instance]:
             records = [(list(m), "weight", fmt(share)) for m in lists]
             weights = dict.fromkeys(lists, share)
         else:
-            counts = _random_counts(rng, lists, BALL_SUPPORT, BALL_VOTERS)
+            counts = _uniform_counts(rng, lists, BALL_VOTERS)
             records = [(_shuffled(rng, m), "count", c) for m, c in counts.items()]
             weights = {m: Fraction(c, BALL_VOTERS) for m, c in counts.items()}
         tail = ["--center", ",".join(map(str, center)), "--radius", str(radius)]
@@ -326,6 +335,28 @@ EXPECTED_SPANS = {
                "johnson.ball", "tally.kernel", "theory.floor"),
     "worst-case": ("theory.lp", "theory.floor"),
 }
+
+
+# ---------------------------------------------------------------------------
+# yardstick
+# ---------------------------------------------------------------------------
+
+# The core's speed drifts while a run measures, so op times are reported in
+# units of a fixed piece of work timed right after every op. It runs none of
+# the library's code, so no change to the library can move it, and it mixes
+# what the ops do: JSON parsing, tuple and dict work, Fraction construction.
+_YARD_LISTS = ball_lists(12, 3, (1, 2, 3), 2)
+_YARD_TEXT = ballot_text(12, 6, 3, [(list(m), "count", i % 9 + 1) for i, m in enumerate(_YARD_LISTS)])
+
+
+def yardstick():
+    """About 3 ms of fixed pure-Python work; returns (best value, winners, least weight)."""
+    doc = json.loads(_YARD_TEXT)
+    counts = {tuple(sorted(r["list"])): r["count"] for r in doc["ballots"]}
+    total = sum(counts.values())
+    least = min(Fraction(c, total) for c in counts.values())
+    value, winners = walk_best(12, 6, 3, counts)
+    return value, len(winners), least
 
 
 def build(workload: str, seed: int) -> list[Instance]:
