@@ -55,7 +55,6 @@ from .tally import (
     approval,
     average_approval,
     best_committees,
-    merge_partials,
     threshold_approval,
 )
 from .theory import (

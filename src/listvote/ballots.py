@@ -261,8 +261,10 @@ def loads_ballot_file(text: str) -> RawBallotFile:
         raise BallotFormatError("top level must be an object")
     if set(doc) != _TOP_KEYS:
         raise BallotFormatError(f"top-level keys must be {sorted(_TOP_KEYS)}, got {sorted(doc)}")
+    # JSON true/false load as bool, a subclass of int, so integers are
+    # tested with `type(x) is int` rather than isinstance.
     for key in ("n", "k", "j"):
-        if not isinstance(doc[key], int):
+        if type(doc[key]) is not int:
             raise BallotFormatError(f"header field {key!r} must be an integer")
     try:
         params = ElectionParams(doc["n"], doc["k"], doc["j"])
@@ -278,12 +280,17 @@ def loads_ballot_file(text: str) -> RawBallotFile:
             raise BallotFormatError(f'ballot {i}: missing "list" array')
         if ("weight" in rec) == ("count" in rec):
             raise BallotFormatError(f'ballot {i}: exactly one of "weight"/"count" required')
+        # Range-check before CandidateSubset builds a bitmask as wide as the largest member.
+        if not all(type(c) is int and 0 < c <= params.n for c in rec["list"]):
+            raise BallotFormatError(
+                f"ballot {i}: list members must be integers in 1..{params.n}, got {rec['list']}"
+            )
         try:
             subset = CandidateSubset(tuple(rec["list"]))
-        except (ParameterError, TypeError) as exc:
+        except ParameterError as exc:
             raise BallotFormatError(f"ballot {i}: bad list {rec['list']}: {exc}") from exc
         if "count" in rec:
-            if not isinstance(rec["count"], int) or rec["count"] <= 0:
+            if type(rec["count"]) is not int or rec["count"] <= 0:
                 raise BallotFormatError(f"ballot {i}: count must be a positive integer")
             multiplicity: int | Fraction = rec["count"]
         else:

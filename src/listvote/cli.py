@@ -472,13 +472,7 @@ def cmd_verify(config: RunConfig) -> int:
         dist = random_distribution(params, rng)
         s = params.j if rng.random() < 0.5 else rng.randint(0, params.j)
         reference = oracle.brute_best(dist, s)
-        if s == params.j:
-            candidates = [
-                best_committees(dist, strategy="sparse"),
-                best_committees(dist, strategy="dense"),
-            ]
-        else:
-            candidates = [best_committees(dist, s=s)]
+        candidates = [best_committees(dist, s=s, strategy=name) for name in ("sparse", "dense")]
         ok = all(
             c.best_value == reference.best_value and c.winners == reference.winners
             for c in candidates

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import ParameterError
 from .exactnum import binomial
@@ -189,11 +189,3 @@ def iter_committees(params: ElectionParams) -> Iterator[CandidateSubset]:
     """All k-element committees over {1..n} in lexicographic order."""
     for members in combinations(range(1, params.n + 1), params.k):
         yield CandidateSubset(members)
-
-
-def members_mask(members: Iterable[int]) -> int:
-    """Bitmask over candidate indices; bit c set when candidate c present."""
-    mask = 0
-    for c in members:
-        mask |= 1 << c
-    return mask

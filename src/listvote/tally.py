@@ -1,14 +1,20 @@
 """Approval tallying and exhaustive most-popular-committee search.
 
-A voter approves a committee when it contains her whole list, or, under
-the threshold variant, at least s of its members. The search is always
-exhaustive and exact: the full argmax set is returned and ties are never
-broken. Two interchangeable strategies cover the two practical regimes,
-sparse ballot data versus dense distributions over many lists.
+A voter approves a committee when it contains the voter's whole list, or,
+under the threshold variant, at least s of its members. The search is
+always exhaustive and exact: the full argmax set is returned and ties
+are never broken.
 
-The committee space may be partitioned across workers: partial (max,
-argmax) results merge associatively via :func:`merge_partials` and the
-merged result is bit-identical to a single-worker run.
+Both rules run on one integer engine. The weights are scaled once by the
+LCM of their denominators, every inner loop adds Python ints keyed by
+committee bitmask, and the best value becomes a ``Fraction`` only at the
+end. A committee C meets a list L in at least s members exactly when
+C = K | E, with K a t-subset of L for some t >= s and E a (k - t)-subset
+of the candidates outside L; s = j is plain containment. The ``sparse``
+strategy scatters each support list onto the committees it meets this
+way, hitting each of them exactly once per list. The ``dense`` strategy
+walks every committee and gathers the lists that meet it by the same
+decomposition. The one with the smaller predicted work runs.
 """
 
 from __future__ import annotations
@@ -16,14 +22,14 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
-from typing import Iterable
+from itertools import chain, combinations, repeat
+from math import comb, lcm
+from typing import Collection, Iterable, Iterator
 
 from .ballots import VoterDistribution
 from .errors import ParameterError
-from .exactnum import format_rational, rank_subset, unrank_subset
-from .johnson import CandidateSubset, validate_committee
+from .exactnum import format_rational
+from .johnson import CandidateSubset, ElectionParams, validate_committee
 
 log = logging.getLogger(__name__)
 
@@ -90,28 +96,21 @@ def average_approval(dist: VoterDistribution) -> Fraction:
     return Fraction(comb(p.k, p.j), comb(p.n, p.j))
 
 
-def merge_partials(
-    parts: Iterable[tuple[Fraction, list[CandidateSubset]]],
-) -> tuple[Fraction, list[CandidateSubset]]:
-    """Merge per-partition (max, argmax-list) pairs exactly."""
-    best: Fraction | None = None
-    winners: list[CandidateSubset] = []
-    for value, arg in parts:
-        if best is None or value > best:
-            best, winners = value, list(arg)
-        elif value == best:
-            winners.extend(arg)
-    if best is None:
-        raise ParameterError("no partial results to merge")
-    return best, winners
+def predicted_work(dist: VoterDistribution, s: int | None = None) -> dict[str, int]:
+    """Inner-loop iterations of each strategy: one per (list, committee) pair it visits.
 
-
-def predicted_work(dist: VoterDistribution) -> dict[str, int]:
-    """Operation counts steering the sparse/dense choice."""
+    ``sparse`` visits each support list's committees meeting it in
+    t >= s members, C(j, t) * C(n - j, k - t) of them for each t;
+    ``dense`` visits each committee's lists meeting it in t >= s members,
+    C(k, t) * C(n - k, j - t) for each t. The two agree on full support.
+    """
     p = dist.params
+    if s is None:
+        s = p.j
+    ts = range(s, p.j + 1)
     return {
-        "sparse": len(dist) * comb(p.n - p.j, p.k - p.j),
-        "dense": comb(p.n, p.k) * comb(p.k, p.j),
+        "sparse": len(dist) * sum(comb(p.j, t) * comb(p.n - p.j, p.k - t) for t in ts),
+        "dense": comb(p.n, p.k) * sum(comb(p.k, t) * comb(p.n - p.k, p.j - t) for t in ts),
     }
 
 
@@ -123,8 +122,8 @@ def best_committees(
     """Exact maximum approval over all committees, with every argmax.
 
     ``s`` relaxes the rule to threshold approval (default: full
-    containment, s = j). Strategy is chosen by predicted operation count
-    unless forced; the threshold variant always enumerates densely.
+    containment, s = j). The strategy with the smaller predicted work is
+    chosen unless forced; a tie goes to ``dense``.
     """
     p = dist.params
     if s is None:
@@ -133,101 +132,76 @@ def best_committees(
         raise ParameterError(f"threshold {s} outside 0..{p.j}")
     if strategy not in (None, "sparse", "dense"):
         raise ParameterError(f"unknown strategy {strategy!r}")
-
-    if s < p.j:
-        if strategy == "sparse":
-            raise ParameterError("threshold tallying below j has no sparse strategy")
-        return _dense_threshold(dist, s)
-
+    work = predicted_work(dist, s)
     if strategy is None:
-        work = predicted_work(dist)
         strategy = "sparse" if work["sparse"] < work["dense"] else "dense"
-    if strategy == "sparse":
-        return _sparse_scatter(dist)
-    return _dense_scan(dist)
-
-
-def _check_dense_size(n: int, k: int) -> None:
-    if n > DENSE_MAX_N:
-        raise ParameterError(
-            f"dense enumeration of C({n},{k}) committees refused for n > {DENSE_MAX_N}; "
-            "use sparse tallying or reduce n"
-        )
-
-
-def _sparse_scatter(dist: VoterDistribution) -> TallyResult:
-    """Scatter each support list's weight onto its superset committees."""
-    p = dist.params
-    ops = predicted_work(dist)["sparse"]
-    # No size cap here, but say what is coming on instances too big for dense.
+    # No size cap on sparse, but say what is coming on instances too big for dense.
     log.log(
         logging.INFO if p.n > DENSE_MAX_N else logging.DEBUG,
-        "sparse tally: %d scatter ops predicted", ops,
+        "%s tally: %d operations predicted", strategy, work[strategy],
     )
-    acc: dict[int, Fraction] = {}
-    all_candidates = range(1, p.n + 1)
-    for lst, weight in dist.items():
-        others = [c for c in all_candidates if c not in lst]
-        for extra in combinations(others, p.k - p.j):
-            members = tuple(sorted(lst.members + extra))
-            r = rank_subset(members, p.n)
-            acc[r] = acc.get(r, Fraction(0)) + weight
+
+    scale = lcm(*(w.denominator for _, w in dist.items()))
+    weights = {lst.mask: w.numerator * (scale // w.denominator) for lst, w in dist.items()}
+    if strategy == "sparse":
+        best, masks = _sparse_scatter(weights, p, s)
+    else:
+        best, masks = _dense_walk(weights, p, s)
+    candidates = range(1, p.n + 1)
+    winners = sorted(CandidateSubset(tuple(c for c in candidates if m >> c & 1)) for m in masks)
+    return TallyResult(Fraction(best, scale), tuple(winners), strategy)
+
+
+def _meeting(inside: Collection[int], outside: Iterable[int], size: int, s: int) -> Iterator[int]:
+    """Masks of the ``size``-sets that share at least ``s`` members with ``inside``.
+
+    Members come as one-bit masks. Each set is K | E with K a t-subset of
+    ``inside`` (t >= s) and E a (size - t)-subset of ``outside``, so every
+    set is produced exactly once. Per t, the side with fewer subsets is
+    looped over and the other is added to it in one C-level pass.
+    """
+    parts = []
+    for t in range(s, min(len(inside), size) + 1):
+        heads = list(map(sum, combinations(inside, t)))
+        tails = combinations(outside, size - t)
+        if len(heads) == 1:
+            parts.append(map(sum, tails, repeat(heads[0])))
+            continue
+        tails = list(map(sum, tails))
+        if len(heads) > len(tails):
+            heads, tails = tails, heads
+        parts.extend(map(head.__add__, tails) for head in heads)
+    return chain.from_iterable(parts)
+
+
+def _sparse_scatter(weights: dict[int, int], p: ElectionParams, s: int) -> tuple[int, list[int]]:
+    """Add each support list's weight onto every committee it meets in >= s members."""
+    bits = {1 << c for c in range(1, p.n + 1)}
+    acc: dict[int, int] = {}
+    get = acc.get
+    for lmask, w in weights.items():
+        inside = [b for b in bits if b & lmask]
+        for cmask in _meeting(inside, bits.difference(inside), p.k, s):
+            acc[cmask] = get(cmask, 0) + w
     best = max(acc.values())
-    winners = sorted(
-        CandidateSubset(unrank_subset(r, p.n, p.k)) for r, v in acc.items() if v == best
-    )
-    return TallyResult(best, tuple(winners), "sparse")
+    return best, [m for m, v in acc.items() if v == best]
 
 
-def _dense_scan(dist: VoterDistribution) -> TallyResult:
-    """Walk every committee, summing its j-sublists via ranked lookup."""
-    p = dist.params
-    _check_dense_size(p.n, p.k)
-    weight_by_rank = [Fraction(0)] * comb(p.n, p.j)
-    for lst, weight in dist.items():
-        weight_by_rank[rank_subset(lst.members, p.n)] = weight
-
-    def committee_value(members: tuple[int, ...]) -> Fraction:
-        return sum(
-            (weight_by_rank[rank_subset(sub, p.n)] for sub in combinations(members, p.j)),
-            Fraction(0),
+def _dense_walk(weights: dict[int, int], p: ElectionParams, s: int) -> tuple[int, list[int]]:
+    """Walk every committee, adding the weights of the lists meeting it in >= s members."""
+    if p.n > DENSE_MAX_N:
+        raise ParameterError(
+            f"dense enumeration of C({p.n},{p.k}) committees refused for n > {DENSE_MAX_N}; "
+            "use sparse tallying or reduce n"
         )
-
-    value, winners = merge_partials(
-        [_scan_committees(combinations(range(1, p.n + 1), p.k), committee_value)]
-    )
-    return TallyResult(value, tuple(sorted(winners)), "dense")
-
-
-def _dense_threshold(dist: VoterDistribution, s: int) -> TallyResult:
-    p = dist.params
-    _check_dense_size(p.n, p.k)
-    support = [(lst.mask, w) for lst, w in dist.items()]
-
-    def committee_value(members: tuple[int, ...]) -> Fraction:
-        cmask = 0
-        for c in members:
-            cmask |= 1 << c
-        return sum(
-            (w for mask, w in support if (mask & cmask).bit_count() >= s),
-            Fraction(0),
-        )
-
-    value, winners = merge_partials(
-        [_scan_committees(combinations(range(1, p.n + 1), p.k), committee_value)]
-    )
-    return TallyResult(value, tuple(sorted(winners)), "dense")
-
-
-def _scan_committees(members_iter, committee_value) -> tuple[Fraction, list[CandidateSubset]]:
-    """One partition's (max, argmax) scan; exact, order-independent."""
-    best: Fraction | None = None
-    winners: list[tuple[int, ...]] = []
-    for members in members_iter:
-        value = committee_value(members)
-        if best is None or value > best:
-            best, winners = value, [members]
+    bits = {1 << c for c in range(1, p.n + 1)}
+    get = weights.get
+    best, masks = 0, []
+    for members in combinations(bits, p.k):
+        value = sum(map(get, _meeting(members, bits.difference(members), p.j, s), repeat(0)))
+        if value > best:
+            best, masks = value, [sum(members)]
         elif value == best:
-            winners.append(members)
-    assert best is not None
-    return best, [CandidateSubset(m) for m in winners]
+            masks.append(sum(members))
+    return best, masks
+

@@ -321,6 +321,23 @@ class TestBallotFiles:
         with pytest.raises(BallotFormatError):
             loads_ballot_file(mutation)
 
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ('{"n": 6, "k": 4, "j": true, "ballots": []}', "header field 'j'"),
+            ('{"n": 6, "k": 4, "j": 3, "ballots": [{"list": [1,2,3], "count": true}]}', "count"),
+            (
+                '{"n": 6, "k": 4, "j": 3, "ballots": [{"list": [true,2,3], "count": 1}]}',
+                "list members",
+            ),
+        ],
+        ids=["header", "count", "list-member"],
+    )
+    def test_json_booleans_rejected(self, text, message):
+        # bool is a subclass of int; accepting true would write "count": True back out.
+        with pytest.raises(BallotFormatError, match=message):
+            loads_ballot_file(text)
+
 
 class TestGenerators:
     def test_random_distribution_is_valid_and_deterministic(self):

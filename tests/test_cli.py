@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,21 @@ class TestTally:
         bad.write_text("{broken")
         code, _, _ = run(capsys, "tally", "--input", str(bad))
         assert code == 2
+
+    def test_huge_member_rejected_before_mask_is_built(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"n": 6, "k": 4, "j": 3, "ballots": [{"list": [1, 1000000000], "count": 1}]}'
+        )
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "tally", "--input", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "1..6" in err
+        assert peak < 1_000_000
 
     def test_params_mismatch_exits_3(self, capsys, example_file):
         code, _, err = run(capsys, "tally", "--input", example_file, "--params", "6,4,3")

@@ -1,24 +1,25 @@
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from listvote import (
     BallSpec,
-    CandidateSubset,
     ElectionParams,
     ParameterError,
     TallyResult,
+    VoterDistribution,
     approval,
     average_approval,
     ball,
     best_committees,
+    brute_best,
     global_floor,
     iter_committees,
     iter_lists,
-    merge_partials,
     project_concentric,
     random_distribution,
     threshold_approval,
@@ -132,11 +133,46 @@ class TestBestCommittees:
         assert work["sparse"] >= work["dense"]
         assert best_committees(full).strategy_used == "dense"
 
-    def test_threshold_always_dense(self, example_distribution):
-        result = best_committees(example_distribution, s=2)
-        assert result.strategy_used == "dense"
-        with pytest.raises(ParameterError):
-            best_committees(example_distribution, s=2, strategy="sparse")
+    def test_threshold_strategies_agree_and_follow_predicted_work(self, example_distribution):
+        rng = Random(103)
+        cases = [(example_distribution, 2)]
+        for _ in range(40):
+            n = rng.randint(4, 9)
+            k = rng.randint(2, n - 1)
+            j = rng.randint(1, k)
+            params = ElectionParams(n, k, j)
+            dist = rng.choice(
+                [random_distribution(params, rng), uniform_on(params, iter_lists(params))]
+            )
+            cases.append((dist, rng.randint(0, j - 1)))
+        for dist, s in cases:
+            sparse = best_committees(dist, s=s, strategy="sparse")
+            dense = best_committees(dist, s=s, strategy="dense")
+            assert (sparse.best_value, sparse.winners) == (dense.best_value, dense.winners)
+            work = predicted_work(dist, s)
+            expected = "sparse" if work["sparse"] < work["dense"] else "dense"
+            assert best_committees(dist, s=s).strategy_used == expected
+        assert best_committees(example_distribution, s=2).strategy_used == "sparse"
+
+    def test_predicted_work_counts_meeting_pairs(self):
+        rng = Random(107)
+        for _ in range(30):
+            n = rng.randint(3, 8)
+            k = rng.randint(1, n - 1)
+            j = rng.randint(1, k)
+            params = ElectionParams(n, k, j)
+            dist = random_distribution(params, rng)
+            committees = list(iter_committees(params))
+            for s in range(j + 1):
+                work = predicted_work(dist, s)
+                assert work["sparse"] == sum(
+                    1 for lst, _ in dist.items() for c in committees
+                    if lst.intersection_size(c) >= s
+                )
+                assert work["dense"] == sum(
+                    1 for c in committees for lst in iter_lists(params)
+                    if lst.intersection_size(c) >= s
+                )
 
     def test_dense_size_guard(self):
         params = ElectionParams(30, 4, 3)
@@ -150,6 +186,36 @@ class TestBestCommittees:
         params = ElectionParams(6, 4, 3)
         result = best_committees(uniform_on(params, iter_lists(params)))
         assert list(result.winners) == sorted(result.winners)
+
+
+_DENOMINATORS = [1, 2, 3, 7, 10**9 + 7, 998_244_353, 2**61 - 1]
+
+
+@st.composite
+def distributions(draw):
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n - 1))
+    j = draw(st.integers(1, k))
+    params = ElectionParams(n, k, j)
+    lists = sorted(iter_lists(params))
+    chosen = draw(st.lists(st.sampled_from(lists), min_size=1, max_size=12, unique=True))
+    raw = [
+        Fraction(draw(st.integers(1, 10**6)), draw(st.sampled_from(_DENOMINATORS)))
+        for _ in chosen
+    ]
+    total = sum(raw)
+    return VoterDistribution(params, {lst: w / total for lst, w in zip(chosen, raw)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(distributions())
+def test_kernels_match_brute_force_for_every_threshold(dist):
+    for s in range(dist.params.j + 1):
+        reference = brute_best(dist, s)
+        for strategy in ("sparse", "dense"):
+            result = best_committees(dist, s=s, strategy=strategy)
+            assert result.best_value == reference.best_value
+            assert result.winners == reference.winners
 
 
 class TestAverageApproval:
@@ -210,47 +276,6 @@ class TestIdentitiesAndFloors:
             center = rng.choice(sorted(iter_lists(params)))
             projected = project_concentric(dist, center)
             assert best_committees(dist).best_value >= best_committees(projected).best_value
-
-
-class TestPartitionMerge:
-    def test_split_scan_merges_bit_identical(self, example_distribution):
-        params = example_distribution.params
-        support = dict(example_distribution.items())
-
-        def value(members):
-            cmask = 0
-            for c in members:
-                cmask |= 1 << c
-            return sum(
-                (w for lst, w in support.items() if lst.mask & ~cmask == 0),
-                Fraction(0),
-            )
-
-        committees = list(combinations(range(1, params.n + 1), params.k))
-        parts = []
-        for chunk_start in range(0, len(committees), 7):
-            chunk = committees[chunk_start : chunk_start + 7]
-            local_best, local_winners = None, []
-            for members in chunk:
-                v = value(members)
-                if local_best is None or v > local_best:
-                    local_best, local_winners = v, [CandidateSubset(members)]
-                elif v == local_best:
-                    local_winners.append(CandidateSubset(members))
-            parts.append((local_best, local_winners))
-        merged_value, merged_winners = merge_partials(parts)
-        reference = best_committees(example_distribution)
-        assert merged_value == reference.best_value
-        assert tuple(sorted(merged_winners)) == reference.winners
-
-    def test_merge_order_independent(self):
-        a = (Fraction(1, 3), [subset(1, 2, 3, 4)])
-        b = (Fraction(1, 3), [subset(1, 2, 3, 5)])
-        c = (Fraction(1, 4), [subset(2, 3, 4, 5)])
-        v1, w1 = merge_partials([a, b, c])
-        v2, w2 = merge_partials([c, b, a])
-        assert v1 == v2
-        assert sorted(w1) == sorted(w2)
 
 
 class TestTallyResult:
