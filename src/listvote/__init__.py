@@ -28,15 +28,7 @@ from .ballots import (
     write_ballot_file,
 )
 from .errors import BallotFormatError, HypothesisViolation, ParameterError
-from .exactnum import (
-    BinomialTable,
-    Rational,
-    binomial,
-    format_rational,
-    parse_rational,
-    rank_subset,
-    unrank_subset,
-)
+from .exactnum import Rational, binomial, format_rational, parse_rational
 from .johnson import (
     BallSpec,
     CandidateSubset,

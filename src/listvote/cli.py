@@ -1,9 +1,14 @@
 """Command-line surface: tally, bounds, verify, generate, worst-case.
 
 All numeric output is exact "p/q"; ``--approx`` appends a decimal
-annotation without ever replacing the fraction. Every command is
-deterministic given its inputs and seed, and structured output is stable
-for golden-file testing.
+annotation to human output without ever replacing the fraction. Every
+command is deterministic given its inputs and seed, and structured output
+is stable for golden-file testing.
+
+Each command returns its exit code and one result: an ordered list of
+facts holding exact objects (or, for ``generate``, a ballot file).
+:func:`render` turns that result into text, and :func:`main` maps every
+error a command raises to its exit code.
 
 Exit codes: 0 ok, 1 verification failure, 2 I/O or malformed file,
 3 parameter inconsistency, 4 hypothesis violation.
@@ -14,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
@@ -22,6 +26,7 @@ from . import oracle, theory
 from .ballots import (
     RawBallotFile,
     complete_short_lists,
+    concentric,
     distribution_to_raw,
     dumps_ballot_file,
     normalize,
@@ -51,64 +56,59 @@ EXIT_HYPOTHESIS = 4
 
 VISIBLE_COMMANDS = "{tally,bounds,verify,generate,worst-case}"
 
-
-@dataclass
-class RunConfig:
-    """Everything a command needs, validated before execution."""
-
-    command: str
-    input: str | None = None
-    output: str | None = None
-    params: ElectionParams | None = None
-    center: CandidateSubset | None = None
-    radius: int | None = None
-    threshold: int | None = None
-    alpha: Fraction | None = None
-    seed: int | None = None
-    format: str = "human"
-    approx: bool = False
-    complete: bool = False
-    self_check: bool = False
-    mode: str | None = None
-    weights: tuple[Fraction, ...] | None = None
-    voters: int | None = None
-    max_n: int = 10
-    trials: int = 25
-    corrupt_cell: tuple[int, int] | None = None
-    denominator: int | None = None
-    oracle_op: str | None = None
-
-    def check_against(self, params: ElectionParams) -> None:
-        """Cross-field consistency once the election parameters are known."""
-        if self.params is not None and self.params != params:
-            raise ParameterError(
-                f"--params {self.params.n},{self.params.k},{self.params.j} "
-                f"conflicts with n={params.n} k={params.k} j={params.j}"
-            )
-        if self.radius is not None and not 0 <= self.radius <= params.diameter:
-            raise ParameterError(
-                f"radius {self.radius} outside 0..{params.diameter}"
-            )
-        if self.threshold is not None and not 0 <= self.threshold <= params.j:
-            raise ParameterError(f"threshold {self.threshold} outside 0..{params.j}")
-        if self.center is not None:
-            if len(self.center) != params.j:
-                raise ParameterError(f"center {self.center} is not a {params.j}-list")
-            if self.center.members[-1] > params.n:
-                raise ParameterError(f"center {self.center} outside candidates 1..{params.n}")
-        if self.alpha is not None and not 0 <= self.alpha <= 1:
-            raise ParameterError(f"alpha must be in [0, 1], got {self.alpha}")
+# One fact of a report: its structured key (None: human output only), its
+# exact value, and the parts of its human line (None: structured output only).
+Fact = tuple[str | None, object, tuple | None]
 
 
-def _parse_params(text: str) -> ElectionParams:
+class SelfCheckFailed(Exception):
+    """A tally came out below a floor that guarantees it."""
+
+
+EXIT_CODES = (
+    (HypothesisViolation, EXIT_HYPOTHESIS),
+    (BallotFormatError, EXIT_IO),
+    (ParameterError, EXIT_PARAMS),
+    (OSError, EXIT_IO),
+    (SelfCheckFailed, EXIT_VERIFY_FAILED),
+)
+
+
+def check_against(args: argparse.Namespace, params: ElectionParams) -> None:
+    """Cross-field consistency once the election parameters are known."""
+    if args.params is not None and args.params != params:
+        raise ParameterError(
+            f"--params {args.params.n},{args.params.k},{args.params.j} "
+            f"conflicts with n={params.n} k={params.k} j={params.j}"
+        )
+    if args.radius is not None and not 0 <= args.radius <= params.diameter:
+        raise ParameterError(f"radius {args.radius} outside 0..{params.diameter}")
+    if args.threshold is not None and not 0 <= args.threshold <= params.j:
+        raise ParameterError(f"threshold {args.threshold} outside 0..{params.j}")
+    if args.center is not None:
+        if len(args.center) != params.j:
+            raise ParameterError(f"center {args.center} is not a {params.j}-list")
+        if args.center.members[-1] > params.n:
+            raise ParameterError(f"center {args.center} outside candidates 1..{params.n}")
+    if args.alpha is not None and not 0 <= args.alpha <= 1:
+        raise ParameterError(f"alpha must be in [0, 1], got {args.alpha}")
+
+
+def _parse_ints(flag: str, names: str, text: str) -> tuple[int, ...]:
     parts = text.split(",")
-    if len(parts) != 3:
-        raise ParameterError(f"--params wants n,k,j; got {text!r}")
+    if len(parts) != len(names.split(",")):
+        raise ParameterError(f"{flag} wants {names}; got {text!r}")
     try:
-        n, k, j = (int(p) for p in parts)
+        return tuple(int(p) for p in parts)
     except ValueError as exc:
-        raise ParameterError(f"--params wants integers n,k,j; got {text!r}") from exc
-    return ElectionParams(n, k, j)
+        raise ParameterError(f"{flag} wants integers {names}; got {text!r}") from exc
+
+
+def _parse_alpha(text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise ParameterError(f"bad --alpha: {exc}") from exc
 
 
 def _parse_weights(text: str) -> tuple[Fraction, ...]:
@@ -118,304 +118,263 @@ def _parse_weights(text: str) -> tuple[Fraction, ...]:
         raise ParameterError(f"bad --weights {text!r}: {exc}") from exc
 
 
-class _Out:
-    """Collects one command's report; writes to stdout or --output."""
+# Options whose text becomes an exact object before any command runs; an
+# absent or empty option becomes None.
+VALUE_PARSERS = {
+    "params": lambda text: ElectionParams(*_parse_ints("--params", "n,k,j", text)),
+    "center": CandidateSubset.parse,
+    "alpha": _parse_alpha,
+    "weights": _parse_weights,
+    "corrupt_coverage": lambda text: _parse_ints("--corrupt-coverage", "r,m", text),
+}
 
-    def __init__(self, config: RunConfig):
-        self.config = config
-        self.lines: list[str] = []
-        self.doc: dict = {"command": config.command}
 
-    def human(self, line: str) -> None:
-        self.lines.append(line)
+def _fact(key: str, label: str, value) -> Fact:
+    """The common fact: one structured key and one "label: value" human line."""
+    return key, value, (f"{label}: ", value)
 
-    def field(self, key: str, value) -> None:
-        self.doc[key] = value
 
-    def frac(self, value: Fraction) -> str:
-        text = format_rational(value)
-        if self.config.approx and value.denominator != 1:
-            text += f" (~{float(value):.6g})"
+# ---------------------------------------------------------------------------
+# rendering
+# ---------------------------------------------------------------------------
+
+def render(args: argparse.Namespace, result: list[Fact] | RawBallotFile) -> str:
+    """The text of one command's result: a ballot file, JSON, or human lines."""
+    if isinstance(result, RawBallotFile):
+        return dumps_ballot_file(result)
+    if args.format == "structured":
+        doc = {"command": args.command}
+        doc.update((key, value) for key, value, _ in result if key is not None)
+        return json.dumps(doc, indent=2, sort_keys=True, default=_json_value) + "\n"
+    lines = (
+        "".join(_human_text(part, args.approx) for part in line)
+        for _, _, line in result
+        if line is not None
+    )
+    return "\n".join(lines) + "\n"
+
+
+def _json_value(value):
+    """Structured form of the exact objects a result holds."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, CandidateSubset):
+        return list(value.members)
+    if isinstance(value, ElectionParams):
+        return {"n": value.n, "k": value.k, "j": value.j}
+    if isinstance(value, (theory.WorstCaseResult, theory.VerificationReport)):
+        return value.to_dict()
+    raise TypeError(f"no structured form for {type(value).__name__}")
+
+
+def _human_text(part, approx: bool) -> str:
+    """Human form of one part of a line; ``approx`` annotates a non-integer fraction.
+
+    A sequence (winners, ring weights) is listed exactly, without annotation.
+    """
+    if isinstance(part, Fraction):
+        text = format_rational(part)
+        if approx and part.denominator != 1:
+            text += f" (~{float(part):.6g})"
         return text
-
-    def flush(self) -> None:
-        if self.config.format == "structured":
-            text = json.dumps(self.doc, indent=2, sort_keys=True) + "\n"
-        else:
-            text = "\n".join(self.lines) + "\n"
-        if self.config.output:
-            with open(self.config.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-
-
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+    if isinstance(part, ElectionParams):
+        return f"n={part.n} k={part.k} j={part.j}"
+    if isinstance(part, (tuple, list)):
+        return ", ".join(map(str, part))
+    return str(part)
 
 
 # ---------------------------------------------------------------------------
 # tally
 # ---------------------------------------------------------------------------
 
-def cmd_tally(config: RunConfig) -> int:
-    if not config.input:
-        return _fail("tally requires --input", EXIT_PARAMS)
-    try:
-        raw = read_ballot_file(config.input)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    except BallotFormatError as exc:
-        return _fail(str(exc), EXIT_IO)
+def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
+    if not args.input:
+        raise ParameterError("tally requires --input")
+    raw = read_ballot_file(args.input)
     params = raw.params
-    try:
-        config.check_against(params)
-    except ParameterError as exc:
-        return _fail(str(exc), EXIT_PARAMS)
+    check_against(args, params)
 
-    if config.complete:
-        if config.center is None or config.radius is None:
-            return _fail("--complete requires --center and --radius", EXIT_PARAMS)
+    if args.complete:
+        if args.center is None or args.radius is None:
+            raise ParameterError("--complete requires --center and --radius")
         try:
-            raw = complete_short_lists(raw, BallSpec(config.center, config.radius))
-        except ParameterError as exc:
-            return _fail(str(exc), EXIT_HYPOTHESIS)
+            raw = complete_short_lists(raw, BallSpec(args.center, args.radius))
+        except ParameterError as exc:  # an entry with no completion inside the ball
+            raise HypothesisViolation(str(exc)) from exc
     elif any(len(e.subset) < params.j for e in raw.entries):
-        return _fail(
+        raise ParameterError(
             f"file contains lists shorter than j={params.j}; "
-            "rerun with --complete --center --radius",
-            EXIT_PARAMS,
+            "rerun with --complete --center --radius"
         )
 
-    try:
-        dist = normalize(raw)
-    except BallotFormatError as exc:
-        return _fail(str(exc), EXIT_IO)
+    dist = normalize(raw)
 
-    if (config.center is None) != (config.radius is None):
-        return _fail("--center and --radius must be given together", EXIT_PARAMS)
-    declared_ball = config.center is not None and config.radius is not None
+    if (args.center is None) != (args.radius is None):
+        raise ParameterError("--center and --radius must be given together")
+    declared_ball = args.center is not None
     if declared_ball:
-        inside = ball(BallSpec(config.center, config.radius), params)
+        inside = ball(BallSpec(args.center, args.radius), params)
         outside = sorted(lst for lst in dist.support if lst not in inside)
         if outside:
-            return _fail(
-                f"support outside declared ball (radius {config.radius} of "
-                f"{config.center}): {', '.join(str(x) for x in outside[:5])}",
-                EXIT_HYPOTHESIS,
+            raise HypothesisViolation(
+                f"support outside declared ball (radius {args.radius} of "
+                f"{args.center}): {', '.join(str(x) for x in outside[:5])}"
             )
 
-    s = config.threshold if config.threshold is not None else params.j
+    s = args.threshold if args.threshold is not None else params.j
     result = best_committees(dist, s=s)
-    floor = theory.global_floor(params)
-
-    out = _Out(config)
-    out.human(f"parameters: n={params.n} k={params.k} j={params.j}")
-    if s != params.j:
-        out.human(f"threshold: {s} (voters approve with >= {s} listed members)")
-    out.human(f"best approval: {out.frac(result.best_value)}")
-    committees = ", ".join(str(w) for w in result.winners)
-    out.human(f"winning committees ({len(result.winners)}): {committees}")
-    out.human(f"strategy: {result.strategy_used}")
-    out.human(f"floor (any distribution): {out.frac(floor)}")
-
-    out.field("params", {"n": params.n, "k": params.k, "j": params.j})
-    out.field("threshold", s)
-    out.field("best_value", format_rational(result.best_value))
-    out.field("winners", [list(w.members) for w in result.winners])
-    out.field("strategy", result.strategy_used)
-    out.field("global_floor", format_rational(floor))
-    out.field("ball_floor", None)
-
-    floors = [floor]
+    facts = [
+        _fact("params", "parameters", params),
+        ("threshold", s, None if s == params.j
+         else (f"threshold: {s} (voters approve with >= {s} listed members)",)),
+        _fact("best_value", "best approval", result.best_value),
+        _fact("winners", f"winning committees ({len(result.winners)})", result.winners),
+        _fact("strategy", "strategy", result.strategy_used),
+        _fact("global_floor", "floor (any distribution)", theory.global_floor(params)),
+    ]
     if declared_ball:
-        ball_note, ball_value = _ball_floor_line(params, config.radius)
-        if ball_value is not None:
-            floors.append(ball_value)
-            out.field("ball_floor", format_rational(ball_value))
-            out.human(
-                f"floor (support within radius {config.radius} of {config.center}): "
-                f"{out.frac(ball_value)}{ball_note}"
-            )
-        else:
-            out.human(ball_note)
-            out.field("ball_floor_note", ball_note)
+        facts += _ball_floor_facts(params, args.center, args.radius)
+    else:
+        facts.append(("ball_floor", None, None))
 
-    if config.self_check:
-        bad = [f for f in floors if result.best_value < f]
+    if args.self_check:
+        floors = (v for key, v, _ in facts if key in ("global_floor", "ball_floor"))
+        bad = [f for f in floors if f is not None and result.best_value < f]
         if bad:
-            return _fail(
+            raise SelfCheckFailed(
                 f"self-check failed: best {format_rational(result.best_value)} "
-                f"below floor {format_rational(bad[0])}",
-                EXIT_VERIFY_FAILED,
+                f"below floor {format_rational(bad[0])}"
             )
-        out.human("self-check: best approval meets every applicable floor")
-        out.field("self_check", "ok")
-
-    out.flush()
-    return EXIT_OK
-
-
-def _ball_floor_line(params: ElectionParams, radius: int) -> tuple[str, Fraction | None]:
-    """Ball floor if guaranteed, else the computed worst case with a note."""
-    try:
-        return "", theory.ball_floor(params, radius)
-    except HypothesisViolation:
-        limit = theory.ball_floor_radius_limit(params)
-        if radius >= params.diameter:
-            return (
-                f"radius {radius} reaches the diameter: the ball is the whole "
-                "list space, the any-distribution floor applies",
-                None,
-            )
-        worst = theory.worst_case_concentric(params, radius)
-        return (
-            f" [radius beyond guaranteed regime (limit {format_rational(limit)}); "
-            "this is the computed worst case]",
-            worst.value,
+        facts.append(
+            ("self_check", "ok", ("self-check: best approval meets every applicable floor",))
         )
+    return EXIT_OK, facts
+
+
+def _ball_floor_facts(params: ElectionParams, center: CandidateSubset, radius: int) -> list[Fact]:
+    """Ball floor if guaranteed, else the computed worst case with a note."""
+    label = f"floor (support within radius {radius} of {center}): "
+    try:
+        value = theory.ball_floor(params, radius)
+    except HypothesisViolation:
+        if radius < params.diameter:
+            worst = theory.worst_case_concentric(params, radius)
+            limit = format_rational(theory.ball_floor_radius_limit(params))
+            note = (f" [radius beyond guaranteed regime (limit {limit}); "
+                    "this is the computed worst case]")
+            return [("ball_floor", worst.value, (label, worst.value, note))]
+        note = (f"radius {radius} reaches the diameter: the ball is the whole "
+                "list space, the any-distribution floor applies")
     except ParameterError:
-        return "no ball guarantee for size-1 lists", None
+        note = "no ball guarantee for size-1 lists"
+    else:
+        return [("ball_floor", value, (label, value))]
+    return [("ball_floor", None, None), ("ball_floor_note", note, (note,))]
 
 
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
 
-def cmd_bounds(config: RunConfig) -> int:
-    if config.params is None:
-        return _fail("bounds requires --params n,k,j", EXIT_PARAMS)
-    params = config.params
+def cmd_bounds(args: argparse.Namespace) -> tuple[int, list[Fact]]:
+    params, radius = args.params, args.radius
+    if params is None:
+        raise ParameterError("bounds requires --params n,k,j")
+    check_against(args, params)
+    if args.alpha is not None and radius is None:
+        raise ParameterError("--alpha requires --radius")
+
+    facts = [
+        _fact("params", "parameters", params),
+        _fact("global_floor", "floor (any distribution)", theory.global_floor(params)),
+    ]
+    if radius is None:
+        return EXIT_OK, facts
     try:
-        config.check_against(params)
-    except ParameterError as exc:
-        return _fail(str(exc), EXIT_PARAMS)
-    if config.alpha is not None and config.radius is None:
-        return _fail("--alpha requires --radius", EXIT_PARAMS)
-
-    out = _Out(config)
-    out.human(f"parameters: n={params.n} k={params.k} j={params.j}")
-    floor = theory.global_floor(params)
-    out.human(f"floor (any distribution): {out.frac(floor)}")
-    out.field("params", {"n": params.n, "k": params.k, "j": params.j})
-    out.field("global_floor", format_rational(floor))
-
-    if config.radius is not None:
-        try:
-            value = theory.ball_floor(params, config.radius)
-            out.human(f"floor (support in ball of radius {config.radius}): {out.frac(value)}")
-            out.field("ball_floor", format_rational(value))
-            if config.alpha is not None:
-                mixed = theory.alpha_ball_floor(params, config.radius, config.alpha)
-                out.human(
-                    f"floor (fraction {format_rational(config.alpha)} of voters in "
-                    f"the ball): {out.frac(mixed)}"
-                )
-                out.field("alpha_ball_floor", format_rational(mixed))
-        except HypothesisViolation as exc:
-            out.human(f"no guaranteed ball floor: {exc}")
-            out.field("ball_floor", None)
-            out.field("ball_floor_note", str(exc))
-            if config.radius < params.diameter:
-                worst = theory.worst_case_concentric(params, config.radius)
-                out.human(
-                    f"computed worst case over concentric distributions: "
-                    f"{out.frac(worst.value)} "
-                    f"(weights {','.join(format_rational(w) for w in worst.weights)}; "
-                    f"class {worst.achieving_class})"
-                )
-                out.field("worst_case", worst.to_dict())
-            else:
-                out.human(
-                    "radius reaches the diameter: the ball is the whole list space, "
-                    "the any-distribution floor applies"
-                )
-        except ParameterError as exc:
-            return _fail(str(exc), EXIT_PARAMS)
-
-    out.flush()
-    return EXIT_OK
+        value = theory.ball_floor(params, radius)
+    except HypothesisViolation as exc:  # reported, not failed: the worst case answers instead
+        facts += [
+            ("ball_floor", None, None),
+            _fact("ball_floor_note", "no guaranteed ball floor", str(exc)),
+        ]
+        if radius < params.diameter:
+            worst = theory.worst_case_concentric(params, radius)
+            weights = ",".join(map(format_rational, worst.weights))
+            facts.append(("worst_case", worst, (
+                "computed worst case over concentric distributions: ", worst.value,
+                f" (weights {weights}; class {worst.achieving_class})",
+            )))
+        else:
+            facts.append((None, None, (
+                "radius reaches the diameter: the ball is the whole list space, "
+                "the any-distribution floor applies",
+            )))
+    else:
+        facts.append(_fact("ball_floor", f"floor (support in ball of radius {radius})", value))
+        if args.alpha is not None:
+            facts.append(_fact(
+                "alpha_ball_floor",
+                f"floor (fraction {format_rational(args.alpha)} of voters in the ball)",
+                theory.alpha_ball_floor(params, radius, args.alpha),
+            ))
+    return EXIT_OK, facts
 
 
 # ---------------------------------------------------------------------------
 # worst-case
 # ---------------------------------------------------------------------------
 
-def cmd_worst_case(config: RunConfig) -> int:
-    if config.params is None or config.radius is None:
-        return _fail("worst-case requires --params and --radius", EXIT_PARAMS)
-    try:
-        config.check_against(config.params)
-        result = theory.worst_case_concentric(config.params, config.radius)
-    except ParameterError as exc:
-        return _fail(str(exc), EXIT_PARAMS)
-    p = config.params
-    out = _Out(config)
-    out.human(f"parameters: n={p.n} k={p.k} j={p.j} radius={config.radius}")
-    out.human(f"worst-case best approval: {out.frac(result.value)}")
-    out.human(
-        "minimizing ring weights: "
-        + ", ".join(format_rational(w) for w in result.weights)
-    )
-    out.human(f"achieved by committees of class {result.achieving_class}")
-    out.field("params", {"n": p.n, "k": p.k, "j": p.j})
-    out.field("radius", config.radius)
-    out.field("worst_case", result.to_dict())
-    out.flush()
-    return EXIT_OK
+def cmd_worst_case(args: argparse.Namespace) -> tuple[int, list[Fact]]:
+    params, radius = args.params, args.radius
+    if params is None or radius is None:
+        raise ParameterError("worst-case requires --params and --radius")
+    check_against(args, params)
+    result = theory.worst_case_concentric(params, radius)
+    return EXIT_OK, [
+        ("params", params, ("parameters: ", params, f" radius={radius}")),
+        ("radius", radius, None),
+        ("worst_case", result, ("worst-case best approval: ", result.value)),
+        (None, None, ("minimizing ring weights: ", result.weights)),
+        (None, None, (f"achieved by committees of class {result.achieving_class}",)),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
 
-def cmd_generate(config: RunConfig) -> int:
-    if config.params is None:
-        return _fail("generate requires --params n,k,j", EXIT_PARAMS)
-    if config.mode is None:
-        return _fail("generate requires --mode", EXIT_PARAMS)
-    params = config.params
-    try:
-        config.check_against(params)
-        raw = _generate_raw(config, params)
-    except ParameterError as exc:
-        return _fail(str(exc), EXIT_PARAMS)
-    text = dumps_ballot_file(raw)
-    if config.output:
-        with open(config.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+def cmd_generate(args: argparse.Namespace) -> tuple[int, RawBallotFile]:
+    if args.params is None:
+        raise ParameterError("generate requires --params n,k,j")
+    check_against(args, args.params)
+    return EXIT_OK, _generate_raw(args, args.params)
 
 
-def _generate_raw(config: RunConfig, params: ElectionParams) -> RawBallotFile:
-    mode = config.mode
+def _generate_raw(args: argparse.Namespace, params: ElectionParams) -> RawBallotFile:
+    mode = args.mode
     if mode == "uniform-all":
         return distribution_to_raw(uniform_on(params, iter_lists(params)))
     if mode in ("uniform-ball", "uniform-ring"):
-        if config.center is None or config.radius is None:
+        if args.center is None or args.radius is None:
             raise ParameterError(f"{mode} requires --center and --radius")
         if mode == "uniform-ball":
-            lists = ball(BallSpec(config.center, config.radius), params)
+            lists = ball(BallSpec(args.center, args.radius), params)
         else:
-            lists = ring(config.center, config.radius, params)
+            lists = ring(args.center, args.radius, params)
         return distribution_to_raw(uniform_on(params, lists))
     if mode == "concentric":
-        if config.center is None or config.weights is None:
+        if args.center is None or args.weights is None:
             raise ParameterError("concentric requires --center and --weights")
-        from .ballots import concentric
-
-        return distribution_to_raw(concentric(config.center, config.weights, params))
+        return distribution_to_raw(concentric(args.center, args.weights, params))
     if mode == "random-ball":
-        if config.center is None or config.radius is None:
+        if args.center is None or args.radius is None:
             raise ParameterError("random-ball requires --center and --radius")
-        if config.seed is None:
+        if args.seed is None:
             raise ParameterError("random-ball requires --seed")
-        voters = config.voters if config.voters is not None else 100
+        voters = args.voters if args.voters is not None else 100
         return sample_ball_counts(
-            params, BallSpec(config.center, config.radius), voters, Random(config.seed)
+            params, BallSpec(args.center, args.radius), voters, Random(args.seed)
         )
     raise ParameterError(f"unknown mode {mode!r}")
 
@@ -424,6 +383,11 @@ def _generate_raw(config: RunConfig, params: ElectionParams) -> RawBallotFile:
 # verify
 # ---------------------------------------------------------------------------
 
+# Randomized trials draw n from RANDOM_MIN_N..min(--max-n, RANDOM_MAX_N).
+RANDOM_MIN_N = 4
+RANDOM_MAX_N = 9
+
+
 def _valid_param_sets(max_n: int):
     for n in range(2, max_n + 1):
         for k in range(1, n):
@@ -431,10 +395,13 @@ def _valid_param_sets(max_n: int):
                 yield ElectionParams(n, k, j)
 
 
-def cmd_verify(config: RunConfig) -> int:
-    seed = config.seed if config.seed is not None else 0
-    max_n = config.max_n
-    trials = config.trials
+def cmd_verify(args: argparse.Namespace) -> tuple[int, list[Fact]]:
+    max_n, trials = args.max_n, args.trials
+    if trials > 0 and max_n < RANDOM_MIN_N:
+        raise ParameterError(
+            f"--max-n {max_n} is below {RANDOM_MIN_N}, the smallest n of a randomized "
+            "trial; raise --max-n or pass --trials 0"
+        )
     reports: list[theory.VerificationReport] = []
 
     for n in range(2, max_n + 1):
@@ -443,16 +410,16 @@ def cmd_verify(config: RunConfig) -> int:
 
     for params in _valid_param_sets(max_n):
         table = theory.ring_coverage(params)
-        if config.corrupt_cell is not None:
-            r, m = config.corrupt_cell
+        if args.corrupt_coverage is not None:
+            r, m = args.corrupt_coverage
             if r <= params.diameter and m <= table.max_class:
                 table = theory.corrupt_table(table, r, m)
         reports.append(theory.coverage_monotonicity_check(params, table))
 
-    rng = Random(seed)
+    rng = Random(args.seed)
     domination_cells = []
     for t in range(trials):
-        params = _random_params(rng, min(max_n, 9))
+        params = _random_params(rng, min(max_n, RANDOM_MAX_N))
         dist = random_distribution(params, rng)
         center = rng.choice(sorted(dist.support))
         before = best_committees(dist).best_value
@@ -468,7 +435,7 @@ def cmd_verify(config: RunConfig) -> int:
 
     oracle_cells = []
     for t in range(trials):
-        params = _random_params(rng, min(max_n, 9))
+        params = _random_params(rng, min(max_n, RANDOM_MAX_N))
         dist = random_distribution(params, rng)
         s = params.j if rng.random() < 0.5 else rng.randint(0, params.j)
         reference = oracle.brute_best(dist, s)
@@ -487,21 +454,17 @@ def cmd_verify(config: RunConfig) -> int:
     reports.append(theory.VerificationReport("oracle-equivalence", tuple(oracle_cells)))
 
     passed = all(r.passed for r in reports)
-    out = _Out(config)
-    for report in reports:
-        out.human(report.render())
     total = sum(len(r.cells) for r in reports)
-    out.human(f"RESULT: {'PASS' if passed else 'FAIL'} ({total} checks)")
-    out.field("seed", seed)
-    out.field("max_n", max_n)
-    out.field("passed", passed)
-    out.field("suites", [r.to_dict() for r in reports])
-    out.flush()
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+    return EXIT_OK if passed else EXIT_VERIFY_FAILED, [
+        ("suites", reports, ("\n".join(r.render() for r in reports),)),
+        ("passed", passed, (f"RESULT: {'PASS' if passed else 'FAIL'} ({total} checks)",)),
+        ("seed", args.seed, None),
+        ("max_n", max_n, None),
+    ]
 
 
 def _random_params(rng: Random, max_n: int) -> ElectionParams:
-    n = rng.randint(4, max_n)
+    n = rng.randint(RANDOM_MIN_N, max_n)
     k = rng.randint(2, n - 1)
     j = rng.randint(1, k)
     return ElectionParams(n, k, j)
@@ -511,68 +474,57 @@ def _random_params(rng: Random, max_n: int) -> ElectionParams:
 # oracle (hidden; derived-value generation)
 # ---------------------------------------------------------------------------
 
-def cmd_oracle(config: RunConfig) -> int:
-    out = _Out(config)
-    if config.oracle_op == "brute-best":
-        if not config.input:
-            return _fail("oracle brute-best requires --input", EXIT_PARAMS)
-        try:
-            dist = normalize(read_ballot_file(config.input))
-        except (OSError, BallotFormatError) as exc:
-            return _fail(str(exc), EXIT_IO)
-        try:
-            result = oracle.brute_best(dist, config.threshold)
-        except ParameterError as exc:
-            return _fail(str(exc), EXIT_PARAMS)
-        out.human(f"brute best: {out.frac(result.best_value)}")
-        out.human("winners: " + ", ".join(str(w) for w in result.winners))
-        out.field("best_value", format_rational(result.best_value))
-        out.field("winners", [list(w.members) for w in result.winners])
-    elif config.oracle_op == "minimax-grid":
-        if config.params is None or config.radius is None or config.denominator is None:
-            return _fail(
-                "oracle minimax-grid requires --params, --radius, --denominator",
-                EXIT_PARAMS,
-            )
-        try:
-            value = oracle.brute_minimax_grid(config.params, config.radius, config.denominator)
-        except ParameterError as exc:
-            return _fail(str(exc), EXIT_PARAMS)
-        out.human(f"grid minimax: {out.frac(value)}")
-        out.field("value", format_rational(value))
-        out.field("denominator", config.denominator)
-    else:
-        return _fail(f"unknown oracle operation {config.oracle_op!r}", EXIT_PARAMS)
-    out.flush()
-    return EXIT_OK
+def cmd_oracle(args: argparse.Namespace) -> tuple[int, list[Fact]]:
+    if args.oracle_op == "brute-best":
+        if not args.input:
+            raise ParameterError("oracle brute-best requires --input")
+        result = oracle.brute_best(normalize(read_ballot_file(args.input)), args.threshold)
+        return EXIT_OK, [
+            _fact("best_value", "brute best", result.best_value),
+            _fact("winners", "winners", result.winners),
+        ]
+    if args.params is None or args.radius is None or args.denominator is None:
+        raise ParameterError("oracle minimax-grid requires --params, --radius, --denominator")
+    value = oracle.brute_minimax_grid(args.params, args.radius, args.denominator)
+    return EXIT_OK, [
+        _fact("value", "grid minimax", value),
+        ("denominator", args.denominator, None),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
+SHARED_OPTIONS = {
+    "--params": {"help": "election parameters n,k,j (e.g. 6,4,3)"},
+    "--center": {"help": "center list, e.g. 1,2,3"},
+    "--radius": {"type": int, "help": "ball or ring radius"},
+    "--format": {"choices": ["human", "structured"], "default": "human"},
+    "--output": {"help": "write the report or file here instead of stdout"},
+    "--approx": {"action": "store_true",
+                 "help": "annotate fractions with decimal approximations"},
+}
+REPORT_OPTIONS = ("--format", "--output", "--approx")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="listvote",
         description="Exact committee-election tallying and worst-case approval guarantees.",
     )
+    # What the shared code reads, for the commands that do not take it.
+    parser.set_defaults(approx=False, threshold=None,
+                        **{name: None for name in ("radius", *VALUE_PARSERS)})
     sub = parser.add_subparsers(dest="command", metavar=VISIBLE_COMMANDS, required=True)
 
-    def common(p: argparse.ArgumentParser, *, params=False, center=False, radius=False):
-        if params:
-            p.add_argument("--params", help="election parameters n,k,j (e.g. 6,4,3)")
-        if center:
-            p.add_argument("--center", help="center list, e.g. 1,2,3")
-        if radius:
-            p.add_argument("--radius", type=int, help="ball or ring radius")
-        p.add_argument("--format", choices=["human", "structured"], default="human")
-        p.add_argument("--output", help="write the report or file here instead of stdout")
-        p.add_argument("--approx", action="store_true",
-                       help="annotate fractions with decimal approximations")
+    def shared(p: argparse.ArgumentParser, *flags: str) -> None:
+        for flag in flags:
+            p.add_argument(flag, **SHARED_OPTIONS[flag])
 
     p_tally = sub.add_parser("tally", help="tally a ballot file and report exact winners")
     p_tally.add_argument("--input", required=True, help="ballot file (JSON)")
-    common(p_tally, params=True, center=True, radius=True)
+    shared(p_tally, "--params", "--center", "--radius", *REPORT_OPTIONS)
     p_tally.add_argument("--threshold", type=int,
                          help="approval threshold s (default: full containment)")
     p_tally.add_argument("--complete", action="store_true",
@@ -580,21 +532,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_tally.add_argument("--self-check", action="store_true", help=argparse.SUPPRESS)
 
     p_bounds = sub.add_parser("bounds", help="print guaranteed approval floors")
-    common(p_bounds, params=True, radius=True)
+    shared(p_bounds, "--params", "--radius", *REPORT_OPTIONS)
     p_bounds.add_argument("--alpha", help="fraction of voters inside the ball, e.g. 3/4")
 
     p_verify = sub.add_parser("verify", help="run the validator and oracle-equivalence suites")
-    common(p_verify)
+    shared(p_verify, "--format", "--output")
     p_verify.add_argument("--max-n", type=int, default=10, dest="max_n",
                           help="sweep parameter sets up to this n (default 10)")
     p_verify.add_argument("--trials", type=int, default=25,
                           help="randomized trials per suite (default 25)")
-    p_verify.add_argument("--seed", type=int, help="seed for randomized suites (default 0)")
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="seed for randomized suites (default 0)")
     p_verify.add_argument("--corrupt-coverage", dest="corrupt_coverage",
                           help=argparse.SUPPRESS)
 
     p_gen = sub.add_parser("generate", help="write a ballot file from a generator")
-    common(p_gen, params=True, center=True, radius=True)
+    shared(p_gen, "--params", "--center", "--radius", "--output")
     p_gen.add_argument("--mode", required=True,
                        choices=["uniform-all", "uniform-ball", "uniform-ring",
                                 "concentric", "random-ball"])
@@ -604,52 +557,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_worst = sub.add_parser("worst-case",
                              help="exact minimax over concentric ball distributions")
-    common(p_worst, params=True, radius=True)
+    shared(p_worst, "--params", "--radius", *REPORT_OPTIONS)
 
     p_oracle = sub.add_parser("oracle")  # hidden: absent from the metavar above
     p_oracle.add_argument("oracle_op", choices=["brute-best", "minimax-grid"])
     p_oracle.add_argument("--input")
     p_oracle.add_argument("--threshold", type=int)
     p_oracle.add_argument("--denominator", type=int)
-    common(p_oracle, params=True, radius=True)
+    shared(p_oracle, "--params", "--radius", *REPORT_OPTIONS)
 
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    config.format = getattr(args, "format", "human")
-    config.output = getattr(args, "output", None)
-    config.approx = getattr(args, "approx", False)
-    config.input = getattr(args, "input", None)
-    config.radius = getattr(args, "radius", None)
-    config.threshold = getattr(args, "threshold", None)
-    config.seed = getattr(args, "seed", None)
-    config.complete = getattr(args, "complete", False)
-    config.self_check = getattr(args, "self_check", False)
-    config.mode = getattr(args, "mode", None)
-    config.voters = getattr(args, "voters", None)
-    config.max_n = getattr(args, "max_n", 10)
-    config.trials = getattr(args, "trials", 25)
-    config.denominator = getattr(args, "denominator", None)
-    config.oracle_op = getattr(args, "oracle_op", None)
-    if getattr(args, "params", None):
-        config.params = _parse_params(args.params)
-    if getattr(args, "center", None):
-        config.center = CandidateSubset.parse(args.center)
-    if getattr(args, "alpha", None):
-        try:
-            config.alpha = parse_rational(args.alpha)
-        except ValueError as exc:
-            raise ParameterError(f"bad --alpha: {exc}") from exc
-    if getattr(args, "weights", None):
-        config.weights = _parse_weights(args.weights)
-    if getattr(args, "corrupt_coverage", None):
-        parts = args.corrupt_coverage.split(",")
-        if len(parts) != 2:
-            raise ParameterError("corrupt-coverage wants r,m")
-        config.corrupt_cell = (int(parts[0]), int(parts[1]))
-    return config
 
 
 _DISPATCH = {
@@ -663,22 +580,22 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-    except ParameterError as exc:
-        return _fail(str(exc), EXIT_PARAMS)
-    try:
-        return _DISPATCH[args.command](config)
-    except HypothesisViolation as exc:
-        return _fail(str(exc), EXIT_HYPOTHESIS)
-    except BallotFormatError as exc:
-        return _fail(str(exc), EXIT_IO)
-    except ParameterError as exc:
-        return _fail(str(exc), EXIT_PARAMS)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
+        for name, parse in VALUE_PARSERS.items():
+            text = getattr(args, name)
+            setattr(args, name, parse(text) if text else None)
+        code, result = _DISPATCH[args.command](args)
+        text = render(args, result)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

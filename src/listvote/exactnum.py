@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Sequence
 
 # Canonical exact-number type: arbitrary precision, always in lowest terms,
 # denominator always positive, zero stored as 0/1.
@@ -54,66 +53,3 @@ def binomial(a: int, b: int) -> int:
     if b < 0 or b > a:
         return 0
     return math.comb(a, b)
-
-
-class BinomialTable:
-    """Triangular table of C(a, b) for 0 <= b <= a <= max_n.
-
-    Built once by the Pascal recurrence; out-of-triangle lookups return 0,
-    matching :func:`binomial`.
-    """
-
-    def __init__(self, max_n: int):
-        if max_n < 0:
-            raise ValueError(f"max_n must be >= 0, got {max_n}")
-        self.max_n = max_n
-        rows = [[1]]
-        for a in range(1, max_n + 1):
-            prev = rows[-1]
-            rows.append([1] + [prev[b - 1] + prev[b] for b in range(1, a)] + [1])
-        self._rows = rows
-
-    def get(self, a: int, b: int) -> int:
-        if not 0 <= a <= self.max_n:
-            raise ValueError(f"a={a} outside table range 0..{self.max_n}")
-        if b < 0 or b > a:
-            return 0
-        return self._rows[a][b]
-
-
-def rank_subset(members: Sequence[int], n: int) -> int:
-    """Colexicographic rank of a sorted subset of {1..n}.
-
-    The combinadic bijection: a size-t subset with members
-    c_1 < ... < c_t maps to sum_i C(c_i - 1, i), giving ranks
-    0 .. C(n, t) - 1 without gaps.
-    """
-    prev = 0
-    rank = 0
-    for i, c in enumerate(members, start=1):
-        if c <= prev:
-            raise ValueError(f"members must be strictly increasing and >= 1: {tuple(members)}")
-        if c > n:
-            raise ValueError(f"member {c} exceeds n={n}")
-        rank += math.comb(c - 1, i)
-        prev = c
-    return rank
-
-
-def unrank_subset(rank: int, n: int, size: int) -> tuple[int, ...]:
-    """Inverse of :func:`rank_subset` for size-``size`` subsets of {1..n}."""
-    if size < 0 or size > n:
-        raise ValueError(f"size={size} invalid for n={n}")
-    total = math.comb(n, size)
-    if not 0 <= rank < total:
-        raise ValueError(f"rank {rank} out of range for C({n},{size})={total}")
-    x = rank
-    out = []
-    c = n
-    for i in range(size, 0, -1):
-        while math.comb(c - 1, i) > x:
-            c -= 1
-        out.append(c)
-        x -= math.comb(c - 1, i)
-        c -= 1
-    return tuple(reversed(out))

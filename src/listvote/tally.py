@@ -123,7 +123,8 @@ def best_committees(
 
     ``s`` relaxes the rule to threshold approval (default: full
     containment, s = j). The strategy with the smaller predicted work is
-    chosen unless forced; a tie goes to ``dense``.
+    chosen unless forced; a tie goes to ``dense``, except above
+    ``DENSE_MAX_N``, where dense cannot run.
     """
     p = dist.params
     if s is None:
@@ -134,7 +135,8 @@ def best_committees(
         raise ParameterError(f"unknown strategy {strategy!r}")
     work = predicted_work(dist, s)
     if strategy is None:
-        strategy = "sparse" if work["sparse"] < work["dense"] else "dense"
+        dense = work["dense"] <= work["sparse"] and p.n <= DENSE_MAX_N
+        strategy = "dense" if dense else "sparse"
     # No size cap on sparse, but say what is coming on instances too big for dense.
     log.log(
         logging.INFO if p.n > DENSE_MAX_N else logging.DEBUG,

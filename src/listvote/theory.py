@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
 from typing import Sequence
 
 from .errors import HypothesisViolation, ParameterError
@@ -178,26 +177,6 @@ def ring_coverage(params: ElectionParams) -> RingCoverageTable:
             )
         )
     return RingCoverageTable(params, tuple(rows))
-
-
-def coverage_factorial_form(params: ElectionParams, r: int, m: int) -> Fraction:
-    """Factorial form of the coverage entry, defined only for m <= r <= k+m-j."""
-    n, k, j = params.n, params.k, params.j
-    if not (m <= r <= k + m - j):
-        raise ParameterError(f"factorial form undefined at r={r}, m={m}")
-    num = (
-        factorial(r)
-        * factorial(k + m - j)
-        * factorial(j - m)
-        * factorial(n - j - r)
-    )
-    den = (
-        factorial(r - m)
-        * factorial(k + m - j - r)
-        * factorial(j)
-        * factorial(n - j)
-    )
-    return Fraction(num, den)
 
 
 def concentric_approval(

@@ -279,6 +279,13 @@ class TestGenerate:
         raw = loads_ballot_file(out)
         assert len(raw.entries) == 10
 
+    @pytest.mark.parametrize("flag", [["--format", "structured"], ["--approx"]])
+    def test_report_flags_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--params", "5,3,2", "--mode", "uniform-all", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_generate_tally_round_trip_meets_floor(self, capsys, tmp_path):
         for seed in (1, 2, 3):
             gen = tmp_path / f"g{seed}.json"
@@ -323,6 +330,25 @@ class TestVerify:
         assert code == 1
         assert "RESULT: FAIL" in out
         assert "r=1 m=0" in out
+
+    def test_max_n_below_random_trials_exits_3(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-n", "3")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: --max-n 3 is below 4")
+        code, out, _ = run(capsys, "verify", "--max-n", "3", "--trials", "0")
+        assert code == 0
+        assert "RESULT: PASS" in out
+
+    def test_non_integer_corrupt_coverage_exits_3(self, capsys):
+        code, _, err = run(capsys, "verify", "--max-n", "5", "--corrupt-coverage", "a,b")
+        assert code == 3
+        assert err == "error: --corrupt-coverage wants integers r,m; got 'a,b'\n"
+
+    def test_approx_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--max-n", "4", "--approx"])
+        assert exc.value.code == 2
 
     def test_structured_report(self, capsys):
         code, out, _ = run(

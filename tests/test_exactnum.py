@@ -1,19 +1,11 @@
 import math
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from listvote import (
-    BinomialTable,
-    binomial,
-    format_rational,
-    parse_rational,
-    rank_subset,
-    unrank_subset,
-)
+from listvote import binomial, format_rational, parse_rational
 
 
 class TestBinomial:
@@ -35,58 +27,6 @@ class TestBinomial:
         for a in range(1, 31):
             for b in range(0, a + 1):
                 assert binomial(a, b) == binomial(a - 1, b - 1) + binomial(a - 1, b)
-
-
-class TestBinomialTable:
-    def test_matches_function(self):
-        table = BinomialTable(20)
-        for a in range(21):
-            for b in range(-2, a + 3):
-                assert table.get(a, b) == binomial(a, b)
-
-    def test_out_of_table_rejected(self):
-        with pytest.raises(ValueError):
-            BinomialTable(5).get(6, 2)
-
-
-class TestRankUnrank:
-    def test_first_subset_in_colex(self):
-        assert rank_subset((1, 2), 4) == 0
-
-    def test_last_subset(self):
-        assert unrank_subset(5, 4, 2) == (3, 4)
-
-    def test_round_trip_exhaustive_8_3(self):
-        seen = set()
-        for members in combinations(range(1, 9), 3):
-            r = rank_subset(members, 8)
-            assert unrank_subset(r, 8, 3) == members
-            seen.add(r)
-        assert seen == set(range(math.comb(8, 3)))
-
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_bijection_all_sizes(self, n):
-        for t in range(0, n + 1):
-            ranks = [rank_subset(m, n) for m in combinations(range(1, n + 1), t)]
-            assert sorted(ranks) == list(range(math.comb(n, t)))
-
-    def test_colex_order_is_increasing(self):
-        # Colex: compare reversed tuples; ranks must follow that order.
-        subsets = sorted(combinations(range(1, 8), 3), key=lambda s: s[::-1])
-        ranks = [rank_subset(s, 7) for s in subsets]
-        assert ranks == list(range(len(subsets)))
-
-    def test_rank_out_of_range(self):
-        with pytest.raises(ValueError):
-            unrank_subset(6, 4, 2)
-        with pytest.raises(ValueError):
-            unrank_subset(-1, 4, 2)
-
-    def test_bad_members(self):
-        with pytest.raises(ValueError):
-            rank_subset((2, 2), 4)
-        with pytest.raises(ValueError):
-            rank_subset((1, 5), 4)
 
 
 nonzero = st.integers(min_value=1, max_value=10**6)

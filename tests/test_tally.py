@@ -181,6 +181,15 @@ class TestBestCommittees:
             best_committees(dist, strategy="dense")
         # sparse has no cap
         assert best_committees(dist, strategy="sparse").best_value == 1
+        # a predicted-work tie above the cap goes to sparse, not to a refused dense walk
+        params = ElectionParams(29, 3, 2)
+        full = uniform_on(params, iter_lists(params))
+        work = predicted_work(full)
+        assert work["sparse"] == work["dense"]
+        result = best_committees(full)
+        assert result.strategy_used == "sparse"
+        assert result.best_value == Fraction(3, 406)
+        assert len(result.winners) == comb(29, 3)
 
     def test_winners_sorted(self):
         params = ElectionParams(6, 4, 3)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from random import Random
 
 import pytest
@@ -34,11 +34,21 @@ from listvote import (
     uniform_on,
     worst_case_concentric,
 )
-from listvote.theory import corrupt_table, coverage_factorial_form
+from listvote.theory import corrupt_table
 from conftest import dist_from, subset
 
 P643 = ElectionParams(6, 4, 3)
 V123 = CandidateSubset((1, 2, 3))
+
+
+def coverage_factorial_form(params, r, m):
+    """Factorial form of the coverage entry, defined only for m <= r <= k+m-j."""
+    n, k, j = params.n, params.k, params.j
+    if not (m <= r <= k + m - j):
+        raise ParameterError(f"factorial form undefined at r={r}, m={m}")
+    num = factorial(r) * factorial(k + m - j) * factorial(j - m) * factorial(n - j - r)
+    den = factorial(r - m) * factorial(k + m - j - r) * factorial(j) * factorial(n - j)
+    return Fraction(num, den)
 
 
 def all_param_sets(max_n):
