@@ -7,10 +7,16 @@ Beyond the regime no closed form is claimed; the exact linear program
 reports the value and the (often interior) minimizing ring weights. Rows
 marked with * are beyond the guaranteed-radius limit.
 
+Exits 1, naming each offending row on stderr, when an in-regime row
+differs from the closed form or does not put all mass on the outer ring.
+
 Usage: python scripts/worst_case_sweep.py [--max-n N]
 """
 
 import argparse
+import sys
+from fractions import Fraction
+from math import comb
 
 from listvote import (
     ElectionParams,
@@ -22,6 +28,7 @@ from listvote import (
 
 
 def sweep(max_n):
+    failures = 0
     header = f"{'n':>3} {'k':>3} {'j':>3} {'radius':>6}  {'worst case':>12}  {'floor':>8}  weights"
     print(header)
     print("-" * len(header))
@@ -41,9 +48,21 @@ def sweep(max_n):
                         f"{n:>3} {k:>3} {j:>3} {radius:>5}{beyond}  "
                         f"{format_rational(result.value):>12}  {floor:>8}  ({weights})"
                     )
+                    if radius > limit:
+                        continue
+                    closed = Fraction(comb(k - j, radius), comb(n - j, radius))
+                    outer = (Fraction(0),) * radius + (Fraction(1),)
+                    if (result.value, result.weights) != (closed, outer):
+                        failures += 1
+                        print(
+                            f"FAIL n={n} k={k} j={j} radius={radius}: expected "
+                            f"{format_rational(closed)} on the outer ring",
+                            file=sys.stderr,
+                        )
+    return failures
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=8)
-    sweep(parser.parse_args().max_n)
+    sys.exit(1 if sweep(parser.parse_args().max_n) else 0)

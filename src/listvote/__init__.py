@@ -41,7 +41,7 @@ from .johnson import (
     ring_monotone_threshold,
     ring_size,
 )
-from .oracle import brute_best, brute_minimax_grid
+from .oracle import brute_best, brute_minimax_grid, brute_minimax_vertices
 from .tally import (
     TallyResult,
     approval,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .errors import HypothesisViolation, ParameterError
@@ -293,34 +292,23 @@ def alpha_ball_floor(params: ElectionParams, radius: int, alpha: Fraction) -> Fr
     return ball_floor(params, radius) * alpha
 
 
-def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Exact Gauss-Jordan solve; None when the system is singular."""
-    size = len(rows)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][size] for r in range(size)]
-
-
 def worst_case_concentric(params: ElectionParams, radius: int) -> WorstCaseResult:
     """Exact minimax best-committee approval over concentric ball distributions.
 
     Minimizes, over ring-weight vectors (w_0..w_radius >= 0 summing
-    to 1), the maximum over classes m of sum_r w_r * entry[r][m]. Solved
-    by enumerating the basic feasible points of the small linear program
-    in exact arithmetic: each candidate vertex fixes some weights at zero
-    and makes some class constraints tight. Within the guaranteed-radius
-    regime the optimum is all mass on the outermost ring and the value
-    equals :func:`ball_floor`; beyond it this is the sanctioned tool.
+    to 1), the maximum t over classes m of sum_r w_r * entry[r][m].
+    Substituting y = w / t turns this into max sum(y) subject to
+    sum_r entry[r][m] * y_r <= 1 for every nonempty class m and y >= 0,
+    whose slack basis is feasible, so an exact simplex over Fractions
+    starts there; at the optimum t = 1 / sum(y) and w = y * t. Among
+    optimal points the lexicographically smallest w is kept: the
+    objective is the vector (sum(y), -y_0, ..., -y_radius) compared
+    lexicographically, a column enters only when its reduced-cost vector
+    is lexicographically positive, and Bland's smallest-index rule picks
+    both the entering column and the leaving row, so the loop cannot
+    cycle. Within the guaranteed-radius regime the optimum is all mass on
+    the outermost ring and the value equals :func:`ball_floor`; beyond it
+    this is the sanctioned tool.
 
     The radius must stay below the diameter; a ball of full diameter is
     the whole list space, where the global floor already answers the
@@ -333,46 +321,49 @@ def worst_case_concentric(params: ElectionParams, radius: int) -> WorstCaseResul
             f"radius must satisfy 0 <= radius < diameter={params.diameter}, got {radius}"
         )
     table = ring_coverage(params)
-    # every class in 0..max_class is nonempty, but the max must only ever
-    # range over committees that exist
     classes = [m for m in range(table.max_class + 1) if class_size(params, m) > 0]
-    cover = {m: [table.entries[r][m] for r in range(radius + 1)] for m in classes}
-    width = radius + 2  # ring weights plus the max level t
-
-    best: tuple[Fraction, tuple[Fraction, ...], int] | None = None
-    indices = list(range(radius + 1))
-    for zero_count in range(radius + 1):
-        for zero_set in combinations(indices, zero_count):
-            tight_count = radius + 1 - zero_count
-            if tight_count > len(classes):
-                continue
-            for tight in combinations(classes, tight_count):
-                rows: list[list[Fraction]] = []
-                rhs: list[Fraction] = []
-                for r in zero_set:
-                    row = [Fraction(0)] * width
-                    row[r] = Fraction(1)
-                    rows.append(row)
-                    rhs.append(Fraction(0))
-                rows.append([Fraction(1)] * (radius + 1) + [Fraction(0)])
-                rhs.append(Fraction(1))
-                for m in tight:
-                    rows.append(list(cover[m]) + [Fraction(-1)])
-                    rhs.append(Fraction(0))
-                sol = _solve_square(rows, rhs)
-                if sol is None:
-                    continue
-                weights, t = sol[: radius + 1], sol[-1]
-                if any(w < 0 for w in weights):
-                    continue
-                values = {
-                    m: sum(c * w for c, w in zip(cover[m], weights)) for m in classes
-                }
-                if any(v > t for v in values.values()):
-                    continue
-                key = (t, tuple(weights))
-                if best is None or key < best[:2]:
-                    achieving = min(m for m, v in values.items() if v == t)
-                    best = (t, tuple(weights), achieving)
-    assert best is not None  # all mass on ring 0 is always a feasible vertex
-    return WorstCaseResult(value=best[0], weights=best[1], achieving_class=best[2])
+    size, width = radius + 1, radius + 1 + len(classes)
+    one, zero = Fraction(1), Fraction(0)
+    # One row per class: coverage of y_0..y_radius, the slacks, then the
+    # right-hand side 1. Column q < size is y_q, the others are slacks.
+    rows = [
+        [table.entries[r][m] for r in range(size)]
+        + [one if c == i else zero for c in range(len(classes))]
+        + [one]
+        for i, m in enumerate(classes)
+    ]
+    # Reduced costs of sum(y), -y_0, ..., -y_radius, in that order.
+    costs = [[one] * size + [zero] * (width - size + 1)] + [
+        [-one if q == r else zero for q in range(width + 1)] for r in range(size)
+    ]
+    basis = list(range(size, width))
+    while True:
+        entering = next(
+            (q for q in range(width) if next((c[q] for c in costs if c[q]), 0) > 0),
+            None,
+        )
+        if entering is None:
+            break
+        # no coefficient is negative and every y_r has a positive one, so
+        # the feasible region is bounded and some row limits every column
+        p = min(
+            (i for i, row in enumerate(rows) if row[entering] > 0),
+            key=lambda i: (rows[i][-1] / rows[i][entering], basis[i]),
+        )
+        pivot = rows[p][entering]
+        rows[p] = prow = [x / pivot if x else x for x in rows[p]]
+        for row in rows + costs:
+            f = row[entering]
+            if f and row is not prow:
+                row[:] = [a - f * b if b else a for a, b in zip(row, prow)]
+        basis[p] = entering
+    y = [zero] * size
+    for i, q in enumerate(basis):
+        if q < size:
+            y[q] = rows[i][-1]
+    t = 1 / sum(y)
+    weights = tuple(v * t for v in y)
+    achieving = min(
+        m for m in classes if sum(table.entries[r][m] * w for r, w in enumerate(weights)) == t
+    )
+    return WorstCaseResult(value=t, weights=weights, achieving_class=achieving)

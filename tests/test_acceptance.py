@@ -224,6 +224,21 @@ def test_criterion_7_outer_ring_worst_case():
                 for _ in range(100):
                     dist = random_distribution(params, rng, pool=pool, max_support=8)
                     assert best_committees(dist).best_value >= expected
+        # worst case alone on 200 seeded in-regime shapes with 11 <= n <= 60
+        shapes = 0
+        while shapes < 200:
+            n = rng.randint(11, 60)
+            k = rng.randint(2, n - 1)
+            params = ElectionParams(n, k, rng.randint(2, k))
+            top = min(int(ball_floor_radius_limit(params)), params.diameter - 1)
+            if top < 0:
+                continue
+            radius = rng.randint(0, top)
+            result = worst_case_concentric(params, radius)
+            assert result.value == ball_floor(params, radius)
+            assert result.weights == (Fraction(0),) * radius + (Fraction(1),)
+            assert result.achieving_class == 0
+            shapes += 1
         # size-1 lists are outside the guaranteed regime by contract
         with pytest.raises(ParameterError):
             worst_case_concentric(ElectionParams(5, 2, 1), 0)

@@ -9,6 +9,8 @@ from listvote import (
     best_committees,
     brute_best,
     brute_minimax_grid,
+    brute_minimax_vertices,
+    global_floor,
     random_distribution,
     worst_case_concentric,
 )
@@ -79,3 +81,62 @@ class TestBruteMinimaxGrid:
             brute_minimax_grid(params, 4, 10)
         with pytest.raises(ParameterError):
             brute_minimax_grid(params, 2, 61)
+
+
+def worst_case_triple(result):
+    return result.value, result.weights, result.achieving_class
+
+
+class TestBruteMinimaxVertices:
+    def test_simplex_matches_on_every_small_shape(self):
+        # every shape with n <= 9 and lists of size >= 2, every radius below
+        # the diameter; k == j shapes are among them
+        checked = 0
+        for n in range(4, 10):
+            for k in range(2, n):
+                for j in range(2, k + 1):
+                    params = ElectionParams(n, k, j)
+                    for radius in range(params.diameter):
+                        exact = brute_minimax_vertices(params, radius)
+                        fast = worst_case_concentric(params, radius)
+                        assert worst_case_triple(fast) == worst_case_triple(exact)
+                        checked += 1
+        assert checked == 213
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_simplex_matches_when_k_equals_j(self, n):
+        # class 0 covers no ring beyond 0 here, so ratio ties and
+        # degenerate pivots are common
+        for k in range(2, n):
+            params = ElectionParams(n, k, k)
+            for radius in range(min(params.diameter, 4)):
+                exact = brute_minimax_vertices(params, radius)
+                fast = worst_case_concentric(params, radius)
+                assert worst_case_triple(fast) == worst_case_triple(exact)
+
+    def test_full_diameter_is_global_floor(self):
+        # a ball of full diameter is the whole list space, where the
+        # uniform distribution attains the global floor
+        for n in range(4, 9):
+            for k in range(2, n):
+                for j in range(2, k + 1):
+                    params = ElectionParams(n, k, j)
+                    if params.diameter <= 3:
+                        result = brute_minimax_vertices(params, params.diameter)
+                        assert result.value == global_floor(params)
+
+    def test_643_radius_two(self):
+        result = brute_minimax_vertices(ElectionParams(6, 4, 3), 2)
+        assert result.value == Fraction(1, 5)
+        assert result.weights == (Fraction(1, 10), Fraction(3, 10), Fraction(3, 5))
+        assert result.achieving_class == 0
+
+    def test_guards(self):
+        with pytest.raises(ParameterError):
+            brute_minimax_vertices(ElectionParams(13, 6, 5), 1)
+        with pytest.raises(ParameterError):
+            brute_minimax_vertices(ElectionParams(12, 6, 5), 4)
+        with pytest.raises(ParameterError):
+            brute_minimax_vertices(ElectionParams(6, 4, 3), -1)
+        with pytest.raises(ParameterError):
+            brute_minimax_vertices(ElectionParams(5, 4, 2), 3)

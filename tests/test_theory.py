@@ -386,6 +386,22 @@ class TestWorstCaseConcentric:
         assert result.value >= global_floor(P643)
         assert Fraction(4, 19) > Fraction(1, 5)
 
+    def test_beyond_regime_16_12_5_radius_4(self):
+        result = worst_case_concentric(ElectionParams(16, 12, 5), 4)
+        assert result.value == Fraction(1512, 8305)
+        assert result.weights == (
+            Fraction(0), Fraction(0), Fraction(133, 604), Fraction(87, 604), Fraction(96, 151),
+        )
+        assert result.achieving_class == 0
+
+    def test_beyond_regime_20_10_8_radius_3(self):
+        result = worst_case_concentric(ElectionParams(20, 10, 8), 3)
+        assert result.value == Fraction(3, 1553)
+        assert result.weights == (
+            Fraction(1, 1553), Fraction(12, 1553), Fraction(0), Fraction(1540, 1553),
+        )
+        assert result.achieving_class == 0
+
     def test_matches_ball_floor_within_hypothesis(self):
         rng = Random(89)
         for params in random_param_sets(rng, 20, 10, min_j=2):
