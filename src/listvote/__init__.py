@@ -11,7 +11,6 @@ combinatorial facts by brute force and exact minimax.
 from .ballots import (
     BallotEntry,
     RawBallotFile,
-    RingWeights,
     VoterDistribution,
     complete_short_lists,
     concentric,

@@ -63,21 +63,6 @@ class VoterDistribution:
 
 
 @dataclass(frozen=True)
-class RingWeights:
-    """Per-ring mass of a distribution about a center list."""
-
-    center: CandidateSubset
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if any(w < 0 for w in self.weights):
-            raise ParameterError("ring weights must be non-negative")
-        if sum(self.weights) != 1:
-            raise ParameterError(f"ring weights sum to {sum(self.weights)}, expected 1")
-
-
-@dataclass(frozen=True)
 class BallotEntry:
     """One ballot-file record: a candidate set plus its multiplicity.
 
@@ -131,13 +116,13 @@ def normalize(raw: RawBallotFile) -> VoterDistribution:
             f"{len(short)} entries shorter than j={raw.params.j} "
             f"(first: {short[0]}); run complete_short_lists first"
         )
-    totals: dict[CandidateSubset, Fraction] = {}
+    # Sum in the multiplicities' own type: integer counts stay ints, and a
+    # Fraction is built once per distinct list.
+    totals: dict[CandidateSubset, int | Fraction] = {}
     for entry in raw.entries:
-        totals[entry.subset] = totals.get(entry.subset, Fraction(0)) + Fraction(entry.multiplicity)
+        totals[entry.subset] = totals.get(entry.subset, 0) + entry.multiplicity
     grand = sum(totals.values())
-    if grand <= 0:
-        raise BallotFormatError("total multiplicity must be positive")
-    return VoterDistribution(raw.params, {lst: m / grand for lst, m in totals.items()})
+    return VoterDistribution(raw.params, {lst: Fraction(m, grand) for lst, m in totals.items()})
 
 
 def uniform_on(params: ElectionParams, lists: Iterable[CandidateSubset]) -> VoterDistribution:
@@ -149,18 +134,18 @@ def uniform_on(params: ElectionParams, lists: Iterable[CandidateSubset]) -> Vote
     return VoterDistribution(params, {lst: share for lst in unique})
 
 
-def ring_weights(dist: VoterDistribution, center: CandidateSubset) -> RingWeights:
+def ring_weights(dist: VoterDistribution, center: CandidateSubset) -> tuple[Fraction, ...]:
     """Total mass on each ring about ``center``, indices 0..diameter."""
     validate_list(center, dist.params)
     weights = [Fraction(0)] * (dist.params.diameter + 1)
     for lst, weight in dist.items():
         weights[distance(lst, center)] += weight
-    return RingWeights(center, tuple(weights))
+    return tuple(weights)
 
 
 def concentric(
     center: CandidateSubset,
-    weights: RingWeights | Sequence[Fraction],
+    weights: Sequence[Fraction],
     params: ElectionParams,
 ) -> VoterDistribution:
     """Distribution with the given ring masses, uniform within each ring.
@@ -169,7 +154,7 @@ def concentric(
     beyond the diameter is rejected.
     """
     validate_list(center, params)
-    vec = tuple(weights.weights if isinstance(weights, RingWeights) else weights)
+    vec = tuple(weights)
     if any(w < 0 for w in vec):
         raise ParameterError("ring weights must be non-negative")
     if sum(vec) != 1:
@@ -200,40 +185,32 @@ def project_concentric(dist: VoterDistribution, center: CandidateSubset) -> Vote
 def complete_short_lists(raw: RawBallotFile, spec: BallSpec) -> RawBallotFile:
     """Extend short entries to full j-lists inside the given ball.
 
-    Deterministic rule: fill with the smallest-index members of the center
-    not already present, then smallest-index outsiders. Every entry
-    (including full-length ones) must end up inside the ball; an entry
-    with no valid completion is rejected with a diagnostic naming it.
+    Deterministic rule: fill a short entry with the smallest-index members
+    of the center not already present. The center always has enough of
+    them: an entry of m < j members, a of them in the center, lacks
+    j - a >= j - m center members. Full-length entries pass through
+    unchanged. Every entry must end up inside the ball; an entry with no
+    valid completion is rejected with a diagnostic naming it.
     Multiplicities and entry order are preserved.
     """
     params = raw.params
-    validate_list(spec.center, params)
+    center = spec.center
+    validate_list(center, params)
     if spec.radius > params.diameter:
         raise ParameterError(f"radius {spec.radius} exceeds diameter {params.diameter}")
-    center_members = spec.center.members
     out: list[BallotEntry] = []
     for entry in raw.entries:
-        members = set(entry.subset.members)
-        needed = params.j - len(members)
-        if needed > 0:
-            from_center = [c for c in center_members if c not in members][:needed]
-            members.update(from_center)
-            if len(members) < params.j:
-                outsiders = (
-                    c for c in range(1, params.n + 1)
-                    if c not in members and c not in spec.center
-                )
-                for c in outsiders:
-                    members.add(c)
-                    if len(members) == params.j:
-                        break
-        completed = CandidateSubset(tuple(members))
-        if distance(completed, spec.center) > spec.radius:
+        done = entry
+        missing = params.j - len(entry.subset)
+        if missing:
+            fill = tuple(c for c in center.members if c not in entry.subset)[:missing]
+            done = BallotEntry(CandidateSubset(entry.subset.members + fill), entry.multiplicity)
+        if distance(done.subset, center) > spec.radius:
             raise ParameterError(
                 f"entry {entry.subset} has no size-{params.j} superset within "
-                f"distance {spec.radius} of {spec.center}"
+                f"distance {spec.radius} of {center}"
             )
-        out.append(BallotEntry(completed, entry.multiplicity))
+        out.append(done)
     return RawBallotFile(params, tuple(out))
 
 
@@ -257,6 +234,10 @@ def loads_ballot_file(text: str) -> RawBallotFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise BallotFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise BallotFormatError("not valid JSON: arrays or objects nested too deeply") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise BallotFormatError("not valid JSON: an integer has too many digits") from exc
     if not isinstance(doc, dict):
         raise BallotFormatError("top level must be an object")
     if set(doc) != _TOP_KEYS:
@@ -302,10 +283,7 @@ def loads_ballot_file(text: str) -> RawBallotFile:
                 raise BallotFormatError(f"ballot {i}: {exc}") from exc
             if multiplicity <= 0:
                 raise BallotFormatError(f"ballot {i}: weight must be positive")
-        try:
-            entries.append(BallotEntry(subset, multiplicity))
-        except ParameterError as exc:
-            raise BallotFormatError(f"ballot {i}: {exc}") from exc
+        entries.append(BallotEntry(subset, multiplicity))
     try:
         return RawBallotFile(params, tuple(entries))
     except ParameterError as exc:
@@ -329,7 +307,11 @@ def dumps_ballot_file(raw: RawBallotFile) -> str:
 
 
 def read_ballot_file(path: str | Path) -> RawBallotFile:
-    return loads_ballot_file(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise BallotFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    return loads_ballot_file(text)
 
 
 def write_ballot_file(raw: RawBallotFile, path: str | Path) -> None:

@@ -17,6 +17,7 @@ Exit codes: 0 ok, 1 verification failure, 2 I/O or malformed file,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -508,6 +509,7 @@ SHARED_OPTIONS = {
 REPORT_OPTIONS = ("--format", "--output", "--approx")
 
 
+@functools.cache  # one tree per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="listvote",

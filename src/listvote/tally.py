@@ -61,13 +61,8 @@ class TallyResult:
 
 
 def approval(dist: VoterDistribution, committee: CandidateSubset) -> Fraction:
-    """Total weight of lists entirely contained in ``committee``."""
-    validate_committee(committee, dist.params)
-    cmask = committee.mask
-    return sum(
-        (w for lst, w in dist.items() if lst.mask & ~cmask == 0),
-        Fraction(0),
-    )
+    """Total weight of lists entirely contained in ``committee``: threshold s = j."""
+    return threshold_approval(dist, committee, dist.params.j)
 
 
 def threshold_approval(dist: VoterDistribution, committee: CandidateSubset, s: int) -> Fraction:

@@ -363,7 +363,5 @@ def worst_case_concentric(params: ElectionParams, radius: int) -> WorstCaseResul
             y[q] = rows[i][-1]
     t = 1 / sum(y)
     weights = tuple(v * t for v in y)
-    achieving = min(
-        m for m in classes if sum(table.entries[r][m] * w for r, w in enumerate(weights)) == t
-    )
+    achieving = min(m for m in classes if concentric_approval(weights, m, table) == t)
     return WorstCaseResult(value=t, weights=weights, achieving_class=achieving)

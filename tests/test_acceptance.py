@@ -170,7 +170,7 @@ def test_criterion_5_projection_domination_and_class_totals():
                 >= best_committees(projected).best_value
             )
 
-            weights = ring_weights(projected, center).weights
+            weights = ring_weights(projected, center)
             m_max = min(j, n - k)
             class_totals = [Fraction(0)] * (m_max + 1)
             for committee in iter_committees(params):

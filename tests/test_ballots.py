@@ -1,7 +1,11 @@
+import json
+import re
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from listvote import (
     BallotEntry,
@@ -11,7 +15,6 @@ from listvote import (
     ElectionParams,
     ParameterError,
     RawBallotFile,
-    RingWeights,
     VoterDistribution,
     ball,
     complete_short_lists,
@@ -126,8 +129,7 @@ class TestUniformOn:
 class TestRingWeights:
     def test_point_mass(self):
         dist = dist_from(P643, {(1, 2, 3): Fraction(1)})
-        w = ring_weights(dist, V123)
-        assert w.weights == (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+        assert ring_weights(dist, V123) == (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
 
     def test_center_plus_first_ring(self):
         p = Fraction(1, 4)
@@ -135,8 +137,7 @@ class TestRingWeights:
             P643,
             {(1, 2, 3): p, (1, 2, 4): Fraction(1, 2), (2, 3, 5): Fraction(1, 4)},
         )
-        w = ring_weights(dist, V123)
-        assert w.weights == (p, 1 - p, Fraction(0), Fraction(0))
+        assert ring_weights(dist, V123) == (p, 1 - p, Fraction(0), Fraction(0))
 
     def test_random_against_bucketing_oracle(self):
         params = ElectionParams(7, 4, 3)
@@ -148,14 +149,14 @@ class TestRingWeights:
             buckets = [Fraction(0)] * (params.diameter + 1)
             for lst, weight in dist.items():
                 buckets[distance(lst, center)] += weight
-            assert got.weights == tuple(buckets)
-            assert sum(got.weights) == 1
+            assert got == tuple(buckets)
+            assert sum(got) == 1
 
     def test_invariants_enforced(self):
-        with pytest.raises(ParameterError):
-            RingWeights(V123, (Fraction(1, 2), Fraction(1, 4)))
-        with pytest.raises(ParameterError):
-            RingWeights(V123, (Fraction(3, 2), Fraction(-1, 2)))
+        with pytest.raises(ParameterError, match="sum to"):
+            concentric(V123, (Fraction(1, 2), Fraction(1, 4)), P643)
+        with pytest.raises(ParameterError, match="non-negative"):
+            concentric(V123, (Fraction(3, 2), Fraction(-1, 2)), P643)
 
 
 class TestConcentric:
@@ -172,7 +173,7 @@ class TestConcentric:
     def test_round_trip_ring_weights(self):
         w = (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3), Fraction(0))
         dist = concentric(V123, w, P643)
-        assert ring_weights(dist, V123).weights == w
+        assert ring_weights(dist, V123) == w
 
     def test_weight_beyond_diameter_rejected(self):
         with pytest.raises(ParameterError):
@@ -354,3 +355,145 @@ class TestGenerators:
         assert all(e.subset in allowed for e in raw.entries)
         dist = normalize(raw)
         assert sum(w for _, w in dist.items()) == 1
+
+
+# ---------------------------------------------------------------------------
+# Properties: round trip, rejection paths, completion and normalization
+# ---------------------------------------------------------------------------
+
+@st.composite
+def election_params(draw, max_n=9, min_j=1):
+    n = draw(st.integers(min_j + 1, max_n))
+    k = draw(st.integers(min_j, n - 1))
+    return ElectionParams(n, k, draw(st.integers(min_j, k)))
+
+
+def short_or_full_lists(params):
+    members = st.integers(1, params.n)
+    return st.sets(members, min_size=1, max_size=params.j).map(
+        lambda m: CandidateSubset(tuple(m))
+    )
+
+
+# Counts stay far below the interpreter's int-to-str digit limit (4300 digits),
+# past which dumps_ballot_file cannot write a count at all.
+multiplicities = st.one_of(
+    st.integers(1, 10**30),
+    st.fractions(min_value=0, max_denominator=10**12).filter(lambda f: f > 0),
+)
+
+
+@st.composite
+def raw_files(draw):
+    params = draw(election_params())
+    pool = draw(st.lists(short_or_full_lists(params), min_size=1, max_size=5))
+    entries = draw(st.lists(st.builds(BallotEntry, st.sampled_from(pool), multiplicities),
+                            max_size=12))
+    return RawBallotFile(params, tuple(entries))
+
+
+@given(raw_files())
+def test_valid_files_round_trip_byte_identically(raw):
+    text = dumps_ballot_file(raw)
+    again = loads_ballot_file(text)
+    assert again == raw
+    assert [type(e.multiplicity) for e in again.entries] == [
+        type(e.multiplicity) for e in raw.entries
+    ]
+    assert dumps_ballot_file(again) == text
+
+
+def loads_or_rejects(text):
+    try:
+        loads_ballot_file(text)
+    except BallotFormatError:
+        pass
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "k", "j", "ballots", "list", "count", "weight",
+                                       "x"]), inner, max_size=5),
+    max_leaves=20,
+)
+
+
+@given(st.one_of(st.text(), json_values.map(json.dumps)))
+def test_arbitrary_json_parses_or_is_rejected(text):
+    loads_or_rejects(text)
+
+
+@given(raw_files(), st.data())
+def test_mutated_files_parse_or_are_rejected(raw, data):
+    text = dumps_ballot_file(raw)
+    start = data.draw(st.integers(0, len(text)))
+    end = data.draw(st.integers(start, min(len(text), start + 8)))
+    insert = data.draw(st.text(alphabet='[]{}",:-/0123456789 truefalsn', max_size=8))
+    loads_or_rejects(text[:start] + insert + text[end:])
+
+
+@given(raw_files(), st.data())
+def test_mutated_documents_parse_or_are_rejected(raw, data):
+    doc = json.loads(dumps_ballot_file(raw))
+    target = data.draw(st.sampled_from([doc] + doc["ballots"]))
+    target[data.draw(st.sampled_from(sorted(target) + ["x"]))] = data.draw(json_values)
+    loads_or_rejects(json.dumps(doc))
+
+
+def reference_complete_and_normalize(raw, spec):
+    """Completion by the documented rule, then Fraction sums; names the first bad entry."""
+    j = raw.params.j
+    totals = {}
+    for e in raw.entries:
+        members = set(e.subset.members)
+        for c in sorted(spec.center.members):
+            if len(members) < j:
+                members.add(c)
+        assert len(members) == j
+        if len(members - set(spec.center.members)) > spec.radius:
+            return e.subset
+        key = frozenset(members)
+        totals[key] = totals.get(key, Fraction(0)) + Fraction(e.multiplicity)
+    grand = sum(totals.values())
+    return {key: m / grand for key, m in totals.items()}
+
+
+@st.composite
+def files_near_a_ball(draw):
+    """A raw file, a ball, and entries that mostly complete inside it.
+
+    An entry keeps some center members and adds at most radius + 1
+    outsiders, so it completes inside the ball unless it adds radius + 1;
+    a few entries are arbitrary lists.
+    """
+    params = draw(election_params(max_n=8, min_j=2))
+    center = sorted(draw(st.sets(st.integers(1, params.n), min_size=params.j,
+                                 max_size=params.j)))
+    radius = draw(st.integers(0, params.diameter))
+    outsiders = sorted(set(range(1, params.n + 1)) - set(center))
+
+    @st.composite
+    def near_center(draw):
+        kept = draw(st.sets(st.sampled_from(center), max_size=params.j))
+        room = min(params.j - len(kept), radius + 1)
+        added = draw(st.sets(st.sampled_from(outsiders), max_size=room)) if room else set()
+        return CandidateSubset(tuple(kept | added) or (center[0],))
+
+    pool = draw(st.lists(near_center() | short_or_full_lists(params), min_size=1, max_size=5))
+    entries = draw(st.lists(st.builds(BallotEntry, st.sampled_from(pool), multiplicities),
+                            min_size=1, max_size=12))
+    return RawBallotFile(params, tuple(entries)), BallSpec(CandidateSubset(tuple(center)), radius)
+
+
+@given(files_near_a_ball())
+def test_complete_then_normalize_matches_reference(case):
+    raw, spec = case
+    expected = reference_complete_and_normalize(raw, spec)
+    if isinstance(expected, CandidateSubset):
+        with pytest.raises(ParameterError, match=re.escape(f"entry {expected} has no")):
+            complete_short_lists(raw, spec)
+        return
+    dist = normalize(complete_short_lists(raw, spec))
+    assert {frozenset(lst.members): w for lst, w in dist.items()} == expected
+    assert all(type(w) is Fraction for _, w in dist.items())

@@ -77,6 +77,9 @@ OTHERS = {
     "error-tally-empty-input": ["tally", "--input", ""],
     "error-tally-malformed-file": ["tally", "--input", "malformed.json"],
     "error-tally-huge-member": ["tally", "--input", "huge.json"],
+    "error-tally-long-integer": ["tally", "--input", "long-integer.json"],
+    "error-tally-deep-nesting": ["tally", "--input", "deep.json"],
+    "error-tally-not-utf8": ["tally", "--input", "latin1.json"],
     "error-tally-params-mismatch": ["tally", "--input", "example.json", "--params", "6,4,3"],
     "error-tally-threshold-range": ["tally", "--input", "example.json", "--threshold", "4"],
     "error-tally-center-without-radius": ["tally", "--input", "example.json",

@@ -233,7 +233,7 @@ class TestTotalApprovalByClass:
                 center, random_ring_weight_vector(rng, params.diameter + 1), params
             )
             for dist in (general, conc):
-                weights = ring_weights(dist, center).weights
+                weights = ring_weights(dist, center)
                 m_max = min(params.j, params.n - params.k)
                 for m in range(m_max + 1):
                     lhs = sum(
