@@ -44,7 +44,6 @@ from .oracle import brute_best, brute_minimax_grid, brute_minimax_vertices
 from .tally import (
     TallyResult,
     approval,
-    average_approval,
     best_committees,
     threshold_approval,
 )

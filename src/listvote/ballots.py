@@ -9,6 +9,7 @@ are immutable once built.
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,14 +69,25 @@ class BallotEntry:
 
     An ``int`` multiplicity is a raw voter count; a ``Fraction`` is an
     exact pre-normalized share. The distinction is preserved on write.
+    A count, numerator or denominator longer than the interpreter's
+    int-to-str digit limit is rejected, since no file could hold it.
     """
 
     subset: CandidateSubset
     multiplicity: int | Fraction
 
     def __post_init__(self):
-        if self.multiplicity <= 0:
-            raise ParameterError(f"multiplicity must be positive, got {self.multiplicity}")
+        m = self.multiplicity
+        limit = sys.get_int_max_str_digits()
+        # An int is its own numerator over 1. The product has at least the
+        # bits of either part, and a part of at most 3 * limit bits is below
+        # 8**limit < 10**limit, so 10**limit is built only for a long one.
+        if limit and (m.numerator * m.denominator).bit_length() > 3 * limit and (
+            abs(m.numerator) >= 10**limit or m.denominator >= 10**limit
+        ):
+            raise ParameterError(f"multiplicity has more than {limit} digits")
+        if m <= 0:
+            raise ParameterError(f"multiplicity must be positive, got {m}")
 
 
 @dataclass(frozen=True)

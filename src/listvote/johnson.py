@@ -63,16 +63,20 @@ class CandidateSubset:
     def __str__(self) -> str:
         return "{" + ",".join(str(c) for c in self.members) + "}"
 
-    @classmethod
-    def parse(cls, text: str) -> "CandidateSubset":
-        """Parse "1,2,3" or "{1,2,3}"."""
-        s = text.strip().lstrip("{").rstrip("}")
-        if not s:
-            return cls(())
-        try:
-            return cls(tuple(int(p) for p in s.split(",")))
-        except ValueError as exc:
-            raise ParameterError(f"cannot parse candidate set {text!r}") from exc
+
+def parse_members(text: str) -> tuple[int, ...]:
+    """The candidates named by "1,2,3" or "{1,2,3}", sorted, with no mask built.
+
+    A caller that knows n range-checks them before building a
+    :class:`CandidateSubset`, whose mask is as wide as its largest member.
+    """
+    s = text.strip().lstrip("{").rstrip("}")
+    if not s:
+        return ()
+    try:
+        return tuple(sorted(int(p) for p in s.split(",")))
+    except ValueError as exc:
+        raise ParameterError(f"cannot parse candidate set {text!r}") from exc
 
 
 @dataclass(frozen=True)

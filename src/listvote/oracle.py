@@ -46,7 +46,7 @@ def brute_best(dist: VoterDistribution, s: int | None = None) -> TallyResult:
         elif value == best:
             winners.append(members)
     assert best is not None
-    return TallyResult(best, tuple(CandidateSubset(m) for m in winners), "dense")
+    return TallyResult(best, tuple(CandidateSubset(m) for m in winners), "brute")
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -298,7 +298,7 @@ def worst_case_concentric(params: ElectionParams, radius: int) -> WorstCaseResul
     Minimizes, over ring-weight vectors (w_0..w_radius >= 0 summing
     to 1), the maximum t over classes m of sum_r w_r * entry[r][m].
     Substituting y = w / t turns this into max sum(y) subject to
-    sum_r entry[r][m] * y_r <= 1 for every nonempty class m and y >= 0,
+    sum_r entry[r][m] * y_r <= 1 for every class m and y >= 0,
     whose slack basis is feasible, so an exact simplex over Fractions
     starts there; at the optimum t = 1 / sum(y) and w = y * t. Among
     optimal points the lexicographically smallest w is kept: the
@@ -321,16 +321,18 @@ def worst_case_concentric(params: ElectionParams, radius: int) -> WorstCaseResul
             f"radius must satisfy 0 <= radius < diameter={params.diameter}, got {radius}"
         )
     table = ring_coverage(params)
-    classes = [m for m in range(table.max_class + 1) if class_size(params, m) > 0]
+    classes = range(table.max_class + 1)
     size, width = radius + 1, radius + 1 + len(classes)
     one, zero = Fraction(1), Fraction(0)
-    # One row per class: coverage of y_0..y_radius, the slacks, then the
-    # right-hand side 1. Column q < size is y_q, the others are slacks.
+    # One row per class (every class 0..min(j, n-k) is nonempty, since
+    # C(j, j-m) >= 1 and 0 <= k+m-j <= n-j): coverage of y_0..y_radius,
+    # the slacks, then the right-hand side 1. Column q < size is y_q,
+    # the others are slacks.
     rows = [
         [table.entries[r][m] for r in range(size)]
-        + [one if c == i else zero for c in range(len(classes))]
+        + [one if c == m else zero for c in classes]
         + [one]
-        for i, m in enumerate(classes)
+        for m in classes
     ]
     # Reduced costs of sum(y), -y_0, ..., -y_radius, in that order.
     costs = [[one] * size + [zero] * (width - size + 1)] + [

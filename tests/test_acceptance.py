@@ -254,16 +254,9 @@ def test_criterion_8_oracle_equivalence():
             dist = random_distribution(ElectionParams(n, k, j), rng)
             s = j if rng.random() < 0.5 else rng.randint(0, j)
             reference = brute_best(dist, s)
-            if s == j:
-                fast = [
-                    best_committees(dist, strategy="sparse"),
-                    best_committees(dist, strategy="dense"),
-                ]
-            else:
-                fast = [best_committees(dist, s=s)]
-            for result in fast:
-                assert result.best_value == reference.best_value
-                assert result.winners == reference.winners
+            result = best_committees(dist, s=s)
+            assert result.best_value == reference.best_value
+            assert result.winners == reference.winners
 
         p643 = ElectionParams(6, 4, 3)
         assert worst_case_concentric(p643, 1).value == Fraction(1, 3)

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -340,6 +341,26 @@ class TestBallotFiles:
             loads_ballot_file(text)
 
 
+class TestBallotEntry:
+    @pytest.mark.parametrize(
+        "multiplicity",
+        [10**5000, Fraction(1, 10**5000), Fraction(10**5000 + 1, 3)],
+        ids=["count", "denominator", "numerator"],
+    )
+    def test_multiplicity_past_digit_limit_rejected(self, multiplicity):
+        # no file could hold it: str() of such an int raises
+        with pytest.raises(ParameterError, match="digits"):
+            BallotEntry(V123, multiplicity)
+
+    def test_longest_multiplicities_round_trip(self):
+        raw = RawBallotFile(P643, (
+            BallotEntry(V123, LONGEST),
+            BallotEntry(subset(1, 2, 4), Fraction(LONGEST - 1, LONGEST)),
+        ))
+        text = dumps_ballot_file(raw)
+        assert loads_ballot_file(text) == raw
+
+
 class TestGenerators:
     def test_random_distribution_is_valid_and_deterministic(self):
         a = random_distribution(P643, Random(99))
@@ -375,11 +396,12 @@ def short_or_full_lists(params):
     )
 
 
-# Counts stay far below the interpreter's int-to-str digit limit (4300 digits),
-# past which dumps_ballot_file cannot write a count at all.
+# Up to the interpreter's int-to-str digit limit, past which BallotEntry
+# rejects a count, numerator or denominator.
+LONGEST = 10 ** (sys.get_int_max_str_digits() or 4300) - 1
 multiplicities = st.one_of(
-    st.integers(1, 10**30),
-    st.fractions(min_value=0, max_denominator=10**12).filter(lambda f: f > 0),
+    st.integers(1, LONGEST),
+    st.builds(Fraction, st.integers(1, LONGEST), st.integers(1, LONGEST)),
 )
 
 

@@ -228,6 +228,21 @@ class TestWorstCase:
 
 
 class TestGenerate:
+    def test_huge_center_member_rejected_before_mask_is_built(self, capsys):
+        run(capsys, "bounds", "--params", "6,4,3")  # build the cached parser outside the trace
+        tracemalloc.start()
+        try:
+            code, _, err = run(
+                capsys, "generate", "--params", "6,4,3", "--mode", "uniform-ball",
+                "--center", "1,2,1000000000", "--radius", "1",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert err == "error: center {1,2,1000000000} outside candidates 1..6\n"
+        assert peak < 20_000_000
+
     def test_uniform_ring(self, capsys):
         code, out, _ = run(
             capsys, "generate", "--params", "6,4,3", "--mode", "uniform-ring",

@@ -116,6 +116,9 @@ OTHERS = {
                                            "--mode", "random-ball", *TALLY_BALL, "1"],
     "error-generate-center-outside": ["generate", "--params", "6,4,3", "--mode", "uniform-ring",
                                       "--center", "1,2,9", "--radius", "1"],
+    "error-generate-center-huge-member": ["generate", "--params", "6,4,3",
+                                          "--mode", "uniform-ball",
+                                          "--center", "1,2,1000000000", "--radius", "1"],
     "error-oracle-brute-best-without-input": ["oracle", "brute-best"],
     "error-oracle-brute-best-missing-file": ["oracle", "brute-best", "--input", "missing.json"],
     "error-oracle-minimax-grid-missing-args": ["oracle", "minimax-grid", "--params", "6,4,3"],

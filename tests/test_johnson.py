@@ -19,6 +19,7 @@ from listvote import (
     ring_monotone_threshold,
     ring_size,
 )
+from listvote.johnson import parse_members
 from conftest import subset
 
 
@@ -35,8 +36,8 @@ class TestCandidateSubset:
     def test_render_and_parse(self):
         s = subset(1, 2, 3)
         assert str(s) == "{1,2,3}"
-        assert CandidateSubset.parse("{1,2,3}") == s
-        assert CandidateSubset.parse("3,2,1") == s
+        assert CandidateSubset(parse_members("{1,2,3}")) == s
+        assert parse_members("3,2,1") == (1, 2, 3)
 
     def test_lexicographic_order(self):
         assert subset(1, 2, 4) < subset(1, 3, 4) < subset(2, 3, 4)

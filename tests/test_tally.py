@@ -13,7 +13,6 @@ from listvote import (
     TallyResult,
     VoterDistribution,
     approval,
-    average_approval,
     ball,
     best_committees,
     brute_best,
@@ -25,7 +24,6 @@ from listvote import (
     threshold_approval,
     uniform_on,
 )
-from listvote.tally import predicted_work
 from conftest import dist_from, subset
 
 
@@ -117,23 +115,21 @@ class TestBestCommittees:
             k = rng.randint(2, n - 1)
             j = rng.randint(1, k)
             dist = random_distribution(ElectionParams(n, k, j), rng)
-            sparse = best_committees(dist, strategy="sparse")
-            dense = best_committees(dist, strategy="dense")
-            assert sparse.best_value == dense.best_value
-            assert sparse.winners == dense.winners
+            result = best_committees(dist)
+            reference = brute_best(dist)
+            assert (result.best_value, result.winners) == (reference.best_value, reference.winners)
+            assert result.strategy_used == "sparse"
 
-    def test_strategy_chosen_by_predicted_work(self):
+    def test_full_support_strategies_agree(self):
         params = ElectionParams(7, 4, 3)
-        small = dist_from(params, {(1, 2, 3): Fraction(1)})
-        work = predicted_work(small)
-        assert work["sparse"] < work["dense"]
-        assert best_committees(small).strategy_used == "sparse"
         full = uniform_on(params, iter_lists(params))
-        work = predicted_work(full)
-        assert work["sparse"] >= work["dense"]
-        assert best_committees(full).strategy_used == "dense"
+        for s in range(params.j + 1):
+            result = best_committees(full, s=s)
+            reference = brute_best(full, s)
+            assert (result.best_value, result.winners) == (reference.best_value, reference.winners)
+            assert result.strategy_used == "sparse"
 
-    def test_threshold_strategies_agree_and_follow_predicted_work(self, example_distribution):
+    def test_threshold_strategies_agree(self, example_distribution):
         rng = Random(103)
         cases = [(example_distribution, 2)]
         for _ in range(40):
@@ -146,46 +142,19 @@ class TestBestCommittees:
             )
             cases.append((dist, rng.randint(0, j - 1)))
         for dist, s in cases:
-            sparse = best_committees(dist, s=s, strategy="sparse")
-            dense = best_committees(dist, s=s, strategy="dense")
-            assert (sparse.best_value, sparse.winners) == (dense.best_value, dense.winners)
-            work = predicted_work(dist, s)
-            expected = "sparse" if work["sparse"] < work["dense"] else "dense"
-            assert best_committees(dist, s=s).strategy_used == expected
-        assert best_committees(example_distribution, s=2).strategy_used == "sparse"
+            result = best_committees(dist, s=s)
+            reference = brute_best(dist, s)
+            assert (result.best_value, result.winners) == (reference.best_value, reference.winners)
 
-    def test_predicted_work_counts_meeting_pairs(self):
-        rng = Random(107)
-        for _ in range(30):
-            n = rng.randint(3, 8)
-            k = rng.randint(1, n - 1)
-            j = rng.randint(1, k)
-            params = ElectionParams(n, k, j)
-            dist = random_distribution(params, rng)
-            committees = list(iter_committees(params))
-            for s in range(j + 1):
-                work = predicted_work(dist, s)
-                assert work["sparse"] == sum(
-                    1 for lst, _ in dist.items() for c in committees
-                    if lst.intersection_size(c) >= s
-                )
-                assert work["dense"] == sum(
-                    1 for c in committees for lst in iter_lists(params)
-                    if lst.intersection_size(c) >= s
-                )
-
-    def test_dense_size_guard(self):
+    def test_full_support_above_brute_force_guard(self):
+        # n above oracle.BRUTE_MAX_N: a point mass, then all C(29, 2) lists
         params = ElectionParams(30, 4, 3)
         dist = dist_from(params, {(1, 2, 3): Fraction(1)})
-        with pytest.raises(ParameterError, match="C\\(30,4\\)"):
-            best_committees(dist, strategy="dense")
-        # sparse has no cap
-        assert best_committees(dist, strategy="sparse").best_value == 1
-        # a predicted-work tie above the cap goes to sparse, not to a refused dense walk
+        result = best_committees(dist)
+        assert result.best_value == 1
+        assert len(result.winners) == 30 - 3
         params = ElectionParams(29, 3, 2)
         full = uniform_on(params, iter_lists(params))
-        work = predicted_work(full)
-        assert work["sparse"] == work["dense"]
         result = best_committees(full)
         assert result.strategy_used == "sparse"
         assert result.best_value == Fraction(3, 406)
@@ -221,18 +190,17 @@ def distributions(draw):
 def test_kernels_match_brute_force_for_every_threshold(dist):
     for s in range(dist.params.j + 1):
         reference = brute_best(dist, s)
-        for strategy in ("sparse", "dense"):
-            result = best_committees(dist, s=s, strategy=strategy)
-            assert result.best_value == reference.best_value
-            assert result.winners == reference.winners
+        result = best_committees(dist, s=s)
+        assert result.best_value == reference.best_value
+        assert result.winners == reference.winners
 
 
 class TestAverageApproval:
-    def test_closed_form_643(self, example_distribution):
-        params = ElectionParams(6, 4, 3)
-        dist = uniform_on(params, iter_lists(params))
-        assert average_approval(dist) == Fraction(1, 5)
-        assert average_approval(example_distribution) == Fraction(4, 35)
+    """``global_floor`` is the mean approval over all committees."""
+
+    def test_closed_form_643(self):
+        assert global_floor(ElectionParams(6, 4, 3)) == Fraction(1, 5)
+        assert global_floor(ElectionParams(7, 4, 3)) == Fraction(4, 35)
 
     def test_point_mass_by_enumeration(self):
         params = ElectionParams(5, 3, 2)
@@ -240,14 +208,14 @@ class TestAverageApproval:
         committees = list(iter_committees(params))
         mean = sum((approval(dist, c) for c in committees), Fraction(0)) / len(committees)
         assert mean == Fraction(3, 10)
-        assert average_approval(dist) == mean
+        assert global_floor(params) == mean
 
     def test_mean_equals_best_only_when_constant(self):
         params = ElectionParams(6, 4, 3)
         flat = uniform_on(params, iter_lists(params))
-        assert best_committees(flat).best_value == average_approval(flat)
+        assert best_committees(flat).best_value == global_floor(params)
         spiked = dist_from(params, {(1, 2, 3): Fraction(1)})
-        assert best_committees(spiked).best_value > average_approval(spiked)
+        assert best_committees(spiked).best_value > global_floor(params)
 
 
 class TestIdentitiesAndFloors:
@@ -288,18 +256,10 @@ class TestIdentitiesAndFloors:
 
 
 class TestTallyResult:
-    def test_serialization(self, example_distribution):
-        doc = best_committees(example_distribution).to_dict()
-        assert doc == {
-            "best_value": "8/15",
-            "winners": [[4, 5, 6, 7]],
-            "strategy": "sparse",
-        }
-
     def test_invariants(self):
         with pytest.raises(ParameterError):
-            TallyResult(Fraction(1), (), "dense")
+            TallyResult(Fraction(1), (), "sparse")
         with pytest.raises(ParameterError):
             TallyResult(
-                Fraction(1), (subset(2, 3, 4, 5), subset(1, 2, 3, 4)), "dense"
+                Fraction(1), (subset(2, 3, 4, 5), subset(1, 2, 3, 4)), "sparse"
             )
