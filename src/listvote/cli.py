@@ -56,8 +56,6 @@ EXIT_IO = 2
 EXIT_PARAMS = 3
 EXIT_HYPOTHESIS = 4
 
-VISIBLE_COMMANDS = "{tally,bounds,verify,generate,worst-case}"
-
 # One fact of a report: its structured key (None: human output only), its
 # exact value, and the parts of its human line (None: structured output only).
 Fact = tuple[str | None, object, tuple | None]
@@ -102,14 +100,15 @@ def check_against(args: argparse.Namespace, params: ElectionParams) -> None:
         raise ParameterError(f"alpha must be in [0, 1], got {args.alpha}")
 
 
-def _parse_ints(flag: str, names: str, text: str) -> tuple[int, ...]:
+def _parse_params(text: str) -> ElectionParams:
     parts = text.split(",")
-    if len(parts) != len(names.split(",")):
-        raise ParameterError(f"{flag} wants {names}; got {text!r}")
+    if len(parts) != 3:
+        raise ParameterError(f"--params wants n,k,j; got {text!r}")
     try:
-        return tuple(int(p) for p in parts)
+        n, k, j = map(int, parts)
     except ValueError as exc:
-        raise ParameterError(f"{flag} wants integers {names}; got {text!r}") from exc
+        raise ParameterError(f"--params wants integers n,k,j; got {text!r}") from exc
+    return ElectionParams(n, k, j)
 
 
 def _parse_alpha(text: str) -> Fraction:
@@ -129,11 +128,10 @@ def _parse_weights(text: str) -> tuple[Fraction, ...]:
 # Options whose text becomes an exact object before any command runs; an
 # absent or empty option becomes None.
 VALUE_PARSERS = {
-    "params": lambda text: ElectionParams(*_parse_ints("--params", "n,k,j", text)),
+    "params": _parse_params,
     "center": parse_members,
     "alpha": _parse_alpha,
     "weights": _parse_weights,
-    "corrupt_coverage": lambda text: _parse_ints("--corrupt-coverage", "r,m", text),
 }
 
 
@@ -199,13 +197,15 @@ def _human_text(part, approx: bool) -> str:
 def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
     if not args.input:
         raise ParameterError("tally requires --input")
+    if args.complete and (args.center is None or args.radius is None):
+        raise ParameterError("--complete requires --center and --radius")
+    if (args.center is None) != (args.radius is None):
+        raise ParameterError("--center and --radius must be given together")
     raw = read_ballot_file(args.input)
     params = raw.params
     check_against(args, params)
 
     if args.complete:
-        if args.center is None or args.radius is None:
-            raise ParameterError("--complete requires --center and --radius")
         try:
             raw = complete_short_lists(raw, BallSpec(args.center, args.radius))
         except ParameterError as exc:  # an entry with no completion inside the ball
@@ -218,8 +218,6 @@ def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
 
     dist = normalize(raw)
 
-    if (args.center is None) != (args.radius is None):
-        raise ParameterError("--center and --radius must be given together")
     declared_ball = args.center is not None
     if declared_ball:
         inside = ball(BallSpec(args.center, args.radius), params)
@@ -417,12 +415,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, list[Fact]]:
             reports.append(theory.ring_monotonicity_check(ElectionParams(n, j, j)))
 
     for params in _valid_param_sets(max_n):
-        table = theory.ring_coverage(params)
-        if args.corrupt_coverage is not None:
-            r, m = args.corrupt_coverage
-            if r <= params.diameter and m <= table.max_class:
-                table = theory.corrupt_table(table, r, m)
-        reports.append(theory.coverage_monotonicity_check(params, table))
+        reports.append(theory.coverage_monotonicity_check(params))
 
     rng = Random(args.seed)
     domination_cells = []
@@ -476,28 +469,6 @@ def _random_params(rng: Random, max_n: int) -> ElectionParams:
 
 
 # ---------------------------------------------------------------------------
-# oracle (hidden; derived-value generation)
-# ---------------------------------------------------------------------------
-
-def cmd_oracle(args: argparse.Namespace) -> tuple[int, list[Fact]]:
-    if args.oracle_op == "brute-best":
-        if not args.input:
-            raise ParameterError("oracle brute-best requires --input")
-        result = oracle.brute_best(normalize(read_ballot_file(args.input)), args.threshold)
-        return EXIT_OK, [
-            _fact("best_value", "brute best", result.best_value),
-            _fact("winners", "winners", result.winners),
-        ]
-    if args.params is None or args.radius is None or args.denominator is None:
-        raise ParameterError("oracle minimax-grid requires --params, --radius, --denominator")
-    value = oracle.brute_minimax_grid(args.params, args.radius, args.denominator)
-    return EXIT_OK, [
-        _fact("value", "grid minimax", value),
-        ("denominator", args.denominator, None),
-    ]
-
-
-# ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
@@ -522,7 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     # What the shared code reads, for the commands that do not take it.
     parser.set_defaults(approx=False, threshold=None,
                         **{name: None for name in ("radius", *VALUE_PARSERS)})
-    sub = parser.add_subparsers(dest="command", metavar=VISIBLE_COMMANDS, required=True)
+    # An explicit metavar: without one, a missing command reads "required: command".
+    sub = parser.add_subparsers(dest="command", metavar="{" + ",".join(_DISPATCH) + "}",
+                                required=True)
 
     def shared(p: argparse.ArgumentParser, *flags: str) -> None:
         for flag in flags:
@@ -549,8 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="randomized trials per suite (default 25)")
     p_verify.add_argument("--seed", type=int, default=0,
                           help="seed for randomized suites (default 0)")
-    p_verify.add_argument("--corrupt-coverage", dest="corrupt_coverage",
-                          help=argparse.SUPPRESS)
 
     p_gen = sub.add_parser("generate", help="write a ballot file from a generator")
     shared(p_gen, "--params", "--center", "--radius", "--output")
@@ -565,13 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="exact minimax over concentric ball distributions")
     shared(p_worst, "--params", "--radius", *REPORT_OPTIONS)
 
-    p_oracle = sub.add_parser("oracle")  # hidden: absent from the metavar above
-    p_oracle.add_argument("oracle_op", choices=["brute-best", "minimax-grid"])
-    p_oracle.add_argument("--input")
-    p_oracle.add_argument("--threshold", type=int)
-    p_oracle.add_argument("--denominator", type=int)
-    shared(p_oracle, "--params", "--radius", *REPORT_OPTIONS)
-
     return parser
 
 
@@ -581,7 +545,6 @@ _DISPATCH = {
     "verify": cmd_verify,
     "generate": cmd_generate,
     "worst-case": cmd_worst_case,
-    "oracle": cmd_oracle,
 }
 
 

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
+
+from .errors import ParameterError
 
 # Canonical exact-number type: arbitrary precision, always in lowest terms,
 # denominator always positive, zero stored as 0/1.
@@ -36,10 +39,20 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render as "p/q", omitting the denominator when it is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render as "p/q", omitting the denominator when it is 1.
+
+    Raises ParameterError when a part is longer than the interpreter's
+    int-to-str digit limit: the value exists but cannot be written exactly.
+    """
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise ParameterError(
+            "exact result has a numerator or denominator of more than "
+            f"{sys.get_int_max_str_digits()} digits, too long to print"
+        ) from exc
 
 
 def binomial(a: int, b: int) -> int:

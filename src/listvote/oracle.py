@@ -1,7 +1,7 @@
 """Deliberately naive reference implementations for cross-checking.
 
 These share only the basic value types with the optimized code paths, never
-their internals: no ranking tables, no sparse scatter, no coverage table.
+their internals: no sparse scatter, no coverage table.
 Single-threaded, guarded to small sizes, determinism over speed.
 """
 

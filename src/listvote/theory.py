@@ -13,7 +13,7 @@ Fractions throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -218,10 +218,7 @@ def ring_monotonicity_check(params: ElectionParams) -> VerificationReport:
     return VerificationReport("ring-monotonicity", tuple(cells))
 
 
-def coverage_monotonicity_check(
-    params: ElectionParams,
-    table: RingCoverageTable | None = None,
-) -> VerificationReport:
+def coverage_monotonicity_check(params: ElectionParams) -> VerificationReport:
     """Verify the class-monotonicity iff of the coverage table.
 
     For each non-vacuous cell, entry[r][m] >= entry[r][m+1] holds exactly
@@ -229,8 +226,7 @@ def coverage_monotonicity_check(
     are the valid ones: outside that range neither class m nor class m+1
     can contain any ring-r list and the comparison is vacuous.
     """
-    if table is None:
-        table = ring_coverage(params)
+    table = ring_coverage(params)
     n, k, j = params.n, params.k, params.j
     cells = []
     for m in range(table.max_class):
@@ -246,13 +242,6 @@ def coverage_monotonicity_check(
                 )
             )
     return VerificationReport("coverage-monotonicity", tuple(cells))
-
-
-def corrupt_table(table: RingCoverageTable, r: int, m: int) -> RingCoverageTable:
-    """Zero out one entry; a failure-injection hook for validator tests."""
-    rows = [list(row) for row in table.entries]
-    rows[r][m] = Fraction(0)
-    return replace(table, entries=tuple(tuple(row) for row in rows))
 
 
 def ball_floor_radius_limit(params: ElectionParams) -> Fraction:

@@ -1,8 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from listvote import CandidateSubset, ElectionParams, VoterDistribution
+from listvote import CandidateSubset, ElectionParams, VoterDistribution, theory
 
 
 def subset(*members: int) -> CandidateSubset:
@@ -32,3 +33,18 @@ def example_distribution(example_params) -> VoterDistribution:
             (5, 6, 7): Fraction(2, 15),
         },
     )
+
+
+@pytest.fixture
+def corrupted_coverage(monkeypatch):
+    """Every coverage table built through ``theory.ring_coverage`` has entry
+    [1][0] set to 0, a fault the coverage-monotonicity suite must report."""
+    ring_coverage = theory.ring_coverage
+
+    def corrupted(params: ElectionParams) -> theory.RingCoverageTable:
+        table = ring_coverage(params)
+        rows = [list(row) for row in table.entries]
+        rows[1][0] = Fraction(0)
+        return dataclasses.replace(table, entries=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(theory, "ring_coverage", corrupted)

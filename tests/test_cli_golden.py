@@ -48,13 +48,8 @@ REPORTS = {
     "worst-case-approx": ["worst-case", "--params", "6,4,3", "--radius", "2", "--approx"],
     "worst-case-radius-one": ["worst-case", "--params", "6,4,3", "--radius", "1"],
     "verify": ["verify", "--max-n", "5", "--trials", "2", "--seed", "1"],
-    "verify-corrupted": ["verify", "--max-n", "5", "--trials", "1", "--seed", "0",
-                         "--corrupt-coverage", "1,0"],
-    "oracle-brute-best": ["oracle", "brute-best", "--input", "example.json"],
-    "oracle-brute-best-threshold": ["oracle", "brute-best", "--input", "example.json",
-                                    "--threshold", "2", "--approx"],
-    "oracle-minimax-grid": ["oracle", "minimax-grid", "--params", "6,4,3", "--radius", "2",
-                            "--denominator", "10"],
+    # run with every coverage table corrupted at entry [1][0]
+    "verify-corrupted": ["verify", "--max-n", "5", "--trials", "1", "--seed", "0"],
 }
 
 OTHERS = {
@@ -84,6 +79,8 @@ OTHERS = {
     "error-tally-threshold-range": ["tally", "--input", "example.json", "--threshold", "4"],
     "error-tally-center-without-radius": ["tally", "--input", "example.json",
                                           "--center", "1,2,3"],
+    "error-tally-center-without-radius-malformed-file": ["tally", "--input", "malformed.json",
+                                                         "--center", "1,2,3"],
     "error-tally-bad-center": ["tally", "--input", "example.json", "--center", "1,x",
                                "--radius", "1"],
     "error-tally-short-lists": ["tally", "--input", "short.json"],
@@ -103,6 +100,7 @@ OTHERS = {
     "error-bounds-non-integer-params": ["bounds", "--params", "6,4,x"],
     "error-bounds-radius-beyond-diameter": ["bounds", "--params", "6,4,3", "--radius", "5"],
     "error-bounds-size-one-lists": ["bounds", "--params", "4,2,1", "--radius", "0"],
+    "error-bounds-huge-result": ["bounds", "--params", "100000,50000,25000"],
     "error-worst-case-missing-radius": ["worst-case", "--params", "6,4,3"],
     "error-worst-case-diameter": ["worst-case", "--params", "6,4,3", "--radius", "3"],
     "error-generate-missing-params": ["generate", "--mode", "uniform-all"],
@@ -119,9 +117,11 @@ OTHERS = {
     "error-generate-center-huge-member": ["generate", "--params", "6,4,3",
                                           "--mode", "uniform-ball",
                                           "--center", "1,2,1000000000", "--radius", "1"],
-    "error-oracle-brute-best-without-input": ["oracle", "brute-best"],
-    "error-oracle-brute-best-missing-file": ["oracle", "brute-best", "--input", "missing.json"],
-    "error-oracle-minimax-grid-missing-args": ["oracle", "minimax-grid", "--params", "6,4,3"],
+    # argparse exits
+    "help": ["--help"],
+    "error-no-command": [],
+    "error-oracle-not-a-command": ["oracle", "brute-best", "--input", "example.json"],
+    "error-verify-corrupt-coverage-not-an-option": ["verify", "--corrupt-coverage", "1,0"],
 }
 
 CASES = {
@@ -132,12 +132,18 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden(name, tmp_path, monkeypatch, capsys):
+def test_golden(name, tmp_path, monkeypatch, capsys, request):
     for path in (GOLDEN / "inputs").iterdir():
         shutil.copy(path, tmp_path)
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    if name.startswith("verify-corrupted"):
+        request.getfixturevalue("corrupted_coverage")
     argv = CASES[name]
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     record = f"exit {code}\n--- stdout\n{captured.out}--- stderr\n{captured.err}"
     if "--output" in argv:
@@ -148,3 +154,7 @@ def test_golden(name, tmp_path, monkeypatch, capsys):
     if os.environ.get("LISTVOTE_REGOLD"):
         expected.write_text(record)
     assert record == expected.read_text()
+
+
+def test_every_golden_file_has_a_case():
+    assert {path.stem for path in GOLDEN.glob("*.txt")} == set(CASES)

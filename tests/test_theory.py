@@ -34,7 +34,6 @@ from listvote import (
     uniform_on,
     worst_case_concentric,
 )
-from listvote.theory import corrupt_table
 from conftest import dist_from, subset
 
 P643 = ElectionParams(6, 4, 3)
@@ -291,9 +290,8 @@ class TestCoverageMonotonicityCheck:
                     assert table.get(r, m) == table.get(r, m + 1)
         assert found > 0
 
-    def test_corrupted_table_reports_failing_cell(self):
-        table = corrupt_table(ring_coverage(P643), 1, 0)
-        report = coverage_monotonicity_check(P643, table)
+    def test_corrupted_table_reports_failing_cell(self, corrupted_coverage):
+        report = coverage_monotonicity_check(P643)
         assert not report.passed
         assert any("r=1 m=0" in cell.label for cell in report.failures)
 
