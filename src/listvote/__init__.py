@@ -27,7 +27,7 @@ from .ballots import (
     write_ballot_file,
 )
 from .errors import BallotFormatError, HypothesisViolation, ParameterError
-from .exactnum import Rational, binomial, format_rational, parse_rational
+from .exactnum import binomial, format_rational, parse_rational
 from .johnson import (
     BallSpec,
     CandidateSubset,
@@ -48,7 +48,6 @@ from .tally import (
     threshold_approval,
 )
 from .theory import (
-    RingCoverageTable,
     VerificationReport,
     WorstCaseResult,
     alpha_ball_floor,

@@ -176,7 +176,7 @@ def concentric(
             raise ParameterError(f"weight {w} on ring {r} beyond diameter {params.diameter}")
     support: dict[CandidateSubset, Fraction] = {}
     for r, w in enumerate(vec):
-        if w == 0 or r > params.diameter:
+        if w == 0:
             continue
         share = w / ring_size(params, r)
         for lst in ring(center, r, params):

@@ -10,8 +10,8 @@ facts holding exact objects (or, for ``generate``, a ballot file).
 :func:`render` turns that result into text, and :func:`main` maps every
 error a command raises to its exit code.
 
-Exit codes: 0 ok, 1 verification failure, 2 I/O or malformed file,
-3 parameter inconsistency, 4 hypothesis violation.
+Exit codes: 0 ok, 1 verification failure or a tally below its floor,
+2 I/O or malformed file, 3 parameter inconsistency, 4 hypothesis violation.
 """
 
 from __future__ import annotations
@@ -244,16 +244,13 @@ def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
     else:
         facts.append(("ball_floor", None, None))
 
-    if args.self_check:
-        floors = (v for key, v, _ in facts if key in ("global_floor", "ball_floor"))
-        bad = [f for f in floors if f is not None and result.best_value < f]
-        if bad:
-            raise SelfCheckFailed(
-                f"self-check failed: best {format_rational(result.best_value)} "
-                f"below floor {format_rational(bad[0])}"
-            )
-        facts.append(
-            ("self_check", "ok", ("self-check: best approval meets every applicable floor",))
+    # Every floor reported is guaranteed, so a best approval below one is a fault.
+    floors = (v for key, v, _ in facts if key in ("global_floor", "ball_floor"))
+    below = [f for f in floors if f is not None and result.best_value < f]
+    if below:
+        raise SelfCheckFailed(
+            f"self-check failed: best {format_rational(result.best_value)} "
+            f"below floor {format_rational(below[0])}"
         )
     return EXIT_OK, facts
 
@@ -299,7 +296,10 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[int, list[Fact]]:
         return EXIT_OK, facts
     try:
         value = theory.ball_floor(params, radius)
-    except HypothesisViolation as exc:  # reported, not failed: the worst case answers instead
+    except HypothesisViolation as exc:
+        # without --alpha this is reported, not failed: the worst case answers instead
+        if args.alpha is not None:
+            raise HypothesisViolation(f"--alpha needs a guaranteed ball floor: {exc}") from exc
         facts += [
             ("ball_floor", None, None),
             _fact("ball_floor_note", "no guaranteed ball floor", str(exc)),
@@ -403,6 +403,8 @@ def _valid_param_sets(max_n: int):
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, list[Fact]]:
     max_n, trials = args.max_n, args.trials
+    if trials < 0:
+        raise ParameterError(f"--trials must be >= 0, got {trials}")
     if trials > 0 and max_n < RANDOM_MIN_N:
         raise ParameterError(
             f"--max-n {max_n} is below {RANDOM_MIN_N}, the smallest n of a randomized "
@@ -508,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="approval threshold s (default: full containment)")
     p_tally.add_argument("--complete", action="store_true",
                          help="complete short lists inside the declared ball first")
-    p_tally.add_argument("--self-check", action="store_true", help=argparse.SUPPRESS)
 
     p_bounds = sub.add_parser("bounds", help="print guaranteed approval floors")
     shared(p_bounds, "--params", "--radius", *REPORT_OPTIONS)

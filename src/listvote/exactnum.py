@@ -15,10 +15,6 @@ from fractions import Fraction
 
 from .errors import ParameterError
 
-# Canonical exact-number type: arbitrary precision, always in lowest terms,
-# denominator always positive, zero stored as 0/1.
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 

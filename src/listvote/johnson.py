@@ -84,7 +84,8 @@ class ElectionParams:
     """Election shape: n candidates, committees of size k, lists of size j.
 
     Requires 1 <= j <= k < n. The derived ``diameter`` is the largest
-    possible distance between two lists, min(j, n - j).
+    possible distance between two lists, min(j, n - j), and ``max_class``
+    the most members of one list a committee can miss, min(j, n - k).
     """
 
     n: int
@@ -100,6 +101,10 @@ class ElectionParams:
     @property
     def diameter(self) -> int:
         return min(self.j, self.n - self.j)
+
+    @property
+    def max_class(self) -> int:
+        return min(self.j, self.n - self.k)
 
 
 @dataclass(frozen=True)

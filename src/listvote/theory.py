@@ -23,31 +23,6 @@ from .johnson import CandidateSubset, ElectionParams, ring_monotone_threshold, r
 
 
 @dataclass(frozen=True)
-class RingCoverageTable:
-    """entries[r][m]: fraction of ring-r lists inside a class-m committee.
-
-    Rows run over ring indices 0..diameter, columns over class indices
-    0..min(j, n-k). Entries lie in [0, 1]; entry [r][m] is 0 when r < m,
-    since a committee missing m members of the center cannot contain a
-    list that differs from the center in fewer than m places.
-    """
-
-    params: ElectionParams
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def max_class(self) -> int:
-        return min(self.params.j, self.params.n - self.params.k)
-
-    def get(self, r: int, m: int) -> Fraction:
-        if not 0 <= r <= self.params.diameter:
-            raise ParameterError(f"ring index {r} outside 0..{self.params.diameter}")
-        if not 0 <= m <= self.max_class:
-            raise ParameterError(f"class index {m} outside 0..{self.max_class}")
-        return self.entries[r][m]
-
-
-@dataclass(frozen=True)
 class WorstCaseResult:
     """Exact minimax over concentric distributions on a ball.
 
@@ -128,12 +103,10 @@ def class_size(params: ElectionParams, m: int) -> int:
 
     Choose which j-m center members stay, then fill the remaining
     k+m-j seats outside the center: C(j, j-m) * C(n-j, k+m-j). The
-    classes m = 0..min(j, n-k) partition the committee space.
+    classes m = 0..max_class partition the committee space.
     """
-    if not 0 <= m <= min(params.j, params.n - params.k):
-        raise ParameterError(
-            f"class index {m} outside 0..{min(params.j, params.n - params.k)}"
-        )
+    if not 0 <= m <= params.max_class:
+        raise ParameterError(f"class index {m} outside 0..{params.max_class}")
     return binomial(params.j, params.j - m) * binomial(params.n - params.j, params.k + m - params.j)
 
 
@@ -147,55 +120,56 @@ def committees_in_class_containing(params: ElectionParams, r: int, m: int) -> in
     """
     if not 0 <= r <= params.diameter:
         raise ParameterError(f"ring index {r} outside 0..{params.diameter}")
-    if not 0 <= m <= min(params.j, params.n - params.k):
-        raise ParameterError(
-            f"class index {m} outside 0..{min(params.j, params.n - params.k)}"
-        )
+    if not 0 <= m <= params.max_class:
+        raise ParameterError(f"class index {m} outside 0..{params.max_class}")
     n, k, j = params.n, params.k, params.j
     return binomial(r, r - m) * binomial(n - j - r, k - j + m - r)
 
 
-def ring_coverage(params: ElectionParams) -> RingCoverageTable:
-    """Build the full coverage table for the given parameters.
+def ring_coverage(params: ElectionParams) -> tuple[tuple[Fraction, ...], ...]:
+    """The coverage table: one row per ring 0..diameter, one column per
+    class 0..max_class, every entry in [0, 1].
 
     entry[r][m] = C(j-m, j-r) * C(k+m-j, r) / (C(j, j-r) * C(n-j, r)):
     a class-m committee keeps j-m center members and k+m-j outsiders, and
     a ring-r list inside it must take j-r of the former and r of the
-    latter. The equivalent factorial form breaks down at degenerate
-    indices; the binomial form with zero extension is total.
+    latter, so the entry is 0 when r < m. The equivalent factorial form
+    breaks down at degenerate indices; the binomial form with zero
+    extension is total.
     """
     n, k, j = params.n, params.k, params.j
-    m_max = min(j, n - k)
     rows = []
     for r in range(params.diameter + 1):
         den = binomial(j, j - r) * binomial(n - j, r)
         rows.append(
             tuple(
                 Fraction(binomial(j - m, j - r) * binomial(k + m - j, r), den)
-                for m in range(m_max + 1)
+                for m in range(params.max_class + 1)
             )
         )
-    return RingCoverageTable(params, tuple(rows))
+    return tuple(rows)
 
 
 def concentric_approval(
     weights: Sequence[Fraction],
     m: int,
-    table: RingCoverageTable,
+    table: Sequence[Sequence[Fraction]],
 ) -> Fraction:
     """Approval proportion of any class-m committee under a concentric distribution.
 
     With ring masses w_r, every committee in class m is approved by
-    exactly sum_r w_r * entry[r][m] of the voters.
+    exactly sum_r w_r * entry[r][m] of the voters. ``table`` is a
+    :func:`ring_coverage` table; its shape gives the diameter and the
+    class range.
     """
-    d = table.params.diameter
-    if not 0 <= m <= table.max_class:
-        raise ParameterError(f"class index {m} outside 0..{table.max_class}")
+    d, max_class = len(table) - 1, len(table[0]) - 1
+    if not 0 <= m <= max_class:
+        raise ParameterError(f"class index {m} outside 0..{max_class}")
     for r, w in enumerate(weights):
         if r > d and w != 0:
             raise ParameterError(f"weight {w} on ring {r} beyond diameter {d}")
     return sum(
-        (w * table.entries[r][m] for r, w in enumerate(weights) if r <= d),
+        (w * table[r][m] for r, w in enumerate(weights) if r <= d),
         Fraction(0),
     )
 
@@ -229,16 +203,16 @@ def coverage_monotonicity_check(params: ElectionParams) -> VerificationReport:
     table = ring_coverage(params)
     n, k, j = params.n, params.k, params.j
     cells = []
-    for m in range(table.max_class):
+    for m in range(params.max_class):
         for r in range(m, min(params.diameter, k + m + 1 - j) + 1):
-            holds = table.entries[r][m] >= table.entries[r][m + 1]
+            holds = table[r][m] >= table[r][m + 1]
             predicted = r * (k + 1) <= j * (k + 1 + m - j)
             cells.append(
                 CheckedCell(
                     label=f"n={n} k={k} j={j} r={r} m={m}",
                     ok=holds == predicted,
-                    detail=f"entry[r][m]={format_rational(table.entries[r][m])} "
-                    f"entry[r][m+1]={format_rational(table.entries[r][m + 1])}",
+                    detail=f"entry[r][m]={format_rational(table[r][m])} "
+                    f"entry[r][m+1]={format_rational(table[r][m + 1])}",
                 )
             )
     return VerificationReport("coverage-monotonicity", tuple(cells))
@@ -310,15 +284,15 @@ def worst_case_concentric(params: ElectionParams, radius: int) -> WorstCaseResul
             f"radius must satisfy 0 <= radius < diameter={params.diameter}, got {radius}"
         )
     table = ring_coverage(params)
-    classes = range(table.max_class + 1)
+    classes = range(params.max_class + 1)
     size, width = radius + 1, radius + 1 + len(classes)
     one, zero = Fraction(1), Fraction(0)
-    # One row per class (every class 0..min(j, n-k) is nonempty, since
+    # One row per class (every class 0..max_class is nonempty, since
     # C(j, j-m) >= 1 and 0 <= k+m-j <= n-j): coverage of y_0..y_radius,
     # the slacks, then the right-hand side 1. Column q < size is y_q,
     # the others are slacks.
     rows = [
-        [table.entries[r][m] for r in range(size)]
+        [table[r][m] for r in range(size)]
         + [one if c == m else zero for c in classes]
         + [one]
         for m in classes

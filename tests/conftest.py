@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -41,10 +40,9 @@ def corrupted_coverage(monkeypatch):
     [1][0] set to 0, a fault the coverage-monotonicity suite must report."""
     ring_coverage = theory.ring_coverage
 
-    def corrupted(params: ElectionParams) -> theory.RingCoverageTable:
-        table = ring_coverage(params)
-        rows = [list(row) for row in table.entries]
+    def corrupted(params: ElectionParams) -> tuple[tuple[Fraction, ...], ...]:
+        rows = [list(row) for row in ring_coverage(params)]
         rows[1][0] = Fraction(0)
-        return dataclasses.replace(table, entries=tuple(map(tuple, rows)))
+        return tuple(map(tuple, rows))
 
     monkeypatch.setattr(theory, "ring_coverage", corrupted)

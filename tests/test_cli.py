@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from listvote import loads_ballot_file, normalize, parse_rational
+from listvote import (
+    CandidateSubset,
+    TallyResult,
+    loads_ballot_file,
+    normalize,
+    parse_rational,
+)
 from listvote.cli import main
 
 EXAMPLE_FILE = """{
@@ -173,10 +179,15 @@ class TestTally:
         )
         assert code == 4
 
-    def test_self_check(self, capsys, example_file):
-        code, out, _ = run(capsys, "tally", "--input", example_file, "--self-check")
-        assert code == 0
-        assert "self-check" in out
+    def test_best_below_floor_exits_1(self, capsys, monkeypatch, example_file):
+        def below_floor(dist, s):
+            return TallyResult(Fraction(1, 100), (CandidateSubset((1, 2, 3, 4)),), "sparse")
+
+        monkeypatch.setattr("listvote.cli.best_committees", below_floor)
+        code, out, err = run(capsys, "tally", "--input", example_file)
+        assert code == 1
+        assert out == ""
+        assert err == "error: self-check failed: best 1/100 below floor 4/35\n"
 
 
 class TestBounds:
@@ -329,8 +340,7 @@ class TestGenerate:
             ]) == 0
             code, out, _ = run(
                 capsys, "tally", "--input", str(gen),
-                "--center", "1,2,3", "--radius", "1", "--self-check",
-                "--format", "structured",
+                "--center", "1,2,3", "--radius", "1", "--format", "structured",
             )
             assert code == 0
             doc = json.loads(out)
@@ -360,6 +370,12 @@ class TestVerify:
         assert code == 1
         assert "RESULT: FAIL" in out
         assert "r=1 m=0" in out
+
+    def test_negative_trials_exits_3(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-n", "5", "--trials", "-1")
+        assert code == 3
+        assert out == ""
+        assert err == "error: --trials must be >= 0, got -1\n"
 
     def test_max_n_below_random_trials_exits_3(self, capsys):
         code, out, err = run(capsys, "verify", "--max-n", "3")

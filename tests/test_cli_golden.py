@@ -32,8 +32,8 @@ REPORTS = {
     "tally-ball-diameter": ["tally", "--input", "all.json", *TALLY_BALL, "3"],
     "tally-ball-size-one-lists": ["tally", "--input", "size1.json", "--center", "1",
                                   "--radius", "0"],
-    "tally-complete-self-check-approx": ["tally", "--input", "short.json", "--complete",
-                                         *TALLY_BALL, "1", "--self-check", "--approx"],
+    "tally-complete-approx": ["tally", "--input", "short.json", "--complete",
+                              *TALLY_BALL, "1", "--approx"],
     "tally-beyond-regime-approx": ["tally", "--input", "ball2.json", *TALLY_BALL, "2",
                                    "--approx"],
     "bounds": ["bounds", "--params", "6,4,3"],
@@ -100,6 +100,8 @@ OTHERS = {
     "error-bounds-non-integer-params": ["bounds", "--params", "6,4,x"],
     "error-bounds-radius-beyond-diameter": ["bounds", "--params", "6,4,3", "--radius", "5"],
     "error-bounds-size-one-lists": ["bounds", "--params", "4,2,1", "--radius", "0"],
+    "error-bounds-alpha-beyond-regime": ["bounds", "--params", "6,4,3", "--radius", "2",
+                                         "--alpha", "1/2"],
     "error-bounds-huge-result": ["bounds", "--params", "100000,50000,25000"],
     "error-worst-case-missing-radius": ["worst-case", "--params", "6,4,3"],
     "error-worst-case-diameter": ["worst-case", "--params", "6,4,3", "--radius", "3"],
@@ -122,6 +124,8 @@ OTHERS = {
     "error-no-command": [],
     "error-oracle-not-a-command": ["oracle", "brute-best", "--input", "example.json"],
     "error-verify-corrupt-coverage-not-an-option": ["verify", "--corrupt-coverage", "1,0"],
+    "error-tally-self-check-not-an-option": ["tally", "--input", "example.json",
+                                             "--self-check"],
 }
 
 CASES = {

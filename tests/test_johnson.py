@@ -56,6 +56,11 @@ class TestElectionParams:
         assert ElectionParams(4, 3, 2).diameter == 2
         assert ElectionParams(9, 5, 4).diameter == 4
 
+    def test_max_class(self):
+        assert ElectionParams(6, 4, 3).max_class == 2
+        assert ElectionParams(7, 4, 3).max_class == 3
+        assert ElectionParams(9, 2, 2).max_class == 2
+
     @pytest.mark.parametrize("n,k,j", [(4, 4, 2), (4, 2, 3), (4, 2, 0), (3, 0, 0)])
     def test_invalid_rejected(self, n, k, j):
         with pytest.raises(ParameterError):

@@ -152,10 +152,10 @@ class TestCommitteesInClassContaining:
 class TestRingCoverage:
     def test_origin_entry_is_one(self):
         for params in all_param_sets(9):
-            assert ring_coverage(params).get(0, 0) == 1
+            assert ring_coverage(params)[0][0] == 1
 
     def test_643_first_ring_class_zero(self):
-        assert ring_coverage(P643).get(1, 0) == Fraction(1, 3)
+        assert ring_coverage(P643)[1][0] == Fraction(1, 3)
 
     def test_743_table_against_containment_oracle(self):
         params = ElectionParams(7, 4, 3)
@@ -166,7 +166,7 @@ class TestRingCoverage:
             for committee in iter_committees(params):
                 m = class_of(committee, center)
                 contained = sum(1 for lst in ring_lists if lst.issubset(committee))
-                assert Fraction(contained, len(ring_lists)) == table.get(r, m)
+                assert Fraction(contained, len(ring_lists)) == table[r][m]
 
     def test_containment_semantics_exhaustive_small(self):
         for params in all_param_sets(8):
@@ -177,26 +177,26 @@ class TestRingCoverage:
                 m = class_of(committee, center)
                 for r, ring_lists in enumerate(rings):
                     contained = sum(1 for lst in ring_lists if lst.issubset(committee))
-                    assert Fraction(contained, len(ring_lists)) == table.get(r, m)
+                    assert Fraction(contained, len(ring_lists)) == table[r][m]
 
     def test_zero_below_class_index(self):
         table = ring_coverage(P643)
-        assert table.get(0, 1) == 0
-        assert table.get(1, 2) == 0
+        assert table[0][1] == 0
+        assert table[1][2] == 0
 
     def test_entries_within_unit_interval(self):
         for params in all_param_sets(10):
             table = ring_coverage(params)
-            for row in table.entries:
+            for row in table:
                 assert all(0 <= x <= 1 for x in row)
 
     def test_factorial_form_agrees_where_defined(self):
         for params in all_param_sets(10):
             table = ring_coverage(params)
             for r in range(params.diameter + 1):
-                for m in range(table.max_class + 1):
+                for m in range(params.max_class + 1):
                     if m <= r <= params.k + m - params.j:
-                        assert coverage_factorial_form(params, r, m) == table.get(r, m)
+                        assert coverage_factorial_form(params, r, m) == table[r][m]
 
 
 class TestConcentricApproval:
@@ -266,7 +266,7 @@ class TestCoverageMonotonicityCheck:
         table = ring_coverage(P643)
         # threshold for m=0 is 6/5, so the r=1 comparison must hold
         assert Fraction(3 * (4 + 1 - 3), 4 + 1) == Fraction(6, 5)
-        assert table.get(1, 0) >= table.get(1, 1)
+        assert table[1][0] >= table[1][1]
 
     def test_all_params_up_to_12_pass(self):
         for params in all_param_sets(12):
@@ -277,7 +277,7 @@ class TestCoverageMonotonicityCheck:
         found = 0
         for params in all_param_sets(12):
             table = ring_coverage(params)
-            for m in range(table.max_class):
+            for m in range(params.max_class):
                 threshold = Fraction(
                     params.j * (params.k + 1 + m - params.j), params.k + 1
                 )
@@ -286,8 +286,8 @@ class TestCoverageMonotonicityCheck:
                 r = int(threshold)
                 if m <= r <= min(params.diameter, params.k + m + 1 - params.j):
                     found += 1
-                    assert table.get(r, m) >= table.get(r, m + 1)
-                    assert table.get(r, m) == table.get(r, m + 1)
+                    assert table[r][m] >= table[r][m + 1]
+                    assert table[r][m] == table[r][m + 1]
         assert found > 0
 
     def test_corrupted_table_reports_failing_cell(self, corrupted_coverage):
@@ -426,7 +426,7 @@ class TestWorstCaseConcentric:
                 weights = random_ring_weight_vector(rng, radius + 1)
                 values = [
                     concentric_approval(weights, m, table)
-                    for m in range(table.max_class + 1)
+                    for m in range(params.max_class + 1)
                 ]
                 assert values == sorted(values, reverse=True)
 
