@@ -11,7 +11,6 @@ strictly above the exact radius-2 worst case of 1/5.
 from fractions import Fraction
 
 from listvote import (
-    BallSpec,
     CandidateSubset,
     ElectionParams,
     ball,
@@ -81,7 +80,7 @@ def ball_radius_two():
     banner("3. Radius 2: uniform ball at 4/19, true worst case at 1/5")
     params = ElectionParams(6, 4, 3)
     v = CandidateSubset((1, 2, 3))
-    flat_ball = uniform_on(params, ball(BallSpec(v, 2), params))
+    flat_ball = uniform_on(params, ball(v, 2, params))
     print("  uniform on the 19-list ball:")
     show(best_committees(flat_ball))
     worst = worst_case_concentric(params, 2)

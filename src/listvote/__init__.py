@@ -24,12 +24,10 @@ from .ballots import (
     ring_weights,
     sample_ball_counts,
     uniform_on,
-    write_ballot_file,
 )
 from .errors import BallotFormatError, HypothesisViolation, ParameterError
 from .exactnum import binomial, format_rational, parse_rational
 from .johnson import (
-    BallSpec,
     CandidateSubset,
     ElectionParams,
     ball,

@@ -20,7 +20,6 @@ from typing import Iterable, Mapping, Sequence
 from .errors import BallotFormatError, ParameterError
 from .exactnum import format_rational, parse_rational
 from .johnson import (
-    BallSpec,
     CandidateSubset,
     ElectionParams,
     ball,
@@ -194,8 +193,8 @@ def project_concentric(dist: VoterDistribution, center: CandidateSubset) -> Vote
     return concentric(center, ring_weights(dist, center), dist.params)
 
 
-def complete_short_lists(raw: RawBallotFile, spec: BallSpec) -> RawBallotFile:
-    """Extend short entries to full j-lists inside the given ball.
+def complete_short_lists(raw: RawBallotFile, center: CandidateSubset, radius: int) -> RawBallotFile:
+    """Extend short entries to full j-lists inside the ball of ``radius`` about ``center``.
 
     Deterministic rule: fill a short entry with the smallest-index members
     of the center not already present. The center always has enough of
@@ -206,10 +205,9 @@ def complete_short_lists(raw: RawBallotFile, spec: BallSpec) -> RawBallotFile:
     Multiplicities and entry order are preserved.
     """
     params = raw.params
-    center = spec.center
     validate_list(center, params)
-    if spec.radius > params.diameter:
-        raise ParameterError(f"radius {spec.radius} exceeds diameter {params.diameter}")
+    if not 0 <= radius <= params.diameter:
+        raise ParameterError(f"radius {radius} outside 0..{params.diameter}")
     out: list[BallotEntry] = []
     for entry in raw.entries:
         done = entry
@@ -217,10 +215,10 @@ def complete_short_lists(raw: RawBallotFile, spec: BallSpec) -> RawBallotFile:
         if missing:
             fill = tuple(c for c in center.members if c not in entry.subset)[:missing]
             done = BallotEntry(CandidateSubset(entry.subset.members + fill), entry.multiplicity)
-        if distance(done.subset, center) > spec.radius:
+        if distance(done.subset, center) > radius:
             raise ParameterError(
                 f"entry {entry.subset} has no size-{params.j} superset within "
-                f"distance {spec.radius} of {center}"
+                f"distance {radius} of {center}"
             )
         out.append(done)
     return RawBallotFile(params, tuple(out))
@@ -326,10 +324,6 @@ def read_ballot_file(path: str | Path) -> RawBallotFile:
     return loads_ballot_file(text)
 
 
-def write_ballot_file(raw: RawBallotFile, path: str | Path) -> None:
-    Path(path).write_text(dumps_ballot_file(raw))
-
-
 def distribution_to_raw(dist: VoterDistribution) -> RawBallotFile:
     """Ballot file carrying a distribution's exact weights, sorted by list."""
     entries = tuple(
@@ -363,14 +357,15 @@ def random_distribution(
 
 def sample_ball_counts(
     params: ElectionParams,
-    spec: BallSpec,
+    center: CandidateSubset,
+    radius: int,
     voters: int,
     rng: Random,
 ) -> RawBallotFile:
     """Draw ``voters`` ballots uniformly from a ball, as integer counts."""
     if voters <= 0:
         raise ParameterError(f"voters must be positive, got {voters}")
-    lists = sorted(ball(spec, params))
+    lists = sorted(ball(center, radius, params))
     counts = Counter(rng.choices(lists, k=voters))
     entries = tuple(BallotEntry(lst, counts[lst]) for lst in sorted(counts))
     return RawBallotFile(params, entries)

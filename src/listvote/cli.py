@@ -17,6 +17,7 @@ Exit codes: 0 ok, 1 verification failure or a tally below its floor,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -40,7 +41,6 @@ from .ballots import (
 from .errors import BallotFormatError, HypothesisViolation, ParameterError
 from .exactnum import format_rational, parse_rational
 from .johnson import (
-    BallSpec,
     CandidateSubset,
     ElectionParams,
     ball,
@@ -126,7 +126,7 @@ def _parse_weights(text: str) -> tuple[Fraction, ...]:
 
 
 # Options whose text becomes an exact object before any command runs; an
-# absent or empty option becomes None.
+# absent option becomes None, and an empty one is parsed (and rejected) like any other.
 VALUE_PARSERS = {
     "params": _parse_params,
     "center": parse_members,
@@ -168,8 +168,10 @@ def _json_value(value):
         return list(value.members)
     if isinstance(value, ElectionParams):
         return {"n": value.n, "k": value.k, "j": value.j}
-    if isinstance(value, (theory.WorstCaseResult, theory.VerificationReport)):
+    if isinstance(value, theory.WorstCaseResult):
         return value.to_dict()
+    if isinstance(value, theory.VerificationReport):
+        return dataclasses.asdict(value) | {"passed": value.passed}
     raise TypeError(f"no structured form for {type(value).__name__}")
 
 
@@ -207,7 +209,7 @@ def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
 
     if args.complete:
         try:
-            raw = complete_short_lists(raw, BallSpec(args.center, args.radius))
+            raw = complete_short_lists(raw, args.center, args.radius)
         except ParameterError as exc:  # an entry with no completion inside the ball
             raise HypothesisViolation(str(exc)) from exc
     elif any(len(e.subset) < params.j for e in raw.entries):
@@ -220,7 +222,7 @@ def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
 
     declared_ball = args.center is not None
     if declared_ball:
-        inside = ball(BallSpec(args.center, args.radius), params)
+        inside = ball(args.center, args.radius, params)
         outside = sorted(lst for lst in dist.support if lst not in inside)
         if outside:
             raise HypothesisViolation(
@@ -365,7 +367,7 @@ def _generate_raw(args: argparse.Namespace, params: ElectionParams) -> RawBallot
         if args.center is None or args.radius is None:
             raise ParameterError(f"{mode} requires --center and --radius")
         if mode == "uniform-ball":
-            lists = ball(BallSpec(args.center, args.radius), params)
+            lists = ball(args.center, args.radius, params)
         else:
             lists = ring(args.center, args.radius, params)
         return distribution_to_raw(uniform_on(params, lists))
@@ -379,9 +381,7 @@ def _generate_raw(args: argparse.Namespace, params: ElectionParams) -> RawBallot
         if args.seed is None:
             raise ParameterError("random-ball requires --seed")
         voters = args.voters if args.voters is not None else 100
-        return sample_ball_counts(
-            params, BallSpec(args.center, args.radius), voters, Random(args.seed)
-        )
+        return sample_ball_counts(params, args.center, args.radius, voters, Random(args.seed))
     raise ParameterError(f"unknown mode {mode!r}")
 
 
@@ -405,6 +405,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, list[Fact]]:
     max_n, trials = args.max_n, args.trials
     if trials < 0:
         raise ParameterError(f"--trials must be >= 0, got {trials}")
+    if max_n < 2:
+        raise ParameterError(f"--max-n must be >= 2, got {max_n}")
     if trials > 0 and max_n < RANDOM_MIN_N:
         raise ParameterError(
             f"--max-n {max_n} is below {RANDOM_MIN_N}, the smallest n of a randomized "
@@ -454,9 +456,17 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, list[Fact]]:
     reports.append(theory.VerificationReport("oracle-equivalence", tuple(oracle_cells)))
 
     passed = all(r.passed for r in reports)
+    facts: list[Fact] = [("suites", reports, None)]
+    for report in reports:
+        status = "PASS" if report.passed else "FAIL"
+        facts.append((None, None, (f"[{report.name}] {status} ({len(report.cells)} cells)",)))
+        facts += [
+            (None, None, (f"  {cell.label}: {'ok' if cell.ok else 'FAIL'}",
+                          f" {cell.detail}" if cell.detail else ""))
+            for cell in report.cells
+        ]
     total = sum(len(r.cells) for r in reports)
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED, [
-        ("suites", reports, ("\n".join(r.render() for r in reports),)),
+    return EXIT_OK if passed else EXIT_VERIFY_FAILED, facts + [
         ("passed", passed, (f"RESULT: {'PASS' if passed else 'FAIL'} ({total} checks)",)),
         ("seed", args.seed, None),
         ("max_n", max_n, None),
@@ -554,7 +564,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for name, parse in VALUE_PARSERS.items():
             text = getattr(args, name)
-            setattr(args, name, parse(text) if text else None)
+            setattr(args, name, None if text is None else parse(text))
         code, result = _DISPATCH[args.command](args)
         text = render(args, result)
         if args.output:

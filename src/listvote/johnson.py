@@ -107,18 +107,6 @@ class ElectionParams:
         return min(self.j, self.n - self.k)
 
 
-@dataclass(frozen=True)
-class BallSpec:
-    """A center list plus a radius, naming the ball of lists around it."""
-
-    center: CandidateSubset
-    radius: int
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ParameterError(f"radius must be >= 0, got {self.radius}")
-
-
 def validate_list(v: CandidateSubset, params: ElectionParams) -> None:
     if len(v) != params.j:
         raise ParameterError(f"{v} is not a {params.j}-element list")
@@ -164,17 +152,17 @@ def ring(center: CandidateSubset, r: int, params: ElectionParams) -> set[Candida
     return out
 
 
-def ball(spec: BallSpec, params: ElectionParams) -> set[CandidateSubset]:
-    """All lists within distance ``spec.radius`` of the center.
+def ball(center: CandidateSubset, radius: int, params: ElectionParams) -> set[CandidateSubset]:
+    """All lists within distance ``radius`` of ``center``.
 
     Covers the whole list space exactly when the radius reaches the
     diameter.
     """
-    if spec.radius > params.diameter:
-        raise ParameterError(f"radius {spec.radius} exceeds diameter {params.diameter}")
+    if not 0 <= radius <= params.diameter:
+        raise ParameterError(f"radius {radius} outside 0..{params.diameter}")
     out: set[CandidateSubset] = set()
-    for r in range(spec.radius + 1):
-        out |= ring(spec.center, r, params)
+    for r in range(radius + 1):
+        out |= ring(center, r, params)
     return out
 
 

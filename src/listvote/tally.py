@@ -98,8 +98,7 @@ def _meeting(inside: Collection[int], outside: Iterable[int], size: int, s: int)
 
     Members come as one-bit masks. Each set is K | E with K a t-subset of
     ``inside`` (t >= s) and E a (size - t)-subset of ``outside``, so every
-    set is produced exactly once. Per t, the side with fewer subsets is
-    looped over and the other is added to it in one C-level pass.
+    set is produced exactly once.
     """
     parts = []
     for t in range(s, min(len(inside), size) + 1):
@@ -109,8 +108,6 @@ def _meeting(inside: Collection[int], outside: Iterable[int], size: int, s: int)
             parts.append(map(sum, tails, repeat(heads[0])))
             continue
         tails = list(map(sum, tails))
-        if len(heads) > len(tails):
-            heads, tails = tails, heads
         parts.extend(map(head.__add__, tails) for head in heads)
     return chain.from_iterable(parts)
 

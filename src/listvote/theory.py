@@ -61,27 +61,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.ok for c in self.cells)
 
-    @property
-    def failures(self) -> tuple[CheckedCell, ...]:
-        return tuple(c for c in self.cells if not c.ok)
-
-    def render(self) -> str:
-        lines = [f"[{self.name}] {'PASS' if self.passed else 'FAIL'} ({len(self.cells)} cells)"]
-        for cell in self.cells:
-            status = "ok" if cell.ok else "FAIL"
-            suffix = f" {cell.detail}" if cell.detail else ""
-            lines.append(f"  {cell.label}: {status}{suffix}")
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "cells": [
-                {"label": c.label, "ok": c.ok, "detail": c.detail} for c in self.cells
-            ],
-        }
-
 
 def global_floor(params: ElectionParams) -> Fraction:
     """Guaranteed best-committee approval for any distribution: C(k,j)/C(n,j).

@@ -14,7 +14,6 @@ from random import Random
 import pytest
 
 from listvote import (
-    BallSpec,
     BallotEntry,
     CandidateSubset,
     ElectionParams,
@@ -150,7 +149,7 @@ def test_criterion_3_radius_one_chain():
 def test_criterion_4_uniform_ball_value():
     with criterion(4, "uniform ball of radius 2 tallies to 4/19"):
         params = ElectionParams(6, 4, 3)
-        dist = uniform_on(params, ball(BallSpec(V123, 2), params))
+        dist = uniform_on(params, ball(V123, 2, params))
         assert best_committees(dist).best_value == Fraction(4, 19)
 
 
@@ -193,10 +192,10 @@ def test_criterion_6_monotonicity_validators_exhaustive():
         for n in range(2, 13):
             for j in range(1, n):
                 report = ring_monotonicity_check(ElectionParams(n, j, j))
-                assert report.passed, report.failures
+                assert report.passed, [c for c in report.cells if not c.ok]
         for params in all_param_sets(12):
             report = coverage_monotonicity_check(params)
-            assert report.passed, (params, report.failures)
+            assert report.passed, (params, [c for c in report.cells if not c.ok])
 
 
 def test_criterion_7_outer_ring_worst_case():
@@ -220,7 +219,7 @@ def test_criterion_7_outer_ring_worst_case():
                 assert result.weights == outer
                 assert result.achieving_class == 0
 
-                pool = sorted(ball(BallSpec(center, radius), params))
+                pool = sorted(ball(center, radius, params))
                 for _ in range(100):
                     dist = random_distribution(params, rng, pool=pool, max_support=8)
                     assert best_committees(dist).best_value >= expected
@@ -295,8 +294,7 @@ def test_criterion_9_short_list_and_alpha_pipelines():
         for _ in range(50):
             params, radius = _random_ball_instance(rng)
             center = CandidateSubset(tuple(range(1, params.j + 1)))
-            spec = BallSpec(center, radius)
-            pool = sorted(ball(spec, params))
+            pool = sorted(ball(center, radius, params))
             floor = ball_floor(params, radius)
 
             entries = []
@@ -306,7 +304,7 @@ def test_criterion_9_short_list_and_alpha_pipelines():
                 short = tuple(sorted(rng.sample(base.members, size)))
                 entries.append(BallotEntry(CandidateSubset(short), rng.randint(1, 5)))
             raw = RawBallotFile(params, tuple(entries))
-            completed = complete_short_lists(raw, spec)
+            completed = complete_short_lists(raw, center, radius)
             for before, after in zip(raw.entries, completed.entries):
                 assert before.subset.issubset(after.subset)
                 assert len(after.subset) == params.j

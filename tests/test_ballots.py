@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from listvote import (
     BallotEntry,
     BallotFormatError,
-    BallSpec,
     CandidateSubset,
     ElectionParams,
     ParameterError,
@@ -31,7 +30,6 @@ from listvote import (
     ring_weights,
     sample_ball_counts,
     uniform_on,
-    write_ballot_file,
 )
 from conftest import dist_from, subset
 
@@ -113,7 +111,7 @@ class TestUniformOn:
         assert all(w == Fraction(1, 20) for _, w in dist.items())
 
     def test_ball_of_radius_two(self):
-        lists = ball(BallSpec(V123, 2), P643)
+        lists = ball(V123, 2, P643)
         dist = uniform_on(P643, lists)
         assert len(dist) == 19
         assert all(w == Fraction(1, 19) for _, w in dist.items())
@@ -224,41 +222,40 @@ class TestProjectConcentric:
 class TestCompleteShortLists:
     def test_unique_completion_from_center(self):
         raw = RawBallotFile(P643, (entry((1, 2), 1),))
-        done = complete_short_lists(raw, BallSpec(V123, 1))
+        done = complete_short_lists(raw, V123, 1)
         assert done.entries[0].subset == V123
         assert done.entries[0].multiplicity == 1
 
     def test_full_length_untouched(self):
         raw = RawBallotFile(P643, (entry((1, 2, 4), 3),))
-        done = complete_short_lists(raw, BallSpec(V123, 1))
+        done = complete_short_lists(raw, V123, 1)
         assert done.entries[0].subset == subset(1, 2, 4)
 
     def test_outsider_entry(self):
         raw = RawBallotFile(P643, (entry((4,), 1),))
-        done = complete_short_lists(raw, BallSpec(V123, 1))
+        done = complete_short_lists(raw, V123, 1)
         assert done.entries[0].subset == subset(1, 2, 4)
 
     def test_impossible_entry_named(self):
         # {4,5} plus any third member is at distance >= 2 from {1,2,3}
         raw = RawBallotFile(P643, (entry((4, 5), 1),))
         with pytest.raises(ParameterError, match=r"\{4,5\}"):
-            complete_short_lists(raw, BallSpec(V123, 1))
+            complete_short_lists(raw, V123, 1)
 
     def test_full_length_outside_ball_rejected(self):
         raw = RawBallotFile(P643, (entry((4, 5, 6), 1),))
         with pytest.raises(ParameterError):
-            complete_short_lists(raw, BallSpec(V123, 1))
+            complete_short_lists(raw, V123, 1)
 
     def test_replacement_is_superset(self):
         rng = Random(7)
-        spec = BallSpec(V123, 2)
-        pool = sorted(ball(spec, P643))
+        pool = sorted(ball(V123, 2, P643))
         for _ in range(25):
             base = rng.choice(pool)
             size = rng.randint(1, 3)
             short = tuple(sorted(rng.sample(base.members, size)))
             raw = RawBallotFile(P643, (entry(short, 1),))
-            done = complete_short_lists(raw, spec)
+            done = complete_short_lists(raw, V123, 2)
             completed = done.entries[0].subset
             assert CandidateSubset(short).issubset(completed)
             assert distance(completed, V123) <= 2
@@ -289,10 +286,10 @@ class TestBallotFiles:
     def test_write_read_round_trip_bytes(self, tmp_path):
         raw = loads_ballot_file(EXAMPLE_FILE)
         path = tmp_path / "ballots.json"
-        write_ballot_file(raw, path)
+        path.write_text(dumps_ballot_file(raw))
         text = path.read_text()
         assert loads_ballot_file(text).entries == raw.entries
-        write_ballot_file(read_ballot_file(path), path)
+        path.write_text(dumps_ballot_file(read_ballot_file(path)))
         assert path.read_text() == text
 
     def test_counts_preserved_on_write(self):
@@ -369,10 +366,9 @@ class TestGenerators:
         assert sum(w for _, w in a.items()) == 1
 
     def test_sample_ball_counts(self):
-        spec = BallSpec(V123, 1)
-        raw = sample_ball_counts(P643, spec, 500, Random(3))
+        raw = sample_ball_counts(P643, V123, 1, 500, Random(3))
         assert sum(e.multiplicity for e in raw.entries) == 500
-        allowed = ball(spec, P643)
+        allowed = ball(V123, 1, P643)
         assert all(e.subset in allowed for e in raw.entries)
         dist = normalize(raw)
         assert sum(w for _, w in dist.items()) == 1
@@ -463,17 +459,17 @@ def test_mutated_documents_parse_or_are_rejected(raw, data):
     loads_or_rejects(json.dumps(doc))
 
 
-def reference_complete_and_normalize(raw, spec):
+def reference_complete_and_normalize(raw, center, radius):
     """Completion by the documented rule, then Fraction sums; names the first bad entry."""
     j = raw.params.j
     totals = {}
     for e in raw.entries:
         members = set(e.subset.members)
-        for c in sorted(spec.center.members):
+        for c in sorted(center.members):
             if len(members) < j:
                 members.add(c)
         assert len(members) == j
-        if len(members - set(spec.center.members)) > spec.radius:
+        if len(members - set(center.members)) > radius:
             return e.subset
         key = frozenset(members)
         totals[key] = totals.get(key, Fraction(0)) + Fraction(e.multiplicity)
@@ -505,17 +501,17 @@ def files_near_a_ball(draw):
     pool = draw(st.lists(near_center() | short_or_full_lists(params), min_size=1, max_size=5))
     entries = draw(st.lists(st.builds(BallotEntry, st.sampled_from(pool), multiplicities),
                             min_size=1, max_size=12))
-    return RawBallotFile(params, tuple(entries)), BallSpec(CandidateSubset(tuple(center)), radius)
+    return RawBallotFile(params, tuple(entries)), CandidateSubset(tuple(center)), radius
 
 
 @given(files_near_a_ball())
 def test_complete_then_normalize_matches_reference(case):
-    raw, spec = case
-    expected = reference_complete_and_normalize(raw, spec)
+    raw, center, radius = case
+    expected = reference_complete_and_normalize(raw, center, radius)
     if isinstance(expected, CandidateSubset):
         with pytest.raises(ParameterError, match=re.escape(f"entry {expected} has no")):
-            complete_short_lists(raw, spec)
+            complete_short_lists(raw, center, radius)
         return
-    dist = normalize(complete_short_lists(raw, spec))
+    dist = normalize(complete_short_lists(raw, center, radius))
     assert {frozenset(lst.members): w for lst, w in dist.items()} == expected
     assert all(type(w) is Fraction for _, w in dist.items())

@@ -228,6 +228,20 @@ class TestBounds:
         code, _, _ = run(capsys, "bounds", "--params", "6,4,3", "--radius", "5")
         assert code == 3
 
+    # An empty --alpha is pinned by the golden case error-bounds-empty-alpha.
+    @pytest.mark.parametrize("argv, message", [
+        (["bounds", "--params", ""], "--params wants n,k,j; got ''"),
+        (["generate", "--params", "6,4,3", "--mode", "uniform-ball", "--center", "",
+          "--radius", "1"], "center {} is not a 3-list"),
+        (["generate", "--params", "6,4,3", "--mode", "concentric", "--center", "1,2,3",
+          "--weights", ""], "bad --weights '': not an exact rational literal: ''"),
+    ], ids=["params", "center", "weights"])
+    def test_empty_option_value_exits_3(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_approx_annotation(self, capsys):
         code, out, _ = run(capsys, "bounds", "--params", "6,4,3", "--approx")
         assert code == 0
@@ -385,6 +399,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-n", "3", "--trials", "0")
         assert code == 0
         assert "RESULT: PASS" in out
+
+    def test_max_n_below_two_exits_3(self, capsys):
+        # with --trials 0 this is the golden case error-verify-max-n-below-two
+        code, out, err = run(capsys, "verify", "--max-n", "1")
+        assert code == 3
+        assert out == ""
+        assert err == "error: --max-n must be >= 2, got 1\n"
 
     def test_approx_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from listvote import (
-    BallSpec,
     CandidateSubset,
     ElectionParams,
     ParameterError,
@@ -68,10 +67,6 @@ class TestElectionParams:
 
     def test_j_equal_one_accepted(self):
         assert ElectionParams(5, 2, 1).diameter == 1
-
-    def test_ball_spec_radius(self):
-        with pytest.raises(ParameterError):
-            BallSpec(subset(1, 2), -1)
 
 
 class TestDistance:
@@ -162,15 +157,15 @@ class TestRings:
 class TestBalls:
     def test_full_ball_is_everything(self):
         p = ElectionParams(4, 2, 2)
-        assert ball(BallSpec(subset(1, 2), 2), p) == set(iter_lists(p))
+        assert ball(subset(1, 2), 2, p) == set(iter_lists(p))
 
     def test_radius_zero(self):
         p = ElectionParams(6, 4, 3)
-        assert ball(BallSpec(subset(1, 2, 3), 0), p) == {subset(1, 2, 3)}
+        assert ball(subset(1, 2, 3), 0, p) == {subset(1, 2, 3)}
 
     def test_j63_radius_one_has_ten_lists(self):
         p = ElectionParams(6, 4, 3)
-        b = ball(BallSpec(subset(1, 2, 3), 1), p)
+        b = ball(subset(1, 2, 3), 1, p)
         assert len(b) == 1 + ring_size(p, 1) == 10
 
     def test_proper_until_diameter(self):
@@ -178,13 +173,18 @@ class TestBalls:
         v = subset(1, 2, 3)
         everything = set(iter_lists(p))
         for radius in range(p.diameter):
-            assert ball(BallSpec(v, radius), p) != everything
-        assert ball(BallSpec(v, p.diameter), p) == everything
+            assert ball(v, radius, p) != everything
+        assert ball(v, p.diameter, p) == everything
 
     def test_radius_beyond_diameter_rejected(self):
         p = ElectionParams(6, 4, 3)
         with pytest.raises(ParameterError):
-            ball(BallSpec(subset(1, 2, 3), 4), p)
+            ball(subset(1, 2, 3), 4, p)
+
+    def test_negative_radius_rejected(self):
+        p = ElectionParams(6, 4, 3)
+        with pytest.raises(ParameterError, match=r"radius -1 outside 0\.\.3"):
+            ball(subset(1, 2, 3), -1, p)
 
 
 class TestRingMonotoneThreshold:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from listvote import (
-    BallSpec,
     ElectionParams,
     ParameterError,
     TallyResult,
@@ -104,7 +103,7 @@ class TestBestCommittees:
 
     def test_uniform_ball_radius_two(self):
         params = ElectionParams(6, 4, 3)
-        dist = uniform_on(params, ball(BallSpec(subset(1, 2, 3), 2), params))
+        dist = uniform_on(params, ball(subset(1, 2, 3), 2, params))
         result = best_committees(dist)
         assert result.best_value == Fraction(4, 19)
 

@@ -5,7 +5,6 @@ from random import Random
 import pytest
 
 from listvote import (
-    BallSpec,
     CandidateSubset,
     ElectionParams,
     HypothesisViolation,
@@ -258,7 +257,7 @@ class TestRingMonotonicityCheck:
         for n in range(2, 13):
             for j in range(1, n):
                 report = ring_monotonicity_check(ElectionParams(n, j, j))
-                assert report.passed, report.failures
+                assert report.passed, [c for c in report.cells if not c.ok]
 
 
 class TestCoverageMonotonicityCheck:
@@ -271,7 +270,7 @@ class TestCoverageMonotonicityCheck:
     def test_all_params_up_to_12_pass(self):
         for params in all_param_sets(12):
             report = coverage_monotonicity_check(params)
-            assert report.passed, (params, report.failures)
+            assert report.passed, (params, [c for c in report.cells if not c.ok])
 
     def test_integer_threshold_boundary_is_equality_direction(self):
         found = 0
@@ -293,15 +292,7 @@ class TestCoverageMonotonicityCheck:
     def test_corrupted_table_reports_failing_cell(self, corrupted_coverage):
         report = coverage_monotonicity_check(P643)
         assert not report.passed
-        assert any("r=1 m=0" in cell.label for cell in report.failures)
-
-    def test_report_serialization(self):
-        report = coverage_monotonicity_check(P643)
-        doc = report.to_dict()
-        assert doc["passed"] is True
-        assert len(doc["cells"]) == len(report.cells)
-        text = report.render()
-        assert "coverage-monotonicity" in text and "PASS" in text
+        assert any("r=1 m=0" in c.label for c in report.cells if not c.ok)
 
 
 class TestBallFloor:
@@ -441,7 +432,7 @@ class TestWorstCaseConcentric:
                 continue
             radius = rng.randint(1, params.diameter - 1)
             center = CandidateSubset(tuple(range(1, j + 1)))
-            pool = sorted(ball(BallSpec(center, radius), params))
+            pool = sorted(ball(center, radius, params))
             floor = worst_case_concentric(params, radius).value
             for _ in range(5):
                 dist = random_distribution(params, rng, pool=pool)
@@ -465,7 +456,7 @@ class TestBallSupportedFloorEndToEnd:
             if radius < 0:
                 continue
             center = CandidateSubset(tuple(range(1, params.j + 1)))
-            pool = sorted(ball(BallSpec(center, radius), params))
+            pool = sorted(ball(center, radius, params))
             floor = ball_floor(params, radius)
             for _ in range(25):
                 dist = random_distribution(params, rng, pool=pool)
