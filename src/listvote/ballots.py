@@ -4,6 +4,13 @@ A voter distribution assigns each submitted list an exact positive weight,
 with weights summing to 1. Ballot files carry raw multiplicities (integer
 counts or exact shares) and are normalized on the way in. Distributions
 are immutable once built.
+
+Ingestion works per distinct list, not per record. When a file is parsed,
+records that share a list (in any member order) share one
+``CandidateSubset``. The range and size checks and the short-list
+completion with its distance check run once for each distinct list, and
+:func:`normalize` sums multiplicities keyed by list mask. Nothing is
+cached between files.
 """
 
 from __future__ import annotations
@@ -103,14 +110,13 @@ class RawBallotFile:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        for entry in self.entries:
-            size = len(entry.subset)
+        # One check per distinct list, in order of first appearance.
+        for subset in {entry.subset.mask: entry.subset for entry in self.entries}.values():
+            size = len(subset)
             if not 1 <= size <= self.params.j:
-                raise ParameterError(
-                    f"entry {entry.subset} has size {size}, expected 1..{self.params.j}"
-                )
-            if entry.subset.members[-1] > self.params.n:
-                raise ParameterError(f"entry {entry.subset} outside candidates 1..{self.params.n}")
+                raise ParameterError(f"entry {subset} has size {size}, expected 1..{self.params.j}")
+            if subset.members[-1] > self.params.n:
+                raise ParameterError(f"entry {subset} outside candidates 1..{self.params.n}")
 
 
 def normalize(raw: RawBallotFile) -> VoterDistribution:
@@ -121,19 +127,27 @@ def normalize(raw: RawBallotFile) -> VoterDistribution:
     """
     if not raw.entries:
         raise BallotFormatError("ballot file has no entries")
-    short = [e.subset for e in raw.entries if len(e.subset) < raw.params.j]
-    if short:
+    # Sum per list mask in the multiplicities' own type: integer counts stay
+    # ints, and a Fraction is built once per distinct list.
+    totals: dict[int, int | Fraction] = {}
+    lists: dict[int, CandidateSubset] = {}
+    for entry in raw.entries:
+        mask = entry.subset.mask
+        if mask in totals:
+            totals[mask] += entry.multiplicity
+        else:
+            totals[mask] = entry.multiplicity
+            lists[mask] = entry.subset
+    if any(len(lst) < raw.params.j for lst in lists.values()):
+        short = [e.subset for e in raw.entries if len(e.subset) < raw.params.j]
         raise BallotFormatError(
             f"{len(short)} entries shorter than j={raw.params.j} "
             f"(first: {short[0]}); run complete_short_lists first"
         )
-    # Sum in the multiplicities' own type: integer counts stay ints, and a
-    # Fraction is built once per distinct list.
-    totals: dict[CandidateSubset, int | Fraction] = {}
-    for entry in raw.entries:
-        totals[entry.subset] = totals.get(entry.subset, 0) + entry.multiplicity
     grand = sum(totals.values())
-    return VoterDistribution(raw.params, {lst: Fraction(m, grand) for lst, m in totals.items()})
+    return VoterDistribution(
+        raw.params, {lists[mask]: Fraction(m, grand) for mask, m in totals.items()}
+    )
 
 
 def uniform_on(params: ElectionParams, lists: Iterable[CandidateSubset]) -> VoterDistribution:
@@ -201,26 +215,33 @@ def complete_short_lists(raw: RawBallotFile, center: CandidateSubset, radius: in
     them: an entry of m < j members, a of them in the center, lacks
     j - a >= j - m center members. Full-length entries pass through
     unchanged. Every entry must end up inside the ball; an entry with no
-    valid completion is rejected with a diagnostic naming it.
-    Multiplicities and entry order are preserved.
+    valid completion is rejected with a diagnostic naming the first such
+    entry. Multiplicities and entry order are preserved. Each distinct list
+    is completed and checked once, and entries sharing a list share its
+    completion.
     """
     params = raw.params
     validate_list(center, params)
     if not 0 <= radius <= params.diameter:
         raise ParameterError(f"radius {radius} outside 0..{params.diameter}")
+    completed: dict[int, CandidateSubset] = {}  # list mask -> its checked completion
     out: list[BallotEntry] = []
     for entry in raw.entries:
-        done = entry
-        missing = params.j - len(entry.subset)
-        if missing:
-            fill = tuple(c for c in center.members if c not in entry.subset)[:missing]
-            done = BallotEntry(CandidateSubset(entry.subset.members + fill), entry.multiplicity)
-        if distance(done.subset, center) > radius:
-            raise ParameterError(
-                f"entry {entry.subset} has no size-{params.j} superset within "
-                f"distance {radius} of {center}"
-            )
-        out.append(done)
+        subset = entry.subset
+        done = completed.get(subset.mask)
+        if done is None:
+            done = subset
+            missing = params.j - len(subset)
+            if missing:
+                fill = tuple(c for c in center.members if c not in subset)[:missing]
+                done = CandidateSubset(subset.members + fill)
+            if distance(done, center) > radius:
+                raise ParameterError(
+                    f"entry {subset} has no size-{params.j} superset within "
+                    f"distance {radius} of {center}"
+                )
+            completed[subset.mask] = done
+        out.append(entry if done is subset else BallotEntry(done, entry.multiplicity))
     return RawBallotFile(params, tuple(out))
 
 
@@ -263,37 +284,61 @@ def loads_ballot_file(text: str) -> RawBallotFile:
         raise BallotFormatError(str(exc)) from exc
     if not isinstance(doc["ballots"], list):
         raise BallotFormatError('"ballots" must be an array')
+    # Records sharing a list share one subset and, with the same multiplicity,
+    # one entry: only the first sight of a member tuple is range-checked and
+    # built, and equal lists in any member order share one CandidateSubset.
+    subsets: dict[tuple, CandidateSubset] = {}  # raw member tuple -> subset
+    canonical: dict[tuple[int, ...], CandidateSubset] = {}  # sorted members -> subset
+    shared: dict[tuple[int, int | str], BallotEntry] = {}  # (mask, count or weight text)
     entries = []
     for i, rec in enumerate(doc["ballots"]):
         if not isinstance(rec, dict) or not set(rec) <= _ENTRY_KEYS:
             raise BallotFormatError(f"ballot {i}: keys must be among {sorted(_ENTRY_KEYS)}")
-        if "list" not in rec or not isinstance(rec["list"], list):
+        members = rec.get("list")
+        if not isinstance(members, list):
             raise BallotFormatError(f'ballot {i}: missing "list" array')
         if ("weight" in rec) == ("count" in rec):
             raise BallotFormatError(f'ballot {i}: exactly one of "weight"/"count" required')
-        # Range-check before CandidateSubset builds a bitmask as wide as the largest member.
-        if not all(type(c) is int and 0 < c <= params.n for c in rec["list"]):
-            raise BallotFormatError(
-                f"ballot {i}: list members must be integers in 1..{params.n}, got {rec['list']}"
-            )
+        key = tuple(members)
         try:
-            subset = CandidateSubset(tuple(rec["list"]))
-        except ParameterError as exc:
-            raise BallotFormatError(f"ballot {i}: bad list {rec['list']}: {exc}") from exc
-        if "count" in rec:
-            if type(rec["count"]) is not int or rec["count"] <= 0:
-                raise BallotFormatError(f"ballot {i}: count must be a positive integer")
-            multiplicity: int | Fraction = rec["count"]
-        else:
-            if not isinstance(rec["weight"], str):
-                raise BallotFormatError(f"ballot {i}: weight must be a string like \"7/15\"")
+            subset = subsets.get(key)
+        except TypeError:  # a member that is an array or an object
+            subset = None
+        # true == 1 and 1.0 == 1, so a hit is only trusted for int members.
+        if subset is None or not all(type(c) is int for c in key):
+            # Range-check before CandidateSubset builds a bitmask as wide as the largest member.
+            if not all(type(c) is int and 0 < c <= params.n for c in key):
+                raise BallotFormatError(
+                    f"ballot {i}: list members must be integers in 1..{params.n}, got {members}"
+                )
             try:
-                multiplicity = parse_rational(rec["weight"])
-            except ValueError as exc:
-                raise BallotFormatError(f"ballot {i}: {exc}") from exc
-            if multiplicity <= 0:
-                raise BallotFormatError(f"ballot {i}: weight must be positive")
-        entries.append(BallotEntry(subset, multiplicity))
+                subset = CandidateSubset(key)
+            except ParameterError as exc:
+                raise BallotFormatError(f"ballot {i}: bad list {members}: {exc}") from exc
+            subset = subsets[key] = canonical.setdefault(subset.members, subset)
+        if "count" in rec:
+            value = rec["count"]
+            if type(value) is not int or value <= 0:
+                raise BallotFormatError(f"ballot {i}: count must be a positive integer")
+        else:
+            value = rec["weight"]
+            if not isinstance(value, str):
+                raise BallotFormatError(f"ballot {i}: weight must be a string like \"7/15\"")
+        # A count is an int and a weight its text, so count 1 and weight "1"
+        # never share an entry: one stays an int, the other a Fraction.
+        entry = shared.get((subset.mask, value))
+        if entry is None:
+            if isinstance(value, int):
+                multiplicity: int | Fraction = value
+            else:
+                try:
+                    multiplicity = parse_rational(value)
+                except ValueError as exc:
+                    raise BallotFormatError(f"ballot {i}: {exc}") from exc
+                if multiplicity <= 0:
+                    raise BallotFormatError(f"ballot {i}: weight must be positive")
+            entry = shared[subset.mask, value] = BallotEntry(subset, multiplicity)
+        entries.append(entry)
     try:
         return RawBallotFile(params, tuple(entries))
     except ParameterError as exc:

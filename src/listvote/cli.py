@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from random import Random
@@ -39,7 +40,7 @@ from .ballots import (
     uniform_on,
 )
 from .errors import BallotFormatError, HypothesisViolation, ParameterError
-from .exactnum import format_rational, parse_rational
+from .exactnum import format_rational, parse_rational, too_long_to_print
 from .johnson import (
     CandidateSubset,
     ElectionParams,
@@ -138,6 +139,27 @@ VALUE_PARSERS = {
 def _fact(key: str, label: str, value) -> Fact:
     """The common fact: one structured key and one "label: value" human line."""
     return key, value, (f"{label}: ", value)
+
+
+def _global_floor_fact(params: ElectionParams) -> Fact:
+    """The any-distribution floor C(k,j)/C(n,j), refused before it is built if too long to print.
+
+    Its reduced denominator is at least C(n,j)/C(k,j). When ``math.lgamma``
+    puts that ratio past the int-to-str digit limit, with one digit plus a
+    relative 1e-9 to spare for float rounding, no binomial is built: for n in
+    the millions they take seconds.
+    """
+    limit = sys.get_int_max_str_digits()
+    n, k, j = params.n, params.k, params.j
+    lg = math.lgamma
+    try:
+        ln_ratio = lg(n + 1) - lg(n - j + 1) - lg(k + 1) + lg(k - j + 1)
+        slack = math.log(10) + 1e-9 * lg(n + 1)
+    except OverflowError:  # n past the float range: no estimate, build the floor
+        ln_ratio = slack = 0.0
+    if limit and ln_ratio - slack > limit * math.log(10):
+        raise too_long_to_print()
+    return _fact("global_floor", "floor (any distribution)", theory.global_floor(params))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +261,7 @@ def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
         _fact("best_value", "best approval", result.best_value),
         _fact("winners", f"winning committees ({len(result.winners)})", result.winners),
         _fact("strategy", "strategy", result.strategy_used),
-        _fact("global_floor", "floor (any distribution)", theory.global_floor(params)),
+        _global_floor_fact(params),
     ]
     if declared_ball:
         facts += _ball_floor_facts(params, args.center, args.radius)
@@ -292,7 +314,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[int, list[Fact]]:
 
     facts = [
         _fact("params", "parameters", params),
-        _fact("global_floor", "floor (any distribution)", theory.global_floor(params)),
+        _global_floor_fact(params),
     ]
     if radius is None:
         return EXIT_OK, facts

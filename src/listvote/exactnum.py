@@ -45,10 +45,19 @@ def format_rational(value: Fraction) -> str:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
     except ValueError as exc:
-        raise ParameterError(
-            "exact result has a numerator or denominator of more than "
-            f"{sys.get_int_max_str_digits()} digits, too long to print"
-        ) from exc
+        raise too_long_to_print() from exc
+
+
+def too_long_to_print() -> ParameterError:
+    """The error for an exact value with a part past the int-to-str digit limit.
+
+    :func:`format_rational` raises it; a caller that can bound a result's
+    size in advance raises it before computing the result.
+    """
+    return ParameterError(
+        "exact result has a numerator or denominator of more than "
+        f"{sys.get_int_max_str_digits()} digits, too long to print"
+    )
 
 
 def binomial(a: int, b: int) -> int:

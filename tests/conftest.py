@@ -1,8 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from listvote import CandidateSubset, ElectionParams, VoterDistribution, theory
+
+# A harder search for CI, not loaded by default:
+#   python -m pytest tests/test_ballots.py --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=500)
 
 
 def subset(*members: int) -> CandidateSubset:

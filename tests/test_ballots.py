@@ -338,6 +338,53 @@ class TestBallotFiles:
             loads_ballot_file(text)
 
 
+def two_records(first, second):
+    return (f'{{"n": 6, "k": 4, "j": 3, "ballots": [{{"list": {first}, "count": 1}}, '
+            f'{{"list": {second}, "count": 1}}]}}')
+
+
+class TestInterning:
+    """Records sharing a list share one subset, and every record is still checked."""
+
+    @pytest.mark.parametrize(
+        ("member", "shown"),
+        [("true", "True"), ("1.0", "1.0"), ("[1]", "[1]")],
+        ids=["boolean", "float", "array"],
+    )
+    def test_member_equal_to_a_seen_list_rejected(self, member, shown):
+        # true == 1 and 1.0 == 1 hash alike, and [1] cannot be hashed at all
+        text = two_records("[1, 2, 3]", f"[{member}, 2, 3]")
+        message = f"ballot 1: list members must be integers in 1..6, got [{shown}, 2, 3]"
+        with pytest.raises(BallotFormatError, match=re.escape(message)):
+            loads_ballot_file(text)
+
+    def test_member_orders_share_one_subset(self):
+        raw = loads_ballot_file(two_records("[3, 1, 2]", "[1, 2, 3]"))
+        first, second = raw.entries
+        assert first.subset is second.subset
+        assert first.subset.members == (1, 2, 3)
+
+    def test_repeated_short_entry_outside_ball_named(self):
+        text = ('{"n": 6, "k": 4, "j": 3, "ballots": ['
+                '{"list": [1, 2], "count": 1}, {"list": [5, 4], "count": 1}, '
+                '{"list": [2, 1], "count": 2}, {"list": [4, 6], "count": 1}, '
+                '{"list": [4, 5], "count": 3}]}')
+        raw = loads_ballot_file(text)
+        with pytest.raises(ParameterError, match=re.escape(
+            "entry {4,5} has no size-3 superset within distance 1 of {1,2,3}"
+        )):
+            complete_short_lists(raw, V123, 1)
+
+    def test_count_and_weight_on_one_list_keep_their_types(self):
+        text = ('{"n": 6, "k": 4, "j": 3, "ballots": ['
+                '{"list": [1, 2, 3], "count": 1}, {"list": [3, 2, 1], "weight": "1"}]}')
+        raw = loads_ballot_file(text)
+        assert [type(e.multiplicity) for e in raw.entries] == [int, Fraction]
+        written = dumps_ballot_file(raw)
+        assert '"count": 1}' in written and '"weight": "1"}' in written
+        assert dumps_ballot_file(loads_ballot_file(written)) == written
+
+
 class TestBallotEntry:
     @pytest.mark.parametrize(
         "multiplicity",

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -6,10 +7,12 @@ import pytest
 
 from listvote import (
     CandidateSubset,
+    ElectionParams,
     TallyResult,
     loads_ballot_file,
     normalize,
     parse_rational,
+    theory,
 )
 from listvote.cli import main
 
@@ -241,6 +244,24 @@ class TestBounds:
         assert code == 3
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_floor_too_long_to_print_refused_before_any_binomial(self, capsys, monkeypatch):
+        def no_binomial(a, b):
+            raise AssertionError(f"binomial({a}, {b}) built")
+
+        monkeypatch.setattr(theory, "binomial", no_binomial)
+        code, out, err = run(capsys, "bounds", "--params", "2000000,1000000,500000")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: exact result has a numerator or denominator of more than "
+            "4300 digits, too long to print\n"
+        )
+
+    def test_floor_too_long_to_print_is_still_exact_in_the_library(self):
+        floor = theory.global_floor(ElectionParams(100000, 50000, 25000))
+        assert floor.denominator >= 10**4300  # 4,301 digits or more: too long to print
+        assert floor == Fraction(math.comb(50000, 25000), math.comb(100000, 25000))
 
     def test_approx_annotation(self, capsys):
         code, out, _ = run(capsys, "bounds", "--params", "6,4,3", "--approx")

@@ -35,6 +35,8 @@ REPORTS = {
                                   "--radius", "0"],
     "tally-complete-approx": ["tally", "--input", "short.json", "--complete",
                               *TALLY_BALL, "1", "--approx"],
+    "tally-complete-repeated": ["tally", "--input", "repeated.json", "--complete",
+                                *TALLY_BALL, "1"],
     "tally-beyond-regime-approx": ["tally", "--input", "ball2.json", *TALLY_BALL, "2",
                                    "--approx"],
     "bounds": ["bounds", "--params", "6,4,3"],
