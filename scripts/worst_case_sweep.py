@@ -5,10 +5,13 @@ For radii inside the guaranteed regime the minimizer is always the outer
 ring and the value has the closed form C(k-j, radius) / C(n-j, radius).
 Beyond the regime no closed form is claimed; the exact linear program
 reports the value and the (often interior) minimizing ring weights. Rows
-marked with * are beyond the guaranteed-radius limit.
+marked with * are beyond the guaranteed-radius limit. The last radius of
+each shape is the diameter, where the ball is the whole list space and the
+value is the any-distribution floor.
 
 Exits 1, naming each offending row on stderr, when an in-regime row
-differs from the closed form or does not put all mass on the outer ring.
+differs from the closed form or does not put all mass on the outer ring,
+or when a diameter row differs from the any-distribution floor.
 
 Usage: python scripts/worst_case_sweep.py [--max-n N]
 """
@@ -34,20 +37,26 @@ def sweep(max_n):
     print("-" * len(header))
     for n in range(4, max_n + 1):
         for k in range(2, n):
-            for j in range(2, k + 1):
+            for j in range(1, k + 1):
                 params = ElectionParams(n, k, j)
-                if params.diameter < 1:
-                    continue
                 limit = ball_floor_radius_limit(params)
-                floor = format_rational(global_floor(params))
-                for radius in range(params.diameter):
+                floor = global_floor(params)
+                shown = format_rational(floor)
+                for radius in range(params.diameter + 1):
                     result = worst_case_concentric(params, radius)
                     beyond = "*" if radius > limit else " "
                     weights = ",".join(format_rational(w) for w in result.weights)
                     print(
                         f"{n:>3} {k:>3} {j:>3} {radius:>5}{beyond}  "
-                        f"{format_rational(result.value):>12}  {floor:>8}  ({weights})"
+                        f"{format_rational(result.value):>12}  {shown:>8}  ({weights})"
                     )
+                    if radius == params.diameter and result.value != floor:
+                        failures += 1
+                        print(
+                            f"FAIL n={n} k={k} j={j} radius={radius}: expected the "
+                            f"any-distribution floor {shown} at the diameter",
+                            file=sys.stderr,
+                        )
                     if radius > limit:
                         continue
                     closed = Fraction(comb(k - j, radius), comb(n - j, radius))

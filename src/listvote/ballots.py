@@ -24,7 +24,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BallotFormatError, ParameterError
+from .errors import BallotFormatError, HypothesisViolation, ParameterError
 from .exactnum import format_rational, parse_rational
 from .johnson import (
     CandidateSubset,
@@ -214,8 +214,9 @@ def complete_short_lists(raw: RawBallotFile, center: CandidateSubset, radius: in
     of the center not already present. The center always has enough of
     them: an entry of m < j members, a of them in the center, lacks
     j - a >= j - m center members. Full-length entries pass through
-    unchanged. Every entry must end up inside the ball; an entry with no
-    valid completion is rejected with a diagnostic naming the first such
+    unchanged. Any radius in 0..diameter is accepted; another radius raises
+    ParameterError. Every entry must end up inside the ball: an entry with
+    no valid completion raises HypothesisViolation naming the first such
     entry. Multiplicities and entry order are preserved. Each distinct list
     is completed and checked once, and entries sharing a list share its
     completion.
@@ -236,7 +237,7 @@ def complete_short_lists(raw: RawBallotFile, center: CandidateSubset, radius: in
                 fill = tuple(c for c in center.members if c not in subset)[:missing]
                 done = CandidateSubset(subset.members + fill)
             if distance(done, center) > radius:
-                raise ParameterError(
+                raise HypothesisViolation(
                     f"entry {subset} has no size-{params.j} superset within "
                     f"distance {radius} of {center}"
                 )

@@ -230,10 +230,7 @@ def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
     check_against(args, params)
 
     if args.complete:
-        try:
-            raw = complete_short_lists(raw, args.center, args.radius)
-        except ParameterError as exc:  # an entry with no completion inside the ball
-            raise HypothesisViolation(str(exc)) from exc
+        raw = complete_short_lists(raw, args.center, args.radius)
     elif any(len(e.subset) < params.j for e in raw.entries):
         raise ParameterError(
             f"file contains lists shorter than j={params.j}; "
@@ -262,11 +259,9 @@ def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
         _fact("winners", f"winning committees ({len(result.winners)})", result.winners),
         _fact("strategy", "strategy", result.strategy_used),
         _global_floor_fact(params),
+        _ball_floor_fact(params, args.center, args.radius) if declared_ball
+        else ("ball_floor", None, None),
     ]
-    if declared_ball:
-        facts += _ball_floor_facts(params, args.center, args.radius)
-    else:
-        facts.append(("ball_floor", None, None))
 
     # Every floor reported is guaranteed, so a best approval below one is a fault.
     floors = (v for key, v, _ in facts if key in ("global_floor", "ball_floor"))
@@ -279,25 +274,17 @@ def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
     return EXIT_OK, facts
 
 
-def _ball_floor_facts(params: ElectionParams, center: CandidateSubset, radius: int) -> list[Fact]:
+def _ball_floor_fact(params: ElectionParams, center: CandidateSubset, radius: int) -> Fact:
     """Ball floor if guaranteed, else the computed worst case with a note."""
     label = f"floor (support within radius {radius} of {center}): "
     try:
-        value = theory.ball_floor(params, radius)
+        value, note = theory.ball_floor(params, radius), ""
     except HypothesisViolation:
-        if radius < params.diameter:
-            worst = theory.worst_case_concentric(params, radius)
-            limit = format_rational(theory.ball_floor_radius_limit(params))
-            note = (f" [radius beyond guaranteed regime (limit {limit}); "
-                    "this is the computed worst case]")
-            return [("ball_floor", worst.value, (label, worst.value, note))]
-        note = (f"radius {radius} reaches the diameter: the ball is the whole "
-                "list space, the any-distribution floor applies")
-    except ParameterError:
-        note = "no ball guarantee for size-1 lists"
-    else:
-        return [("ball_floor", value, (label, value))]
-    return [("ball_floor", None, None), ("ball_floor_note", note, (note,))]
+        value = theory.worst_case_concentric(params, radius).value
+        limit = format_rational(theory.ball_floor_radius_limit(params))
+        note = (f" [radius beyond guaranteed regime (limit {limit}); "
+                "this is the computed worst case]")
+    return "ball_floor", value, (label, value, note)
 
 
 # ---------------------------------------------------------------------------
@@ -324,22 +311,16 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[int, list[Fact]]:
         # without --alpha this is reported, not failed: the worst case answers instead
         if args.alpha is not None:
             raise HypothesisViolation(f"--alpha needs a guaranteed ball floor: {exc}") from exc
+        worst = theory.worst_case_concentric(params, radius)
+        weights = ",".join(map(format_rational, worst.weights))
         facts += [
             ("ball_floor", None, None),
             _fact("ball_floor_note", "no guaranteed ball floor", str(exc)),
-        ]
-        if radius < params.diameter:
-            worst = theory.worst_case_concentric(params, radius)
-            weights = ",".join(map(format_rational, worst.weights))
-            facts.append(("worst_case", worst, (
+            ("worst_case", worst, (
                 "computed worst case over concentric distributions: ", worst.value,
                 f" (weights {weights}; class {worst.achieving_class})",
-            )))
-        else:
-            facts.append((None, None, (
-                "radius reaches the diameter: the ball is the whole list space, "
-                "the any-distribution floor applies",
-            )))
+            )),
+        ]
     else:
         facts.append(_fact("ball_floor", f"floor (support in ball of radius {radius})", value))
         if args.alpha is not None:

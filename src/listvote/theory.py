@@ -67,9 +67,14 @@ def global_floor(params: ElectionParams) -> Fraction:
 
     This is the mean approval over all committees, so some committee
     always reaches it; the uniform distribution over all lists shows it
-    is tight.
+    is tight. When n - k < j it is built as the equal C(n-j,k-j)/C(n,k),
+    by C(n,k) * C(k,j) = C(n,j) * C(n-j,k-j), so no binomial has a lower
+    index above ``max_class``.
     """
-    return Fraction(binomial(params.k, params.j), binomial(params.n, params.j))
+    n, k, j = params.n, params.k, params.j
+    if n - k < j:
+        return Fraction(binomial(n - j, k - j), binomial(n, k))
+    return Fraction(binomial(k, j), binomial(n, j))
 
 
 def class_of(committee: CandidateSubset, center: CandidateSubset) -> int:
@@ -211,8 +216,6 @@ def ball_floor(params: ElectionParams, radius: int) -> Fraction:
     HypothesisViolation is raised (use :func:`worst_case_concentric`
     there instead). The extreme case is all mass on the outermost ring.
     """
-    if params.j <= 1:
-        raise ParameterError("ball floor requires lists of size at least 2")
     if not 0 <= radius <= params.diameter:
         raise ParameterError(f"radius {radius} outside 0..{params.diameter}")
     limit = ball_floor_radius_limit(params)
@@ -252,16 +255,12 @@ def worst_case_concentric(params: ElectionParams, radius: int) -> WorstCaseResul
     the outermost ring and the value equals :func:`ball_floor`; beyond it
     this is the sanctioned tool.
 
-    The radius must stay below the diameter; a ball of full diameter is
-    the whole list space, where the global floor already answers the
-    question.
+    Any list size and any radius in 0..diameter is accepted; another radius
+    raises ParameterError. At the diameter the ball is the whole list
+    space and the value is :func:`global_floor`.
     """
-    if params.j <= 1:
-        raise ParameterError("worst-case search requires lists of size at least 2")
-    if not 0 <= radius < params.diameter:
-        raise ParameterError(
-            f"radius must satisfy 0 <= radius < diameter={params.diameter}, got {radius}"
-        )
+    if not 0 <= radius <= params.diameter:
+        raise ParameterError(f"radius {radius} outside 0..{params.diameter}")
     table = ring_coverage(params)
     classes = range(params.max_class + 1)
     size, width = radius + 1, radius + 1 + len(classes)

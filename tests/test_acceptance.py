@@ -11,13 +11,10 @@ from itertools import combinations
 from math import comb
 from random import Random
 
-import pytest
-
 from listvote import (
     BallotEntry,
     CandidateSubset,
     ElectionParams,
-    ParameterError,
     RawBallotFile,
     VoterDistribution,
     alpha_ball_floor,
@@ -229,18 +226,16 @@ def test_criterion_7_outer_ring_worst_case():
             n = rng.randint(11, 60)
             k = rng.randint(2, n - 1)
             params = ElectionParams(n, k, rng.randint(2, k))
-            top = min(int(ball_floor_radius_limit(params)), params.diameter - 1)
-            if top < 0:
-                continue
-            radius = rng.randint(0, top)
+            # the regime's limit is always below the diameter
+            radius = rng.randint(0, int(ball_floor_radius_limit(params)))
             result = worst_case_concentric(params, radius)
             assert result.value == ball_floor(params, radius)
             assert result.weights == (Fraction(0),) * radius + (Fraction(1),)
             assert result.achieving_class == 0
             shapes += 1
-        # size-1 lists are outside the guaranteed regime by contract
-        with pytest.raises(ParameterError):
-            worst_case_concentric(ElectionParams(5, 2, 1), 0)
+        # size-1 lists: radius 0 is the whole regime, and the floor there is 1
+        p521 = ElectionParams(5, 2, 1)
+        assert worst_case_concentric(p521, 0).value == 1 == ball_floor(p521, 0)
 
 
 def test_criterion_8_oracle_equivalence():

@@ -13,6 +13,7 @@ from listvote import (
     BallotFormatError,
     CandidateSubset,
     ElectionParams,
+    HypothesisViolation,
     ParameterError,
     RawBallotFile,
     VoterDistribution,
@@ -239,12 +240,12 @@ class TestCompleteShortLists:
     def test_impossible_entry_named(self):
         # {4,5} plus any third member is at distance >= 2 from {1,2,3}
         raw = RawBallotFile(P643, (entry((4, 5), 1),))
-        with pytest.raises(ParameterError, match=r"\{4,5\}"):
+        with pytest.raises(HypothesisViolation, match=r"\{4,5\}"):
             complete_short_lists(raw, V123, 1)
 
     def test_full_length_outside_ball_rejected(self):
         raw = RawBallotFile(P643, (entry((4, 5, 6), 1),))
-        with pytest.raises(ParameterError):
+        with pytest.raises(HypothesisViolation):
             complete_short_lists(raw, V123, 1)
 
     def test_replacement_is_superset(self):
@@ -370,7 +371,7 @@ class TestInterning:
                 '{"list": [2, 1], "count": 2}, {"list": [4, 6], "count": 1}, '
                 '{"list": [4, 5], "count": 3}]}')
         raw = loads_ballot_file(text)
-        with pytest.raises(ParameterError, match=re.escape(
+        with pytest.raises(HypothesisViolation, match=re.escape(
             "entry {4,5} has no size-3 superset within distance 1 of {1,2,3}"
         )):
             complete_short_lists(raw, V123, 1)
@@ -556,7 +557,7 @@ def test_complete_then_normalize_matches_reference(case):
     raw, center, radius = case
     expected = reference_complete_and_normalize(raw, center, radius)
     if isinstance(expected, CandidateSubset):
-        with pytest.raises(ParameterError, match=re.escape(f"entry {expected} has no")):
+        with pytest.raises(HypothesisViolation, match=re.escape(f"entry {expected} has no")):
             complete_short_lists(raw, center, radius)
         return
     dist = normalize(complete_short_lists(raw, center, radius))

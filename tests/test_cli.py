@@ -258,6 +258,26 @@ class TestBounds:
             "4300 digits, too long to print\n"
         )
 
+    def test_floor_with_k_close_to_n_builds_no_binomial_past_max_class(self, capsys,
+                                                                       monkeypatch):
+        # the lgamma estimate lets this one through: C(n,j)/C(k,j) is small
+        params = ElectionParams(600000, 597000, 150000)
+        build = theory.binomial
+
+        def small_binomial(a, b):
+            if min(b, a - b) > params.max_class:
+                raise AssertionError(f"binomial({a}, {b}) built")
+            return build(a, b)
+
+        monkeypatch.setattr(theory, "binomial", small_binomial)
+        code, out, err = run(capsys, "bounds", "--params", "600000,597000,150000")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: exact result has a numerator or denominator of more than "
+            "4300 digits, too long to print\n"
+        )
+
     def test_floor_too_long_to_print_is_still_exact_in_the_library(self):
         floor = theory.global_floor(ElectionParams(100000, 50000, 25000))
         assert floor.denominator >= 10**4300  # 4,301 digits or more: too long to print
@@ -286,9 +306,11 @@ class TestWorstCase:
         assert doc["worst_case"]["value"] == "1/3"
         assert doc["worst_case"]["weights"] == ["0", "1"]
 
-    def test_radius_at_diameter_exits_3(self, capsys):
-        code, _, _ = run(capsys, "worst-case", "--params", "6,4,3", "--radius", "3")
-        assert code == 3
+    def test_radius_at_diameter_is_global_floor(self, capsys):
+        # the ball is the whole list space
+        code, out, _ = run(capsys, "worst-case", "--params", "6,4,3", "--radius", "3")
+        assert code == 0
+        assert "worst-case best approval: 1/5" in out
 
 
 class TestGenerate:

@@ -47,9 +47,11 @@ REPORTS = {
     "bounds-beyond-regime-approx": ["bounds", "--params", "6,4,3", "--radius", "2",
                                     "--approx"],
     "bounds-diameter": ["bounds", "--params", "6,4,3", "--radius", "3"],
+    "bounds-size-one-lists": ["bounds", "--params", "4,2,1", "--radius", "0"],
     "worst-case": ["worst-case", "--params", "6,4,3", "--radius", "2"],
     "worst-case-approx": ["worst-case", "--params", "6,4,3", "--radius", "2", "--approx"],
     "worst-case-radius-one": ["worst-case", "--params", "6,4,3", "--radius", "1"],
+    "worst-case-diameter": ["worst-case", "--params", "6,4,3", "--radius", "3"],
     "verify": ["verify", "--max-n", "5", "--trials", "2", "--seed", "1"],
     # run with every coverage table corrupted at entry [1][0]
     "verify-corrupted": ["verify", "--max-n", "5", "--trials", "1", "--seed", "0"],
@@ -75,6 +77,8 @@ OTHERS = {
     "error-tally-empty-input": ["tally", "--input", ""],
     "error-tally-malformed-file": ["tally", "--input", "malformed.json"],
     "error-tally-huge-member": ["tally", "--input", "huge.json"],
+    "error-tally-duplicate-member": ["tally", "--input", "duplicate-member.json"],
+    "error-tally-zero-weight": ["tally", "--input", "zero-weight.json"],
     "error-tally-long-integer": ["tally", "--input", "long-integer.json"],
     "error-tally-deep-nesting": ["tally", "--input", "deep.json"],
     "error-tally-not-utf8": ["tally", "--input", "latin1.json"],
@@ -102,14 +106,12 @@ OTHERS = {
     "error-bounds-two-params": ["bounds", "--params", "6,4"],
     "error-bounds-non-integer-params": ["bounds", "--params", "6,4,x"],
     "error-bounds-radius-beyond-diameter": ["bounds", "--params", "6,4,3", "--radius", "5"],
-    "error-bounds-size-one-lists": ["bounds", "--params", "4,2,1", "--radius", "0"],
     "error-bounds-alpha-beyond-regime": ["bounds", "--params", "6,4,3", "--radius", "2",
                                          "--alpha", "1/2"],
     "error-bounds-huge-result": ["bounds", "--params", "100000,50000,25000"],
     "error-bounds-empty-alpha": ["bounds", "--params", "6,4,3", "--radius", "1",
                                  "--alpha", ""],
     "error-worst-case-missing-radius": ["worst-case", "--params", "6,4,3"],
-    "error-worst-case-diameter": ["worst-case", "--params", "6,4,3", "--radius", "3"],
     "error-verify-max-n-below-two": ["verify", "--max-n", "1", "--trials", "0"],
     "error-generate-missing-params": ["generate", "--mode", "uniform-all"],
     "error-generate-ball-without-center": ["generate", "--params", "6,4,3",
@@ -118,6 +120,9 @@ OTHERS = {
                                                   "--mode", "concentric", "--center", "1,2,3"],
     "error-generate-bad-weights": ["generate", "--params", "6,4,3", "--mode", "concentric",
                                    "--center", "1,2,3", "--weights", "0,0.5,1/2"],
+    "error-generate-random-without-center": ["generate", "--params", "6,4,3",
+                                             "--mode", "random-ball", "--radius", "1",
+                                             "--seed", "42"],
     "error-generate-random-without-seed": ["generate", "--params", "6,4,3",
                                            "--mode", "random-ball", *TALLY_BALL, "1"],
     "error-generate-center-outside": ["generate", "--params", "6,4,3", "--mode", "uniform-ring",

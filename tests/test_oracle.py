@@ -89,19 +89,19 @@ def worst_case_triple(result):
 
 class TestBruteMinimaxVertices:
     def test_simplex_matches_on_every_small_shape(self):
-        # every shape with n <= 9 and lists of size >= 2, every radius below
-        # the diameter; k == j shapes are among them
+        # every shape with n <= 9, every radius up to the diameter or the
+        # oracle's guard of 3; size-1 lists and k == j shapes are among them
         checked = 0
-        for n in range(4, 10):
-            for k in range(2, n):
-                for j in range(2, k + 1):
+        for n in range(2, 10):
+            for k in range(1, n):
+                for j in range(1, k + 1):
                     params = ElectionParams(n, k, j)
-                    for radius in range(params.diameter):
+                    for radius in range(min(params.diameter, 3) + 1):
                         exact = brute_minimax_vertices(params, radius)
                         fast = worst_case_concentric(params, radius)
                         assert worst_case_triple(fast) == worst_case_triple(exact)
                         checked += 1
-        assert checked == 213
+        assert checked == 357
 
     @pytest.mark.parametrize("n", [10, 11])
     def test_simplex_matches_when_k_equals_j(self, n):
@@ -124,6 +124,8 @@ class TestBruteMinimaxVertices:
                     if params.diameter <= 3:
                         result = brute_minimax_vertices(params, params.diameter)
                         assert result.value == global_floor(params)
+                        fast = worst_case_concentric(params, params.diameter)
+                        assert worst_case_triple(fast) == worst_case_triple(result)
 
     def test_643_radius_two(self):
         result = brute_minimax_vertices(ElectionParams(6, 4, 3), 2)

@@ -314,9 +314,13 @@ class TestBallFloor:
         with pytest.raises(HypothesisViolation):
             ball_floor(P643, 2)
 
-    def test_j1_rejected(self):
-        with pytest.raises(ParameterError):
-            ball_floor(ElectionParams(5, 2, 1), 1)
+    def test_size_one_lists(self):
+        # only radius 0 is in the regime (limit k/(k+1) < 1), where any
+        # committee holding the one listed candidate is approved by all
+        p521 = ElectionParams(5, 2, 1)
+        assert ball_floor(p521, 0) == 1
+        with pytest.raises(HypothesisViolation):
+            ball_floor(p521, 1)
 
     def test_radius_out_of_range(self):
         with pytest.raises(ParameterError):
@@ -359,9 +363,7 @@ class TestWorstCaseConcentric:
 
     def test_radius_zero(self):
         rng = Random(83)
-        for params in random_param_sets(rng, 10, 10, min_j=2):
-            if params.diameter < 1:
-                continue
+        for params in random_param_sets(rng, 10, 10):
             result = worst_case_concentric(params, 0)
             assert result.value == 1
             assert result.weights == (Fraction(1),)
@@ -438,23 +440,25 @@ class TestWorstCaseConcentric:
                 dist = random_distribution(params, rng, pool=pool)
                 assert best_committees(dist).best_value >= floor
 
+    def test_full_diameter_is_global_floor(self):
+        # the ball is the whole list space, where the uniform distribution
+        # (concentric about any center) gives every committee the global floor
+        for params in all_param_sets(12):
+            result = worst_case_concentric(params, params.diameter)
+            assert result.value == global_floor(params)
+
     def test_invalid_radius_rejected(self):
-        with pytest.raises(ParameterError):
-            worst_case_concentric(P643, 3)  # diameter: ball is everything
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"radius 4 outside 0\.\.3"):
+            worst_case_concentric(P643, 4)
+        with pytest.raises(ParameterError, match=r"radius -1 outside 0\.\.3"):
             worst_case_concentric(P643, -1)
-        with pytest.raises(ParameterError):
-            worst_case_concentric(ElectionParams(5, 2, 1), 0)
 
 
 class TestBallSupportedFloorEndToEnd:
     def test_random_ball_distributions_meet_floor(self):
         rng = Random(107)
         for params in random_param_sets(rng, 8, 9, min_j=2):
-            limit = ball_floor_radius_limit(params)
-            radius = min(int(limit), params.diameter - 1)
-            if radius < 0:
-                continue
+            radius = int(ball_floor_radius_limit(params))
             center = CandidateSubset(tuple(range(1, params.j + 1)))
             pool = sorted(ball(center, radius, params))
             floor = ball_floor(params, radius)
