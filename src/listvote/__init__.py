@@ -3,9 +3,9 @@
 Voters submit unordered j-element candidate lists; a k-committee is
 approved by a voter when it contains her whole list. This package tallies
 approval proportions in exact rational arithmetic, finds every most
-popular committee, computes the guaranteed approval floors (global,
-ball-supported, alpha-fraction), and verifies the supporting
-combinatorial facts by brute force and exact minimax.
+popular committee, computes the guaranteed approval floors (global and
+ball-supported), and verifies the supporting combinatorial facts by
+brute force and exact minimax.
 """
 
 from .ballots import (
@@ -48,7 +48,6 @@ from .tally import (
 from .theory import (
     VerificationReport,
     WorstCaseResult,
-    alpha_ball_floor,
     ball_floor,
     ball_floor_radius_limit,
     class_of,

@@ -223,8 +223,7 @@ def complete_short_lists(raw: RawBallotFile, center: CandidateSubset, radius: in
     """
     params = raw.params
     validate_list(center, params)
-    if not 0 <= radius <= params.diameter:
-        raise ParameterError(f"radius {radius} outside 0..{params.diameter}")
+    params.check_radius(radius)
     completed: dict[int, CandidateSubset] = {}  # list mask -> its checked completion
     out: list[BallotEntry] = []
     for entry in raw.entries:

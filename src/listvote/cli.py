@@ -75,30 +75,22 @@ EXIT_CODES = (
 )
 
 
-def check_against(args: argparse.Namespace, params: ElectionParams) -> None:
-    """Cross-field consistency once the election parameters are known.
+def _center_subset(members: tuple[int, ...] | None,
+                   params: ElectionParams) -> CandidateSubset | None:
+    """The ``--center`` members as a list of ``params``, or None when absent.
 
-    The center arrives as parsed members and becomes a ``CandidateSubset``
-    only after its range check, so no bitmask wider than n is built.
+    The members become a ``CandidateSubset`` only after their range check,
+    so no bitmask wider than n is built. The library checks every other
+    rule about the list space (radius, threshold) itself.
     """
-    if args.params is not None and args.params != params:
-        raise ParameterError(
-            f"--params {args.params.n},{args.params.k},{args.params.j} "
-            f"conflicts with n={params.n} k={params.k} j={params.j}"
-        )
-    if args.radius is not None and not 0 <= args.radius <= params.diameter:
-        raise ParameterError(f"radius {args.radius} outside 0..{params.diameter}")
-    if args.threshold is not None and not 0 <= args.threshold <= params.j:
-        raise ParameterError(f"threshold {args.threshold} outside 0..{params.j}")
-    if args.center is not None:
-        shown = "{" + ",".join(map(str, args.center)) + "}"
-        if len(args.center) != params.j:
-            raise ParameterError(f"center {shown} is not a {params.j}-list")
-        if args.center[-1] > params.n:
-            raise ParameterError(f"center {shown} outside candidates 1..{params.n}")
-        args.center = CandidateSubset(args.center)
-    if args.alpha is not None and not 0 <= args.alpha <= 1:
-        raise ParameterError(f"alpha must be in [0, 1], got {args.alpha}")
+    if members is None:
+        return None
+    shown = "{" + ",".join(map(str, members)) + "}"
+    if len(members) != params.j:
+        raise ParameterError(f"center {shown} is not a {params.j}-list")
+    if members[-1] > params.n:
+        raise ParameterError(f"center {shown} outside candidates 1..{params.n}")
+    return CandidateSubset(members)
 
 
 def _parse_params(text: str) -> ElectionParams:
@@ -114,9 +106,12 @@ def _parse_params(text: str) -> ElectionParams:
 
 def _parse_alpha(text: str) -> Fraction:
     try:
-        return parse_rational(text)
+        alpha = parse_rational(text)
     except ValueError as exc:
         raise ParameterError(f"bad --alpha: {exc}") from exc
+    if not 0 <= alpha <= 1:
+        raise ParameterError(f"alpha must be in [0, 1], got {alpha}")
+    return alpha
 
 
 def _parse_weights(text: str) -> tuple[Fraction, ...]:
@@ -227,7 +222,7 @@ def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
         raise ParameterError("--center and --radius must be given together")
     raw = read_ballot_file(args.input)
     params = raw.params
-    check_against(args, params)
+    args.center = _center_subset(args.center, params)
 
     if args.complete:
         raw = complete_short_lists(raw, args.center, args.radius)
@@ -295,7 +290,6 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[int, list[Fact]]:
     params, radius = args.params, args.radius
     if params is None:
         raise ParameterError("bounds requires --params n,k,j")
-    check_against(args, params)
     if args.alpha is not None and radius is None:
         raise ParameterError("--alpha requires --radius")
 
@@ -327,7 +321,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[int, list[Fact]]:
             facts.append(_fact(
                 "alpha_ball_floor",
                 f"floor (fraction {format_rational(args.alpha)} of voters in the ball)",
-                theory.alpha_ball_floor(params, radius, args.alpha),
+                value * args.alpha,
             ))
     return EXIT_OK, facts
 
@@ -340,7 +334,6 @@ def cmd_worst_case(args: argparse.Namespace) -> tuple[int, list[Fact]]:
     params, radius = args.params, args.radius
     if params is None or radius is None:
         raise ParameterError("worst-case requires --params and --radius")
-    check_against(args, params)
     result = theory.worst_case_concentric(params, radius)
     return EXIT_OK, [
         ("params", params, ("parameters: ", params, f" radius={radius}")),
@@ -358,7 +351,7 @@ def cmd_worst_case(args: argparse.Namespace) -> tuple[int, list[Fact]]:
 def cmd_generate(args: argparse.Namespace) -> tuple[int, RawBallotFile]:
     if args.params is None:
         raise ParameterError("generate requires --params n,k,j")
-    check_against(args, args.params)
+    args.center = _center_subset(args.center, args.params)
     return EXIT_OK, _generate_raw(args, args.params)
 
 
@@ -378,14 +371,12 @@ def _generate_raw(args: argparse.Namespace, params: ElectionParams) -> RawBallot
         if args.center is None or args.weights is None:
             raise ParameterError("concentric requires --center and --weights")
         return distribution_to_raw(concentric(args.center, args.weights, params))
-    if mode == "random-ball":
-        if args.center is None or args.radius is None:
-            raise ParameterError("random-ball requires --center and --radius")
-        if args.seed is None:
-            raise ParameterError("random-ball requires --seed")
-        voters = args.voters if args.voters is not None else 100
-        return sample_ball_counts(params, args.center, args.radius, voters, Random(args.seed))
-    raise ParameterError(f"unknown mode {mode!r}")
+    # random-ball, the last mode argparse admits
+    if args.center is None or args.radius is None:
+        raise ParameterError("random-ball requires --center and --radius")
+    if args.seed is None:
+        raise ParameterError("random-ball requires --seed")
+    return sample_ball_counts(params, args.center, args.radius, args.voters, Random(args.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact committee-election tallying and worst-case approval guarantees.",
     )
     # What the shared code reads, for the commands that do not take it.
-    parser.set_defaults(approx=False, threshold=None,
-                        **{name: None for name in ("radius", *VALUE_PARSERS)})
+    parser.set_defaults(approx=False, **{name: None for name in VALUE_PARSERS})
     # An explicit metavar: without one, a missing command reads "required: command".
     sub = parser.add_subparsers(dest="command", metavar="{" + ",".join(_DISPATCH) + "}",
                                 required=True)
@@ -518,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tally = sub.add_parser("tally", help="tally a ballot file and report exact winners")
     p_tally.add_argument("--input", required=True, help="ballot file (JSON)")
-    shared(p_tally, "--params", "--center", "--radius", *REPORT_OPTIONS)
+    shared(p_tally, "--center", "--radius", *REPORT_OPTIONS)
     p_tally.add_argument("--threshold", type=int,
                          help="approval threshold s (default: full containment)")
     p_tally.add_argument("--complete", action="store_true",
@@ -543,7 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["uniform-all", "uniform-ball", "uniform-ring",
                                 "concentric", "random-ball"])
     p_gen.add_argument("--weights", help="ring weights for concentric mode, e.g. 0,0,1")
-    p_gen.add_argument("--voters", type=int, help="voter count for random-ball mode")
+    p_gen.add_argument("--voters", type=int, default=100,
+                       help="voter count for random-ball mode (default 100)")
     p_gen.add_argument("--seed", type=int, help="seed (required for random modes)")
 
     p_worst = sub.add_parser("worst-case",

@@ -102,6 +102,11 @@ class ElectionParams:
     def diameter(self) -> int:
         return min(self.j, self.n - self.j)
 
+    def check_radius(self, r: int) -> None:
+        """The radius rule of every ball and ring: raise unless 0 <= r <= diameter."""
+        if not 0 <= r <= self.diameter:
+            raise ParameterError(f"radius {r} outside 0..{self.diameter}")
+
     @property
     def max_class(self) -> int:
         return min(self.j, self.n - self.k)
@@ -134,16 +139,14 @@ def ring_size(params: ElectionParams, r: int) -> int:
     A list at distance r keeps j - r members of the center and picks r
     replacements outside it: C(j, j-r) * C(n-j, r).
     """
-    if not 0 <= r <= params.diameter:
-        raise ParameterError(f"ring index {r} outside 0..{params.diameter}")
+    params.check_radius(r)
     return binomial(params.j, params.j - r) * binomial(params.n - params.j, r)
 
 
 def ring(center: CandidateSubset, r: int, params: ElectionParams) -> set[CandidateSubset]:
-    """All lists at distance exactly r from ``center``."""
+    """All lists at distance exactly r from ``center``, for r in 0..diameter."""
     validate_list(center, params)
-    if not 0 <= r <= params.diameter:
-        raise ParameterError(f"ring index {r} outside 0..{params.diameter}")
+    params.check_radius(r)
     outside = [c for c in range(1, params.n + 1) if c not in center]
     out: set[CandidateSubset] = set()
     for kept in combinations(center.members, params.j - r):
@@ -153,13 +156,12 @@ def ring(center: CandidateSubset, r: int, params: ElectionParams) -> set[Candida
 
 
 def ball(center: CandidateSubset, radius: int, params: ElectionParams) -> set[CandidateSubset]:
-    """All lists within distance ``radius`` of ``center``.
+    """All lists within distance ``radius`` of ``center``, for radius in 0..diameter.
 
     Covers the whole list space exactly when the radius reaches the
     diameter.
     """
-    if not 0 <= radius <= params.diameter:
-        raise ParameterError(f"radius {radius} outside 0..{params.diameter}")
+    params.check_radius(radius)
     out: set[CandidateSubset] = set()
     for r in range(radius + 1):
         out |= ring(center, r, params)

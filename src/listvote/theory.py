@@ -102,8 +102,7 @@ def committees_in_class_containing(params: ElectionParams, r: int, m: int) -> in
     C(r, r-m) * C(n-j-r, k-j+m-r). Zero when no such committee exists
     (in particular whenever r < m).
     """
-    if not 0 <= r <= params.diameter:
-        raise ParameterError(f"ring index {r} outside 0..{params.diameter}")
+    params.check_radius(r)
     if not 0 <= m <= params.max_class:
         raise ParameterError(f"class index {m} outside 0..{params.max_class}")
     n, k, j = params.n, params.k, params.j
@@ -216,8 +215,7 @@ def ball_floor(params: ElectionParams, radius: int) -> Fraction:
     HypothesisViolation is raised (use :func:`worst_case_concentric`
     there instead). The extreme case is all mass on the outermost ring.
     """
-    if not 0 <= radius <= params.diameter:
-        raise ParameterError(f"radius {radius} outside 0..{params.diameter}")
+    params.check_radius(radius)
     limit = ball_floor_radius_limit(params)
     if radius > limit:
         raise HypothesisViolation(
@@ -228,13 +226,6 @@ def ball_floor(params: ElectionParams, radius: int) -> Fraction:
         binomial(params.k - params.j, radius),
         binomial(params.n - params.j, radius),
     )
-
-
-def alpha_ball_floor(params: ElectionParams, radius: int, alpha: Fraction) -> Fraction:
-    """Floor when only an alpha-fraction of voters lies inside the ball."""
-    if not 0 <= alpha <= 1:
-        raise ParameterError(f"alpha must be in [0, 1], got {alpha}")
-    return ball_floor(params, radius) * alpha
 
 
 def worst_case_concentric(params: ElectionParams, radius: int) -> WorstCaseResult:
@@ -259,8 +250,7 @@ def worst_case_concentric(params: ElectionParams, radius: int) -> WorstCaseResul
     raises ParameterError. At the diameter the ball is the whole list
     space and the value is :func:`global_floor`.
     """
-    if not 0 <= radius <= params.diameter:
-        raise ParameterError(f"radius {radius} outside 0..{params.diameter}")
+    params.check_radius(radius)
     table = ring_coverage(params)
     classes = range(params.max_class + 1)
     size, width = radius + 1, radius + 1 + len(classes)

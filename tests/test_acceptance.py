@@ -17,7 +17,6 @@ from listvote import (
     ElectionParams,
     RawBallotFile,
     VoterDistribution,
-    alpha_ball_floor,
     approval,
     ball,
     ball_floor,
@@ -318,6 +317,4 @@ def test_criterion_9_short_list_and_alpha_pipelines():
                 if alpha < 1:
                     support[lst] = support.get(lst, Fraction(0)) + (1 - alpha) * w
             mixture = VoterDistribution(params, support)
-            assert best_committees(mixture).best_value >= alpha_ball_floor(
-                params, radius, alpha
-            )
+            assert best_committees(mixture).best_value >= alpha * ball_floor(params, radius)

@@ -397,6 +397,15 @@ class TestBallotEntry:
         with pytest.raises(ParameterError, match="digits"):
             BallotEntry(V123, multiplicity)
 
+    @pytest.mark.parametrize("multiplicity, shown", [(0, "0"), (Fraction(-1, 2), "-1/2")])
+    def test_non_positive_multiplicity_rejected(self, multiplicity, shown):
+        with pytest.raises(ParameterError, match=f"^multiplicity must be positive, got {shown}$"):
+            BallotEntry(V123, multiplicity)
+
+    def test_entry_outside_candidates_rejected(self):
+        with pytest.raises(ParameterError, match=r"^entry \{1,2,9\} outside candidates 1\.\.6$"):
+            RawBallotFile(P643, (entry((1, 2, 9), 1),))
+
     def test_longest_multiplicities_round_trip(self):
         raw = RawBallotFile(P643, (
             BallotEntry(V123, LONGEST),

@@ -142,10 +142,6 @@ class TestTally:
                 "4300 digits, too long to print\n"
             )
 
-    def test_params_mismatch_exits_3(self, capsys, example_file):
-        code, _, err = run(capsys, "tally", "--input", example_file, "--params", "6,4,3")
-        assert code == 3
-
     def test_short_lists_without_complete_exit_3(self, capsys, tmp_path):
         path = tmp_path / "short.json"
         path.write_text(
@@ -282,6 +278,17 @@ class TestBounds:
         floor = theory.global_floor(ElectionParams(100000, 50000, 25000))
         assert floor.denominator >= 10**4300  # 4,301 digits or more: too long to print
         assert floor == Fraction(math.comb(50000, 25000), math.comb(100000, 25000))
+
+    def test_floor_past_float_range_is_built_exactly(self, capsys):
+        # lgamma overflows at n = 10**400, so no estimate can refuse the
+        # floor: it is built, and (n-1)/n is short enough to print
+        n = 10**400
+        code, out, err = run(capsys, "bounds", "--params", f"{n},{n - 1},1")
+        assert (code, err) == (0, "")
+        assert out == (
+            f"parameters: n={n} k={n - 1} j=1\n"
+            f"floor (any distribution): {n - 1}/{n}\n"
+        )
 
     def test_approx_annotation(self, capsys):
         code, out, _ = run(capsys, "bounds", "--params", "6,4,3", "--approx")

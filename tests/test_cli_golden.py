@@ -82,7 +82,7 @@ OTHERS = {
     "error-tally-long-integer": ["tally", "--input", "long-integer.json"],
     "error-tally-deep-nesting": ["tally", "--input", "deep.json"],
     "error-tally-not-utf8": ["tally", "--input", "latin1.json"],
-    "error-tally-params-mismatch": ["tally", "--input", "example.json", "--params", "6,4,3"],
+    "error-tally-weight-not-string": ["tally", "--input", "weight-not-string.json"],
     "error-tally-threshold-range": ["tally", "--input", "example.json", "--threshold", "4"],
     "error-tally-center-without-radius": ["tally", "--input", "example.json",
                                           "--center", "1,2,3"],
@@ -94,6 +94,8 @@ OTHERS = {
     "error-tally-complete-without-ball": ["tally", "--input", "short.json", "--complete"],
     "error-tally-incompletable": ["tally", "--input", "incompletable.json", "--complete",
                                   *TALLY_BALL, "1"],
+    "error-tally-complete-radius-beyond-diameter": ["tally", "--input", "short.json",
+                                                    "--complete", *TALLY_BALL, "4"],
     "error-tally-unwritable-output": ["tally", "--input", "example.json",
                                       "--output", "no-such-dir/report.txt"],
     "error-bounds-missing-params": ["bounds", "--radius", "1"],
@@ -125,6 +127,9 @@ OTHERS = {
                                              "--seed", "42"],
     "error-generate-random-without-seed": ["generate", "--params", "6,4,3",
                                            "--mode", "random-ball", *TALLY_BALL, "1"],
+    "error-generate-random-zero-voters": ["generate", "--params", "6,4,3",
+                                          "--mode", "random-ball", *TALLY_BALL, "1",
+                                          "--seed", "1", "--voters", "0"],
     "error-generate-center-outside": ["generate", "--params", "6,4,3", "--mode", "uniform-ring",
                                       "--center", "1,2,9", "--radius", "1"],
     "error-generate-center-huge-member": ["generate", "--params", "6,4,3",
@@ -137,6 +142,8 @@ OTHERS = {
     "error-verify-corrupt-coverage-not-an-option": ["verify", "--corrupt-coverage", "1,0"],
     "error-tally-self-check-not-an-option": ["tally", "--input", "example.json",
                                              "--self-check"],
+    "error-tally-params-not-an-option": ["tally", "--input", "example.json",
+                                         "--params", "6,4,3"],
 }
 
 CASES = {

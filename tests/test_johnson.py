@@ -127,9 +127,9 @@ class TestRings:
         assert ring_size(ElectionParams(6, 4, 3), 1) == 9
 
     def test_ring_size_out_of_range(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^radius 4 outside 0\.\.3$"):
             ring_size(ElectionParams(6, 4, 3), 4)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^radius 4 outside 0\.\.3$"):
             ring(subset(1, 2, 3), 4, ElectionParams(6, 4, 3))
 
     @pytest.mark.parametrize("n", range(2, 15))

@@ -40,6 +40,11 @@ class TestBruteBest:
         with pytest.raises(ParameterError):
             brute_best(dist)
 
+    def test_threshold_out_of_range(self):
+        dist = dist_from(ElectionParams(6, 4, 3), {(1, 2, 3): Fraction(1)})
+        with pytest.raises(ParameterError, match=r"^threshold 4 outside 0\.\.3$"):
+            brute_best(dist, 4)
+
     def test_agrees_with_optimized_paths(self):
         rng = Random(211)
         for _ in range(60):
@@ -81,6 +86,8 @@ class TestBruteMinimaxGrid:
             brute_minimax_grid(params, 4, 10)
         with pytest.raises(ParameterError):
             brute_minimax_grid(params, 2, 61)
+        with pytest.raises(ParameterError, match=r"^radius 2 outside 0\.\.1$"):
+            brute_minimax_grid(ElectionParams(4, 3, 1), 2, 10)
 
 
 def worst_case_triple(result):

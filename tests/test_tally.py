@@ -43,6 +43,11 @@ class TestApproval:
         with pytest.raises(ParameterError):
             approval(example_distribution, subset(1, 2, 3))
 
+    def test_candidate_outside_pool_rejected(self):
+        dist = dist_from(ElectionParams(6, 4, 3), {(1, 2, 3): Fraction(1)})
+        with pytest.raises(ParameterError, match=r"^\{1,2,3,9\} has candidates outside 1\.\.6$"):
+            approval(dist, subset(1, 2, 3, 9))
+
 
 class TestThresholdApproval:
     def test_s_equals_j_reduces_to_approval(self):
@@ -184,7 +189,7 @@ def distributions(draw):
     return VoterDistribution(params, {lst: w / total for lst, w in zip(chosen, raw)})
 
 
-@settings(max_examples=80, deadline=None)
+@settings(deadline=None)
 @given(distributions())
 def test_kernels_match_brute_force_for_every_threshold(dist):
     for s in range(dist.params.j + 1):

@@ -9,7 +9,6 @@ from listvote import (
     ElectionParams,
     HypothesisViolation,
     ParameterError,
-    alpha_ball_floor,
     approval,
     ball,
     ball_floor,
@@ -147,6 +146,12 @@ class TestCommitteesInClassContaining:
         assert committees_in_class_containing(P643, 1, 2) == 0
         assert committees_in_class_containing(P643, 0, 1) == 0
 
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ParameterError, match=r"^radius 4 outside 0\.\.3$"):
+            committees_in_class_containing(P643, 4, 0)
+        with pytest.raises(ParameterError, match=r"^class index 3 outside 0\.\.2$"):
+            committees_in_class_containing(P643, 1, 3)
+
 
 class TestRingCoverage:
     def test_origin_entry_is_one(self):
@@ -206,6 +211,14 @@ class TestConcentricApproval:
     def test_first_ring_class_zero(self):
         table = ring_coverage(P643)
         assert concentric_approval((Fraction(0), Fraction(1)), 0, table) == Fraction(1, 3)
+
+    def test_out_of_range_rejected(self):
+        table = ring_coverage(P643)
+        with pytest.raises(ParameterError, match=r"^class index 5 outside 0\.\.2$"):
+            concentric_approval((Fraction(1),), 5, table)
+        weights = (Fraction(0),) * 4 + (Fraction(1),)
+        with pytest.raises(ParameterError, match=r"^weight 1 on ring 4 beyond diameter 3$"):
+            concentric_approval(weights, 0, table)
 
     def test_matches_explicit_tally_on_every_committee(self):
         rng = Random(71)
@@ -330,13 +343,6 @@ class TestBallFloor:
 
 
 class TestAlphaBallFloor:
-    def test_alpha_one_and_zero(self):
-        assert alpha_ball_floor(P643, 1, Fraction(1)) == ball_floor(P643, 1)
-        assert alpha_ball_floor(P643, 1, Fraction(0)) == 0
-
-    def test_three_quarters(self):
-        assert alpha_ball_floor(P643, 1, Fraction(3, 4)) == Fraction(1, 4)
-
     def test_constructed_mixture_attains_floor(self):
         # 3/4 of voters uniform on the first ring, 1/4 on the far list.
         from listvote import VoterDistribution
@@ -346,12 +352,9 @@ class TestAlphaBallFloor:
         support[subset(4, 5, 6)] = Fraction(1, 4)
         dist = VoterDistribution(P643, support)
         best = best_committees(dist).best_value
-        assert best >= Fraction(1, 4)
-        assert best == Fraction(1, 4)
-
-    def test_alpha_out_of_range(self):
-        with pytest.raises(ParameterError):
-            alpha_ball_floor(P643, 1, Fraction(3, 2))
+        floor = Fraction(3, 4) * ball_floor(P643, 1)
+        assert floor == Fraction(1, 4)
+        assert best == floor
 
 
 class TestWorstCaseConcentric:
