@@ -5,24 +5,28 @@ under the threshold variant, at least s of its members. The search is
 always exhaustive and exact: the full argmax set is returned and ties
 are never broken.
 
-Both rules run on one integer kernel, a sparse scatter. The weights are
-scaled once by the LCM of their denominators, and the best value becomes
-a ``Fraction`` only at the end. A committee C meets a list L in at least
-s members exactly when C = K | E, with K a t-subset of L for some t >= s
-and E a (k - t)-subset of the candidates outside L; s = j is plain
-containment. Each support list adds its integer weight onto every
-committee it meets this way, keyed by committee bitmask, hitting each of
-them exactly once. Committees no list meets are never touched; the best
-value is always positive, so none of them can win.
+Both rules run on one integer kernel, a ranked subset-sum (zeta)
+transform over weights scaled once by the LCM of their denominators. One
+table per rank t maps a t-set's bitmask to integer units. Containment
+seeds rank j with each list. A threshold s >= 1 uses the identity
+1[|X| >= s] = sum over T in X, |T| >= s, of (-1)^(|T|-s) C(|T|-1, s-1):
+each t-subset of each list, t = s..j, is seeded with that coefficient
+times the list's units. s = 0 seeds the empty set with the whole weight.
+Then, for each candidate b in turn and each rank from k - 1 down, every
+entry without b is added into its union with b, so rank k ends holding
+every committee's exact approval. With n - i candidates left, a rank
+below k - (n - i) can no longer reach k and is freed. Only supersets of
+seeded sets are touched, all C(n, k) committees only when s = 0 makes
+them tie, so the strategy reads ``sparse``. A committee left out has
+value 0 and cannot win.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, repeat
-from math import lcm
-from typing import Collection, Iterable, Iterator
+from itertools import combinations
+from math import comb, lcm
 
 from .ballots import VoterDistribution
 from .errors import ParameterError
@@ -76,38 +80,34 @@ def best_committees(dist: VoterDistribution, s: int | None = None) -> TallyResul
     if not 0 <= s <= p.j:
         raise ParameterError(f"threshold {s} outside 0..{p.j}")
     scale = lcm(*(w.denominator for _, w in dist.items()))
-    bits = {1 << c for c in range(1, p.n + 1)}
-    acc: dict[int, int] = {}
-    get = acc.get
-    for lst, w in dist.items():
-        units = w.numerator * (scale // w.denominator)
-        inside = [b for b in bits if b & lst.mask]
-        for cmask in _meeting(inside, bits.difference(inside), p.k, s):
-            acc[cmask] = get(cmask, 0) + units
+    bits = [1 << c for c in range(1, p.n + 1)]
+    ranks: list[dict[int, int]] = [{} for _ in range(p.k + 1)]
+    if s == 0:
+        ranks[0][0] = scale
+    else:
+        for lst, w in dist.items():
+            units = w.numerator * (scale // w.denominator)
+            members = [b for b in bits if b & lst.mask]
+            for t in range(s, p.j + 1):
+                seed = (-1) ** (t - s) * comb(t - 1, s - 1) * units
+                table = ranks[t]
+                for sub in map(sum, combinations(members, t)):
+                    table[sub] = table.get(sub, 0) + seed
+    low = s
+    for i, b in enumerate(bits):
+        if low < p.k - (p.n - i):
+            ranks[low].clear()
+            low += 1
+        for t in range(p.k - 1, low - 1, -1):
+            up = ranks[t + 1]
+            get = up.get
+            for x, v in ranks[t].items():
+                y = x | b
+                if y != x:
+                    up[y] = get(y, 0) + v
+    acc = ranks[p.k]
     best = max(acc.values())
-    candidates = range(1, p.n + 1)
     winners = sorted(
-        CandidateSubset(tuple(c for c in candidates if m >> c & 1))
-        for m, v in acc.items() if v == best
+        tuple(c for c in range(1, p.n + 1) if m >> c & 1) for m, v in acc.items() if v == best
     )
-    return TallyResult(Fraction(best, scale), tuple(winners), "sparse")
-
-
-def _meeting(inside: Collection[int], outside: Iterable[int], size: int, s: int) -> Iterator[int]:
-    """Masks of the ``size``-sets that share at least ``s`` members with ``inside``.
-
-    Members come as one-bit masks. Each set is K | E with K a t-subset of
-    ``inside`` (t >= s) and E a (size - t)-subset of ``outside``, so every
-    set is produced exactly once.
-    """
-    parts = []
-    for t in range(s, min(len(inside), size) + 1):
-        heads = list(map(sum, combinations(inside, t)))
-        tails = combinations(outside, size - t)
-        if len(heads) == 1:
-            parts.append(map(sum, tails, repeat(heads[0])))
-            continue
-        tails = list(map(sum, tails))
-        parts.extend(map(head.__add__, tails) for head in heads)
-    return chain.from_iterable(parts)
-
+    return TallyResult(Fraction(best, scale), tuple(map(CandidateSubset, winners)), "sparse")

@@ -145,6 +145,19 @@ class TestBestCommittees:
                 [random_distribution(params, rng), uniform_on(params, iter_lists(params))]
             )
             cases.append((dist, rng.randint(0, j - 1)))
+        # n above 8, where rank pruning and the Moebius cancellation bite:
+        # committees of n - 1 and n - 2, supports of 3, 10 and 40 lists,
+        # small weights so that ties occur, and every threshold
+        for n in range(9, 14):
+            for k in (n - 1, n - 2):
+                for size in (3, 10, 40):
+                    params = ElectionParams(n, k, rng.randint(1, k))
+                    lists = rng.sample(sorted(iter_lists(params)), min(size, comb(n, params.j)))
+                    raw = [rng.randint(1, 3) for _ in lists]
+                    dist = VoterDistribution(
+                        params, {lst: Fraction(w, sum(raw)) for lst, w in zip(lists, raw)}
+                    )
+                    cases.extend((dist, s) for s in range(params.j + 1))
         for dist, s in cases:
             result = best_committees(dist, s=s)
             reference = brute_best(dist, s)
@@ -163,6 +176,15 @@ class TestBestCommittees:
         assert result.strategy_used == "sparse"
         assert result.best_value == Fraction(3, 406)
         assert len(result.winners) == comb(29, 3)
+        # thresholds on the point mass: s = 1 needs one of 1, 2, 3 on the
+        # committee, s = 0 approves every committee
+        dist = dist_from(ElectionParams(30, 4, 3), {(1, 2, 3): Fraction(1)})
+        result = best_committees(dist, s=1)
+        assert result.best_value == 1
+        assert len(result.winners) == comb(30, 4) - comb(27, 4) == 9855
+        result = best_committees(dist, s=0)
+        assert result.best_value == 1
+        assert len(result.winners) == comb(30, 4)
 
     def test_winners_sorted(self):
         params = ElectionParams(6, 4, 3)
@@ -175,12 +197,13 @@ _DENOMINATORS = [1, 2, 3, 7, 10**9 + 7, 998_244_353, 2**61 - 1]
 
 @st.composite
 def distributions(draw):
-    n = draw(st.integers(2, 8))
-    k = draw(st.integers(1, n - 1))
+    n = draw(st.integers(2, 13))
+    # above n = 8, committees of n - 2 or n - 1 keep the brute force cheap
+    k = draw(st.integers(1, n - 1) if n <= 8 else st.sampled_from([n - 2, n - 1]))
     j = draw(st.integers(1, k))
     params = ElectionParams(n, k, j)
     lists = sorted(iter_lists(params))
-    chosen = draw(st.lists(st.sampled_from(lists), min_size=1, max_size=12, unique=True))
+    chosen = draw(st.lists(st.sampled_from(lists), min_size=1, max_size=40, unique=True))
     raw = [
         Fraction(draw(st.integers(1, 10**6)), draw(st.sampled_from(_DENOMINATORS)))
         for _ in chosen
