@@ -5,11 +5,18 @@ with weights summing to 1. Ballot files carry raw multiplicities (integer
 counts or exact shares) and are normalized on the way in. Distributions
 are immutable once built.
 
-Ingestion works per distinct list, not per record. When a file is parsed,
-records that share a list (in any member order) share one
-``CandidateSubset``. The range and size checks and the short-list
-completion with its distance check run once for each distinct list, and
-:func:`normalize` sums multiplicities keyed by list mask. Nothing is
+Ingestion works per distinct record and list, not per record. When a
+file is parsed, a record repeated as written (the same members in the
+same order, the same count or weight text) costs the record-shape checks
+and one dictionary lookup, and shares the entry of its first copy. The
+shortcut is bypassed, so every record is checked in full, when the
+document holds a float or ``true`` anywhere: ``1.0 == 1`` and
+``True == 1``, so such a value could pass for an accepted one. Records
+that share a list (in any member order) share one ``CandidateSubset``.
+The range and size checks and the short-list completion with its
+distance check run once for each distinct list, completion builds one
+entry per distinct source entry, and :func:`normalize` sums
+multiplicities keyed by list mask, then in integer units. Nothing is
 cached between files.
 """
 
@@ -20,6 +27,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping, Sequence
@@ -38,6 +46,11 @@ from .johnson import (
 )
 
 
+def _exact(value) -> bool:
+    """Whether ``value`` is an int (not a bool) or a Fraction, the only numbers taken."""
+    return type(value) is int or isinstance(value, Fraction)
+
+
 @dataclass(frozen=True)
 class VoterDistribution:
     """Probability distribution over j-element lists.
@@ -50,14 +63,18 @@ class VoterDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "support", dict(self.support))
-        total = Fraction(0)
         for lst, weight in self.support.items():
             validate_list(lst, self.params)
+            if not _exact(weight):
+                raise ParameterError(f"weight {weight!r} on {lst} is not an int or a Fraction")
             if weight <= 0:
                 raise ParameterError(f"non-positive weight {weight} on {lst}")
-            total += weight
-        if total != 1:
-            raise ParameterError(f"weights sum to {total}, expected 1")
+        # Sum in integer units over the LCM of the denominators.
+        weights = self.support.values()
+        scale = lcm(*(w.denominator for w in weights))
+        units = sum(w.numerator * (scale // w.denominator) for w in weights)
+        if units != scale:
+            raise ParameterError(f"weights sum to {Fraction(units, scale)}, expected 1")
 
     def weight(self, lst: CandidateSubset) -> Fraction:
         return self.support.get(lst, Fraction(0))
@@ -84,6 +101,8 @@ class BallotEntry:
 
     def __post_init__(self):
         m = self.multiplicity
+        if not _exact(m):
+            raise ParameterError(f"multiplicity {m!r} is not an int or a Fraction")
         limit = sys.get_int_max_str_digits()
         # An int is its own numerator over 1. The product has at least the
         # bits of either part, and a part of at most 3 * limit bits is below
@@ -144,9 +163,13 @@ def normalize(raw: RawBallotFile) -> VoterDistribution:
             f"{len(short)} entries shorter than j={raw.params.j} "
             f"(first: {short[0]}); run complete_short_lists first"
         )
-    grand = sum(totals.values())
+    # Scale the totals to integer units over the LCM of their denominators
+    # (1 for counts), so every weight is one Fraction of two ints.
+    scale = lcm(*(m.denominator for m in totals.values()))
+    units = {mask: m.numerator * (scale // m.denominator) for mask, m in totals.items()}
+    grand = sum(units.values())
     return VoterDistribution(
-        raw.params, {lists[mask]: Fraction(m, grand) for mask, m in totals.items()}
+        raw.params, {lists[mask]: Fraction(u, grand) for mask, u in units.items()}
     )
 
 
@@ -218,30 +241,35 @@ def complete_short_lists(raw: RawBallotFile, center: CandidateSubset, radius: in
     ParameterError. Every entry must end up inside the ball: an entry with
     no valid completion raises HypothesisViolation naming the first such
     entry. Multiplicities and entry order are preserved. Each distinct list
-    is completed and checked once, and entries sharing a list share its
-    completion.
+    is completed and checked once, entries sharing a list share its
+    completion, and a repeated entry object maps to one completed entry.
     """
     params = raw.params
     validate_list(center, params)
     params.check_radius(radius)
     completed: dict[int, CandidateSubset] = {}  # list mask -> its checked completion
+    done: dict[int, BallotEntry] = {}  # id of a source entry -> its completed entry
     out: list[BallotEntry] = []
     for entry in raw.entries:
-        subset = entry.subset
-        done = completed.get(subset.mask)
-        if done is None:
-            done = subset
-            missing = params.j - len(subset)
-            if missing:
-                fill = tuple(c for c in center.members if c not in subset)[:missing]
-                done = CandidateSubset(subset.members + fill)
-            if distance(done, center) > radius:
-                raise HypothesisViolation(
-                    f"entry {subset} has no size-{params.j} superset within "
-                    f"distance {radius} of {center}"
-                )
-            completed[subset.mask] = done
-        out.append(entry if done is subset else BallotEntry(done, entry.multiplicity))
+        finished = done.get(id(entry))
+        if finished is None:
+            subset = entry.subset
+            full = completed.get(subset.mask)
+            if full is None:
+                full = subset
+                missing = params.j - len(subset)
+                if missing:
+                    fill = tuple(c for c in center.members if c not in subset)[:missing]
+                    full = CandidateSubset(subset.members + fill)
+                if distance(full, center) > radius:
+                    raise HypothesisViolation(
+                        f"entry {subset} has no size-{params.j} superset within "
+                        f"distance {radius} of {center}"
+                    )
+                completed[subset.mask] = full
+            finished = entry if full is subset else BallotEntry(full, entry.multiplicity)
+            done[id(entry)] = finished
+        out.append(finished)
     return RawBallotFile(params, tuple(out))
 
 
@@ -261,8 +289,9 @@ _ENTRY_KEYS = {"list", "weight", "count"}
 
 
 def loads_ballot_file(text: str) -> RawBallotFile:
+    floats: list[str] = []  # float tokens, recorded as they are parsed
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=lambda token: floats.append(token) or float(token))
     except json.JSONDecodeError as exc:
         raise BallotFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -284,38 +313,46 @@ def loads_ballot_file(text: str) -> RawBallotFile:
         raise BallotFormatError(str(exc)) from exc
     if not isinstance(doc["ballots"], list):
         raise BallotFormatError('"ballots" must be an array')
-    # Records sharing a list share one subset and, with the same multiplicity,
-    # one entry: only the first sight of a member tuple is range-checked and
-    # built, and equal lists in any member order share one CandidateSubset.
-    subsets: dict[tuple, CandidateSubset] = {}  # raw member tuple -> subset
+    # A record as written (count, weight, members in file order) that was
+    # accepted once maps to its entry, so a repeat costs the shape checks and
+    # one lookup. Only a value equal to an int without being one could pass
+    # for an accepted record: true == 1 and 1.0 == 1 (false and 0 are never
+    # accepted). So with a float or `true` anywhere in the text, every record
+    # is checked in full. Equal lists in any member order share one subset,
+    # and equal lists with the same count or weight text share one entry.
+    accepted: dict[tuple, BallotEntry] | None = None if floats or "true" in text else {}
     canonical: dict[tuple[int, ...], CandidateSubset] = {}  # sorted members -> subset
     shared: dict[tuple[int, int | str], BallotEntry] = {}  # (mask, count or weight text)
     entries = []
     for i, rec in enumerate(doc["ballots"]):
-        if not isinstance(rec, dict) or not set(rec) <= _ENTRY_KEYS:
+        if not isinstance(rec, dict) or not _ENTRY_KEYS.issuperset(rec):
             raise BallotFormatError(f"ballot {i}: keys must be among {sorted(_ENTRY_KEYS)}")
         members = rec.get("list")
         if not isinstance(members, list):
             raise BallotFormatError(f'ballot {i}: missing "list" array')
         if ("weight" in rec) == ("count" in rec):
             raise BallotFormatError(f'ballot {i}: exactly one of "weight"/"count" required')
-        key = tuple(members)
-        try:
-            subset = subsets.get(key)
-        except TypeError:  # a member that is an array or an object
-            subset = None
-        # true == 1 and 1.0 == 1, so a hit is only trusted for int members.
-        if subset is None or not all(type(c) is int for c in key):
-            # Range-check before CandidateSubset builds a bitmask as wide as the largest member.
-            if not all(type(c) is int and 0 < c <= params.n for c in key):
-                raise BallotFormatError(
-                    f"ballot {i}: list members must be integers in 1..{params.n}, got {members}"
-                )
+        record = (rec.get("count"), rec.get("weight"), *members)
+        if accepted is not None:
             try:
-                subset = CandidateSubset(key)
+                entry = accepted.get(record)
+            except TypeError:  # an array or an object among the values
+                entry = None
+            if entry is not None:
+                entries.append(entry)
+                continue
+        # Range-check before CandidateSubset builds a bitmask as wide as the largest member.
+        if not all(type(c) is int and 0 < c <= params.n for c in members):
+            raise BallotFormatError(
+                f"ballot {i}: list members must be integers in 1..{params.n}, got {members}"
+            )
+        ordered = tuple(sorted(members))
+        subset = canonical.get(ordered)
+        if subset is None:
+            try:
+                subset = canonical[ordered] = CandidateSubset(ordered)
             except ParameterError as exc:
                 raise BallotFormatError(f"ballot {i}: bad list {members}: {exc}") from exc
-            subset = subsets[key] = canonical.setdefault(subset.members, subset)
         if "count" in rec:
             value = rec["count"]
             if type(value) is not int or value <= 0:
@@ -338,6 +375,8 @@ def loads_ballot_file(text: str) -> RawBallotFile:
                 if multiplicity <= 0:
                     raise BallotFormatError(f"ballot {i}: weight must be positive")
             entry = shared[subset.mask, value] = BallotEntry(subset, multiplicity)
+        if accepted is not None:
+            accepted[record] = entry
         entries.append(entry)
     try:
         return RawBallotFile(params, tuple(entries))

@@ -45,6 +45,19 @@ class CandidateSubset:
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "mask", mask)
 
+    @classmethod
+    def unchecked(cls, members: tuple[int, ...], mask: int) -> "CandidateSubset":
+        """The subset with these members, already sorted, distinct and >= 1, and their mask.
+
+        Skips the constructor's sort and checks; a caller must derive both
+        from one bitmask or one valid subset. Input from outside goes through
+        ``CandidateSubset(...)``.
+        """
+        subset = object.__new__(cls)
+        object.__setattr__(subset, "members", members)
+        object.__setattr__(subset, "mask", mask)
+        return subset
+
     def __len__(self) -> int:
         return len(self.members)
 

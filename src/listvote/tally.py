@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from operator import itemgetter
 
 from .ballots import VoterDistribution
 from .errors import ParameterError
@@ -44,7 +45,8 @@ class TallyResult:
     def __post_init__(self):
         if not self.winners:
             raise ParameterError("a tally result needs at least one winner")
-        if list(self.winners) != sorted(self.winners):
+        members = [w.members for w in self.winners]
+        if members != sorted(members):
             raise ParameterError("winners must be sorted lexicographically")
 
 
@@ -107,7 +109,13 @@ def best_committees(dist: VoterDistribution, s: int | None = None) -> TallyResul
                     up[y] = get(y, 0) + v
     acc = ranks[p.k]
     best = max(acc.values())
+    candidates = range(1, p.n + 1)
     winners = sorted(
-        tuple(c for c in range(1, p.n + 1) if m >> c & 1) for m, v in acc.items() if v == best
+        ((tuple([c for c in candidates if m >> c & 1]), m) for m, v in acc.items() if v == best),
+        key=itemgetter(0),
     )
-    return TallyResult(Fraction(best, scale), tuple(map(CandidateSubset, winners)), "sparse")
+    return TallyResult(
+        Fraction(best, scale),
+        tuple(CandidateSubset.unchecked(members, m) for members, m in winners),
+        "sparse",
+    )

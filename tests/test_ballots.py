@@ -44,8 +44,27 @@ def entry(members, mult):
 
 class TestVoterDistribution:
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^weights sum to 1/2, expected 1$"):
             VoterDistribution(P643, {V123: Fraction(1, 2)})
+
+    def test_near_miss_over_coprime_denominators_shows_exact_total(self):
+        # a/p + b/q = 1 - 1/(p*q) for two large primes p and q
+        p, q = 2**61 - 1, 2**89 - 1
+        b = -pow(p, -1, q) % q
+        a = (p * q - 1 - b * p) // q
+        weights = {V123: Fraction(a, p), subset(4, 5, 6): Fraction(b, q)}
+        message = f"weights sum to {p * q - 1}/{p * q}, expected 1"
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            VoterDistribution(P643, weights)
+
+    def test_exact_sum_over_coprime_denominators_accepted(self):
+        weights = {V123: Fraction(1, 3), subset(1, 2, 4): Fraction(1, 5),
+                   subset(4, 5, 6): Fraction(7, 15)}
+        assert dict(VoterDistribution(P643, weights).items()) == weights
+
+    def test_rejects_inexact_weights(self):
+        with pytest.raises(ParameterError, match="^weight 0.5 on .* is not an int or a Fraction$"):
+            VoterDistribution(P643, {V123: 0.5, subset(4, 5, 6): 0.5})
 
     def test_rejects_zero_weight(self):
         with pytest.raises(ParameterError):
@@ -359,6 +378,19 @@ class TestInterning:
         with pytest.raises(BallotFormatError, match=re.escape(message)):
             loads_ballot_file(text)
 
+    @pytest.mark.parametrize("count", ["true", "1.0"], ids=["boolean", "float"])
+    def test_count_equal_to_a_seen_count_rejected(self, count):
+        text = ('{"n": 6, "k": 4, "j": 3, "ballots": ['
+                f'{{"list": [1, 2, 3], "count": 1}}, {{"list": [1, 2, 3], "count": {count}}}]}}')
+        with pytest.raises(BallotFormatError, match="^ballot 1: count must be a positive integer$"):
+            loads_ballot_file(text)
+
+    def test_seen_count_under_weight_rejected(self):
+        text = ('{"n": 6, "k": 4, "j": 3, "ballots": ['
+                '{"list": [1, 2, 3], "count": 1}, {"list": [1, 2, 3], "weight": 1}]}')
+        with pytest.raises(BallotFormatError, match="^ballot 1: weight must be a string"):
+            loads_ballot_file(text)
+
     def test_member_orders_share_one_subset(self):
         raw = loads_ballot_file(two_records("[3, 1, 2]", "[1, 2, 3]"))
         first, second = raw.entries
@@ -400,6 +432,12 @@ class TestBallotEntry:
     @pytest.mark.parametrize("multiplicity, shown", [(0, "0"), (Fraction(-1, 2), "-1/2")])
     def test_non_positive_multiplicity_rejected(self, multiplicity, shown):
         with pytest.raises(ParameterError, match=f"^multiplicity must be positive, got {shown}$"):
+            BallotEntry(V123, multiplicity)
+
+    @pytest.mark.parametrize("multiplicity", [True, 0.5], ids=["bool", "float"])
+    def test_inexact_multiplicity_rejected(self, multiplicity):
+        # True would be written back as "count": True, which no reader accepts
+        with pytest.raises(ParameterError, match="is not an int or a Fraction$"):
             BallotEntry(V123, multiplicity)
 
     def test_entry_outside_candidates_rejected(self):
@@ -459,11 +497,11 @@ multiplicities = st.one_of(
 
 
 @st.composite
-def raw_files(draw):
+def raw_files(draw, multiplicities=multiplicities, min_entries=0):
     params = draw(election_params())
     pool = draw(st.lists(short_or_full_lists(params), min_size=1, max_size=5))
     entries = draw(st.lists(st.builds(BallotEntry, st.sampled_from(pool), multiplicities),
-                            max_size=12))
+                            min_size=min_entries, max_size=12))
     return RawBallotFile(params, tuple(entries))
 
 
@@ -514,6 +552,33 @@ def test_mutated_documents_parse_or_are_rejected(raw, data):
     target = data.draw(st.sampled_from([doc] + doc["ballots"]))
     target[data.draw(st.sampled_from(sorted(target) + ["x"]))] = data.draw(json_values)
     loads_or_rejects(json.dumps(doc))
+
+
+# Small multiplicities make count 1, which true and 1.0 equal, a likely draw, and keep
+# non-empty documents inside Hypothesis's buffer (4,300-digit ones often overrun it).
+small_multiplicities = st.one_of(
+    st.integers(1, 3), st.builds(Fraction, st.integers(1, 3), st.integers(1, 3))
+)
+
+
+@given(raw_files(small_multiplicities, min_entries=1), st.data())
+def test_value_equal_to_a_repeated_record_is_rejected_at_its_index(raw, data):
+    # true == 1 and 1.0 == 1: a repeat of an accepted record with one member,
+    # or its count or weight, swapped for such a value must still be rejected
+    doc = json.loads(dumps_ballot_file(raw))
+    records = doc["ballots"]
+    first = data.draw(st.integers(0, len(records) - 1))
+    index = data.draw(st.integers(first + 1, len(records)))
+    repeat = json.loads(json.dumps(records[first]))
+    records.insert(index, repeat)
+    value = data.draw(st.sampled_from([True, 1.0, [1]]))
+    field = data.draw(st.sampled_from(["list", "multiplicity"]))
+    if field == "list":
+        repeat["list"][data.draw(st.integers(0, len(repeat["list"]) - 1))] = value
+    else:
+        repeat["count" if "count" in repeat else "weight"] = value
+    with pytest.raises(BallotFormatError, match=f"^ballot {index}: "):
+        loads_ballot_file(json.dumps(doc))
 
 
 def reference_complete_and_normalize(raw, center, radius):

@@ -220,6 +220,8 @@ def test_kernels_match_brute_force_for_every_threshold(dist):
         result = best_committees(dist, s=s)
         assert result.best_value == reference.best_value
         assert result.winners == reference.winners
+        # winners skip the constructor, and equality ignores the mask
+        assert [w.mask for w in result.winners] == [w.mask for w in reference.winners]
 
 
 class TestAverageApproval:
