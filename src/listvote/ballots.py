@@ -5,19 +5,15 @@ with weights summing to 1. Ballot files carry raw multiplicities (integer
 counts or exact shares) and are normalized on the way in. Distributions
 are immutable once built.
 
-Ingestion works per distinct record and list, not per record. When a
-file is parsed, a record repeated as written (the same members in the
-same order, the same count or weight text) costs the record-shape checks
-and one dictionary lookup, and shares the entry of its first copy. The
-shortcut is bypassed, so every record is checked in full, when the
-document holds a float or ``true`` anywhere: ``1.0 == 1`` and
-``True == 1``, so such a value could pass for an accepted one. Records
-that share a list (in any member order) share one ``CandidateSubset``.
-The range and size checks and the short-list completion with its
-distance check run once for each distinct list, completion builds one
-entry per distinct source entry, and :func:`normalize` sums
-multiplicities keyed by list mask, then in integer units. Nothing is
-cached between files.
+Ingestion works per distinct entry, not per record, through two lookup
+tables. In the parser, records with the same list in any member order and
+the same count or weight text share one entry: a repeat as written costs
+the record-shape checks and one lookup, a repeat in another member order
+also the range check, a sort and a second lookup. With a float or ``true``
+anywhere in the document no record is looked up, because ``1.0 == 1`` and
+``True == 1`` could pass for an accepted value. Completion completes and
+checks each distinct entry once. :func:`normalize` sums by list mask in
+integer units. Nothing is cached between files.
 """
 
 from __future__ import annotations
@@ -240,33 +236,28 @@ def complete_short_lists(raw: RawBallotFile, center: CandidateSubset, radius: in
     unchanged. Any radius in 0..diameter is accepted; another radius raises
     ParameterError. Every entry must end up inside the ball: an entry with
     no valid completion raises HypothesisViolation naming the first such
-    entry. Multiplicities and entry order are preserved. Each distinct list
-    is completed and checked once, entries sharing a list share its
-    completion, and a repeated entry object maps to one completed entry.
+    entry. Multiplicities and entry order are preserved. Each distinct
+    entry object is completed and checked once; :func:`loads_ballot_file`
+    gives all records with the same list and count or weight one entry.
     """
     params = raw.params
     validate_list(center, params)
     params.check_radius(radius)
-    completed: dict[int, CandidateSubset] = {}  # list mask -> its checked completion
     done: dict[int, BallotEntry] = {}  # id of a source entry -> its completed entry
     out: list[BallotEntry] = []
     for entry in raw.entries:
         finished = done.get(id(entry))
         if finished is None:
-            subset = entry.subset
-            full = completed.get(subset.mask)
-            if full is None:
-                full = subset
-                missing = params.j - len(subset)
-                if missing:
-                    fill = tuple(c for c in center.members if c not in subset)[:missing]
-                    full = CandidateSubset(subset.members + fill)
-                if distance(full, center) > radius:
-                    raise HypothesisViolation(
-                        f"entry {subset} has no size-{params.j} superset within "
-                        f"distance {radius} of {center}"
-                    )
-                completed[subset.mask] = full
+            subset = full = entry.subset
+            missing = params.j - len(subset)
+            if missing:
+                fill = tuple(c for c in center.members if c not in subset)[:missing]
+                full = CandidateSubset(subset.members + fill)
+            if distance(full, center) > radius:
+                raise HypothesisViolation(
+                    f"entry {subset} has no size-{params.j} superset within "
+                    f"distance {radius} of {center}"
+                )
             finished = entry if full is subset else BallotEntry(full, entry.multiplicity)
             done[id(entry)] = finished
         out.append(finished)
@@ -289,6 +280,12 @@ _ENTRY_KEYS = {"list", "weight", "count"}
 
 
 def loads_ballot_file(text: str) -> RawBallotFile:
+    """Parse ballot-file text into a :class:`RawBallotFile`.
+
+    Raises BallotFormatError for bad JSON, header or record, naming a bad
+    record's index. A repeated record costs one lookup, two in another member
+    order, and full checks once the text holds a float or ``true``.
+    """
     floats: list[str] = []  # float tokens, recorded as they are parsed
     try:
         doc = json.loads(text, parse_float=lambda token: floats.append(token) or float(token))
@@ -313,16 +310,11 @@ def loads_ballot_file(text: str) -> RawBallotFile:
         raise BallotFormatError(str(exc)) from exc
     if not isinstance(doc["ballots"], list):
         raise BallotFormatError('"ballots" must be an array')
-    # A record as written (count, weight, members in file order) that was
-    # accepted once maps to its entry, so a repeat costs the shape checks and
-    # one lookup. Only a value equal to an int without being one could pass
-    # for an accepted record: true == 1 and 1.0 == 1 (false and 0 are never
-    # accepted). So with a float or `true` anywhere in the text, every record
-    # is checked in full. Equal lists in any member order share one subset,
-    # and equal lists with the same count or weight text share one entry.
+    # An accepted record maps to its entry under (count, weight, members) as
+    # written and in sorted member order, so count 1 and weight "1" never
+    # share an entry. A float or `true` equals an int (1.0 == 1, True == 1;
+    # false and 0 are never accepted), so with either in the text, no lookups.
     accepted: dict[tuple, BallotEntry] | None = None if floats or "true" in text else {}
-    canonical: dict[tuple[int, ...], CandidateSubset] = {}  # sorted members -> subset
-    shared: dict[tuple[int, int | str], BallotEntry] = {}  # (mask, count or weight text)
     entries = []
     for i, rec in enumerate(doc["ballots"]):
         if not isinstance(rec, dict) or not _ENTRY_KEYS.issuperset(rec):
@@ -332,51 +324,48 @@ def loads_ballot_file(text: str) -> RawBallotFile:
             raise BallotFormatError(f'ballot {i}: missing "list" array')
         if ("weight" in rec) == ("count" in rec):
             raise BallotFormatError(f'ballot {i}: exactly one of "weight"/"count" required')
+        memo = accepted
         record = (rec.get("count"), rec.get("weight"), *members)
-        if accepted is not None:
+        entry = None
+        if memo is not None:
             try:
-                entry = accepted.get(record)
+                entry = memo.get(record)
             except TypeError:  # an array or an object among the values
-                entry = None
-            if entry is not None:
-                entries.append(entry)
-                continue
+                memo = None
+        if entry is not None:
+            entries.append(entry)
+            continue
         # Range-check before CandidateSubset builds a bitmask as wide as the largest member.
         if not all(type(c) is int and 0 < c <= params.n for c in members):
             raise BallotFormatError(
                 f"ballot {i}: list members must be integers in 1..{params.n}, got {members}"
             )
         ordered = tuple(sorted(members))
-        subset = canonical.get(ordered)
-        if subset is None:
+        key = (*record[:2], *ordered)
+        if memo is not None:
+            entry = memo.get(key)
+        if entry is None:
             try:
-                subset = canonical[ordered] = CandidateSubset(ordered)
+                subset = CandidateSubset(ordered)
             except ParameterError as exc:
                 raise BallotFormatError(f"ballot {i}: bad list {members}: {exc}") from exc
-        if "count" in rec:
-            value = rec["count"]
-            if type(value) is not int or value <= 0:
-                raise BallotFormatError(f"ballot {i}: count must be a positive integer")
-        else:
-            value = rec["weight"]
-            if not isinstance(value, str):
-                raise BallotFormatError(f"ballot {i}: weight must be a string like \"7/15\"")
-        # A count is an int and a weight its text, so count 1 and weight "1"
-        # never share an entry: one stays an int, the other a Fraction.
-        entry = shared.get((subset.mask, value))
-        if entry is None:
-            if isinstance(value, int):
-                multiplicity: int | Fraction = value
+            if "count" in rec:
+                multiplicity: int | Fraction = rec["count"]
+                if type(multiplicity) is not int or multiplicity <= 0:
+                    raise BallotFormatError(f"ballot {i}: count must be a positive integer")
             else:
+                value = rec["weight"]
+                if not isinstance(value, str):
+                    raise BallotFormatError(f"ballot {i}: weight must be a string like \"7/15\"")
                 try:
                     multiplicity = parse_rational(value)
                 except ValueError as exc:
                     raise BallotFormatError(f"ballot {i}: {exc}") from exc
                 if multiplicity <= 0:
                     raise BallotFormatError(f"ballot {i}: weight must be positive")
-            entry = shared[subset.mask, value] = BallotEntry(subset, multiplicity)
-        if accepted is not None:
-            accepted[record] = entry
+            entry = BallotEntry(subset, multiplicity)
+        if memo is not None:
+            memo[record] = memo[key] = entry
         entries.append(entry)
     try:
         return RawBallotFile(params, tuple(entries))
@@ -385,8 +374,12 @@ def loads_ballot_file(text: str) -> RawBallotFile:
 
 
 def dumps_ballot_file(raw: RawBallotFile) -> str:
-    # One record per line keeps files diffable and the round trip
-    # byte-identical.
+    """Ballot-file text: one record per line, members sorted, so files diff well.
+
+    A repeated entry is written once per repeat. :func:`loads_ballot_file`
+    reads the text back to an equal file that writes the same text. Raises
+    nothing for entries built under the current int-to-str digit limit.
+    """
     records = []
     for entry in raw.entries:
         members = ", ".join(str(c) for c in entry.subset.members)
@@ -401,6 +394,7 @@ def dumps_ballot_file(raw: RawBallotFile) -> str:
 
 
 def read_ballot_file(path: str | Path) -> RawBallotFile:
+    """Parse the file at ``path``; raises OSError, or BallotFormatError if not UTF-8 or bad."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

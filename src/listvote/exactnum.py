@@ -64,10 +64,17 @@ def binomial(a: int, b: int) -> int:
     """C(a, b), extended with C(a, b) = 0 for b < 0 or b > a.
 
     The zero extension is relied on by the coverage-table formulas, where
-    sums legitimately touch infeasible index combinations.
+    sums legitimately touch infeasible index combinations. Raises
+    ParameterError when min(b, a - b) is past 2**63 - 1, where
+    ``math.comb`` gives up.
     """
     if a < 0:
         raise ValueError(f"binomial requires a >= 0, got a={a}")
     if b < 0 or b > a:
         return 0
-    return math.comb(a, b)
+    try:
+        return math.comb(a, b)
+    except OverflowError as exc:
+        raise ParameterError(
+            "binomial coefficient too large to compute: min(b, a - b) is past 2**63 - 1"
+        ) from exc

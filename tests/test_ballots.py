@@ -488,11 +488,17 @@ def short_or_full_lists(params):
 
 
 # Up to the interpreter's int-to-str digit limit, past which BallotEntry
-# rejects a count, numerator or denominator.
+# rejects a count, numerator or denominator. The longest values are rare fixed
+# picks: drawn digit by digit, they overrun Hypothesis's buffer and leave only
+# short documents.
 LONGEST = 10 ** (sys.get_int_max_str_digits() or 4300) - 1
-multiplicities = st.one_of(
-    st.integers(1, LONGEST),
-    st.builds(Fraction, st.integers(1, LONGEST), st.integers(1, LONGEST)),
+LONGEST_PICKS = (LONGEST, Fraction(1, LONGEST), Fraction(LONGEST - 1, LONGEST))
+ordinary_multiplicities = st.one_of(
+    st.integers(1, 10**30),
+    st.builds(Fraction, st.integers(1, 10**30), st.integers(1, 10**30)),
+)
+multiplicities = st.integers(0, 9).flatmap(
+    lambda roll: st.sampled_from(LONGEST_PICKS) if roll == 9 else ordinary_multiplicities
 )
 
 
@@ -554,8 +560,7 @@ def test_mutated_documents_parse_or_are_rejected(raw, data):
     loads_or_rejects(json.dumps(doc))
 
 
-# Small multiplicities make count 1, which true and 1.0 equal, a likely draw, and keep
-# non-empty documents inside Hypothesis's buffer (4,300-digit ones often overrun it).
+# Small multiplicities make count 1, which true and 1.0 equal, a likely draw.
 small_multiplicities = st.one_of(
     st.integers(1, 3), st.builds(Fraction, st.integers(1, 3), st.integers(1, 3))
 )
@@ -570,6 +575,7 @@ def test_value_equal_to_a_repeated_record_is_rejected_at_its_index(raw, data):
     first = data.draw(st.integers(0, len(records) - 1))
     index = data.draw(st.integers(first + 1, len(records)))
     repeat = json.loads(json.dumps(records[first]))
+    repeat["list"] = data.draw(st.permutations(repeat["list"]))
     records.insert(index, repeat)
     value = data.draw(st.sampled_from([True, 1.0, [1]]))
     field = data.draw(st.sampled_from(["list", "multiplicity"]))
@@ -579,6 +585,30 @@ def test_value_equal_to_a_repeated_record_is_rejected_at_its_index(raw, data):
         repeat["count" if "count" in repeat else "weight"] = value
     with pytest.raises(BallotFormatError, match=f"^ballot {index}: "):
         loads_ballot_file(json.dumps(doc))
+
+
+@given(raw_files(min_entries=1), st.data())
+def test_member_order_does_not_change_the_parse(raw, data):
+    # the writer sorts members, so only a reordered document reaches the
+    # sorted-order lookup of a record accepted in another order
+    text = dumps_ballot_file(raw)
+    doc = json.loads(text)
+    for record in doc["ballots"]:
+        record["list"] = data.draw(st.permutations(record["list"]))
+    parsed = loads_ballot_file(json.dumps(doc))
+    assert parsed == loads_ballot_file(text)
+    assert [type(e.multiplicity) for e in parsed.entries] == [
+        type(e.multiplicity) for e in raw.entries
+    ]
+    # records with the same list and count or weight share one entry, and
+    # completion maps that entry to one completed entry
+    center = CandidateSubset(tuple(range(1, raw.params.j + 1)))
+    completed = complete_short_lists(parsed, center, raw.params.diameter)
+    groups = {}
+    for entry, full in zip(parsed.entries, completed.entries):
+        key = (entry.subset.mask, type(entry.multiplicity), entry.multiplicity)
+        groups.setdefault(key, set()).add((id(entry), id(full)))
+    assert all(len(pairs) == 1 for pairs in groups.values())
 
 
 def reference_complete_and_normalize(raw, center, radius):

@@ -290,6 +290,17 @@ class TestBounds:
             f"floor (any distribution): {n - 1}/{n}\n"
         )
 
+    def test_binomial_past_machine_range_is_refused(self, capsys):
+        # lgamma overflows at n = 10**400 too, and C(n, j) for j = 10**399 has
+        # a lower index past 2**63 - 1: one error line and exit 3
+        n = 10**400
+        code, out, err = run(capsys, "bounds", "--params", f"{n},{n // 2},{n // 10}")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: binomial coefficient too large to compute: "
+            "min(b, a - b) is past 2**63 - 1\n"
+        )
+
     def test_approx_annotation(self, capsys):
         code, out, _ = run(capsys, "bounds", "--params", "6,4,3", "--approx")
         assert code == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from listvote import binomial, format_rational, parse_rational
+from listvote import ParameterError, binomial, format_rational, parse_rational
 
 
 class TestBinomial:
@@ -22,6 +22,11 @@ class TestBinomial:
     def test_negative_a_rejected(self):
         with pytest.raises(ValueError):
             binomial(-1, 0)
+
+    def test_lower_index_past_machine_range_rejected(self):
+        # math.comb raises OverflowError once min(b, a - b) passes 2**63 - 1
+        with pytest.raises(ParameterError, match="^binomial coefficient too large to compute"):
+            binomial(2**64, 2**63)
 
     def test_pascal_recurrence(self):
         for a in range(1, 31):
