@@ -32,27 +32,18 @@ from .johnson import (
     ElectionParams,
     ball,
     distance,
-    iter_committees,
     iter_lists,
     ring,
     ring_monotone_threshold,
     ring_size,
 )
 from .oracle import brute_best, brute_minimax_grid, brute_minimax_vertices
-from .tally import (
-    TallyResult,
-    approval,
-    best_committees,
-    threshold_approval,
-)
+from .tally import TallyResult, best_committees
 from .theory import (
     VerificationReport,
     WorstCaseResult,
     ball_floor,
     ball_floor_radius_limit,
-    class_of,
-    class_size,
-    committees_in_class_containing,
     concentric_approval,
     coverage_monotonicity_check,
     global_floor,

@@ -28,6 +28,7 @@ from random import Random
 from . import oracle, theory
 from .ballots import (
     RawBallotFile,
+    VoterDistribution,
     complete_short_lists,
     concentric,
     distribution_to_raw,
@@ -142,17 +143,19 @@ def _global_floor_fact(params: ElectionParams) -> Fact:
     Its reduced denominator is at least C(n,j)/C(k,j). When ``math.lgamma``
     puts that ratio past the int-to-str digit limit, with one digit plus a
     relative 1e-9 to spare for float rounding, no binomial is built: for n in
-    the millions they take seconds.
+    the millions they take seconds. Past the float range lgamma overflows,
+    and the ratio's lower bound (n/k)**j stands in, as j * log10(n/k) with
+    ``math.log10`` taken on the ints.
     """
     limit = sys.get_int_max_str_digits()
     n, k, j = params.n, params.k, params.j
-    lg = math.lgamma
+    lg, log10 = math.lgamma, math.log10
     try:
         ln_ratio = lg(n + 1) - lg(n - j + 1) - lg(k + 1) + lg(k - j + 1)
-        slack = math.log(10) + 1e-9 * lg(n + 1)
-    except OverflowError:  # n past the float range: no estimate, build the floor
-        ln_ratio = slack = 0.0
-    if limit and ln_ratio - slack > limit * math.log(10):
+        too_long = ln_ratio - math.log(10) - 1e-9 * lg(n + 1) > limit * math.log(10)
+    except OverflowError:
+        too_long = log10(n) - log10(k) - 1e-9 * log10(n) > (limit + 1) / j
+    if limit and too_long:
         raise too_long_to_print()
     return _fact("global_floor", "floor (any distribution)", theory.global_floor(params))
 
@@ -416,38 +419,15 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, list[Fact]]:
         reports.append(theory.coverage_monotonicity_check(params))
 
     rng = Random(args.seed)
-    domination_cells = []
-    for t in range(trials):
-        params = _random_params(rng, min(max_n, RANDOM_MAX_N))
-        dist = random_distribution(params, rng)
-        center = rng.choice(sorted(dist.support))
-        before = best_committees(dist).best_value
-        after = best_committees(project_concentric(dist, center)).best_value
-        domination_cells.append(
-            theory.CheckedCell(
-                label=f"trial {t} n={params.n} k={params.k} j={params.j} center={center}",
-                ok=before >= after,
-                detail=f"best={format_rational(before)} projected={format_rational(after)}",
-            )
-        )
-    reports.append(theory.VerificationReport("concentric-domination", tuple(domination_cells)))
-
-    oracle_cells = []
-    for t in range(trials):
-        params = _random_params(rng, min(max_n, RANDOM_MAX_N))
-        dist = random_distribution(params, rng)
-        s = params.j if rng.random() < 0.5 else rng.randint(0, params.j)
-        reference = oracle.brute_best(dist, s)
-        result = best_committees(dist, s=s)
-        ok = (result.best_value, result.winners) == (reference.best_value, reference.winners)
-        oracle_cells.append(
-            theory.CheckedCell(
-                label=f"trial {t} n={params.n} k={params.k} j={params.j} s={s}",
-                ok=ok,
-                detail=f"value={format_rational(reference.best_value)}",
-            )
-        )
-    reports.append(theory.VerificationReport("oracle-equivalence", tuple(oracle_cells)))
+    for name, trial in (("concentric-domination", _domination_trial),
+                        ("oracle-equivalence", _oracle_trial)):
+        cells = []
+        for t in range(trials):
+            params = _random_params(rng, min(max_n, RANDOM_MAX_N))
+            tag, ok, detail = trial(random_distribution(params, rng), rng)
+            label = f"trial {t} n={params.n} k={params.k} j={params.j} {tag}"
+            cells.append(theory.CheckedCell(label, ok, detail))
+        reports.append(theory.VerificationReport(name, tuple(cells)))
 
     passed = all(r.passed for r in reports)
     facts: list[Fact] = [("suites", reports, None)]
@@ -465,6 +445,25 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, list[Fact]]:
         ("seed", args.seed, None),
         ("max_n", max_n, None),
     ]
+
+
+def _domination_trial(dist: VoterDistribution, rng: Random) -> tuple[str, bool, str]:
+    """Projecting onto rings about a support list never raises the best value."""
+    center = rng.choice(sorted(dist.support))
+    before = best_committees(dist).best_value
+    after = best_committees(project_concentric(dist, center)).best_value
+    detail = f"best={format_rational(before)} projected={format_rational(after)}"
+    return f"center={center}", before >= after, detail
+
+
+def _oracle_trial(dist: VoterDistribution, rng: Random) -> tuple[str, bool, str]:
+    """The kernel and the brute-force oracle agree on the value and every winner."""
+    j = dist.params.j
+    s = j if rng.random() < 0.5 else rng.randint(0, j)
+    reference = oracle.brute_best(dist, s)
+    result = best_committees(dist, s=s)
+    ok = (result.best_value, result.winners) == (reference.best_value, reference.winners)
+    return f"s={s}", ok, f"value={format_rational(reference.best_value)}"
 
 
 def _random_params(rng: Random, max_n: int) -> ElectionParams:

@@ -132,13 +132,6 @@ def validate_list(v: CandidateSubset, params: ElectionParams) -> None:
         raise ParameterError(f"{v} has candidates outside 1..{params.n}")
 
 
-def validate_committee(c: CandidateSubset, params: ElectionParams) -> None:
-    if len(c) != params.k:
-        raise ParameterError(f"{c} is not a {params.k}-element committee")
-    if c.members and c.members[-1] > params.n:
-        raise ParameterError(f"{c} has candidates outside 1..{params.n}")
-
-
 def distance(v: CandidateSubset, w: CandidateSubset) -> int:
     """Number of members of ``v`` not in ``w`` (and vice versa)."""
     if len(v) != len(w):
@@ -194,10 +187,4 @@ def ring_monotone_threshold(params: ElectionParams) -> Fraction:
 def iter_lists(params: ElectionParams) -> Iterator[CandidateSubset]:
     """All j-element lists over {1..n} in lexicographic order."""
     for members in combinations(range(1, params.n + 1), params.j):
-        yield CandidateSubset(members)
-
-
-def iter_committees(params: ElectionParams) -> Iterator[CandidateSubset]:
-    """All k-element committees over {1..n} in lexicographic order."""
-    for members in combinations(range(1, params.n + 1), params.k):
         yield CandidateSubset(members)

@@ -1,7 +1,10 @@
 """Deliberately naive reference implementations for cross-checking.
 
 These share only the basic value types with the optimized code paths, never
-their internals: no subset-sum transform, no coverage table.
+their internals: no subset-sum transform, no coverage table. The approval
+of one committee is a sum over the support; the committee classes (the
+committees missing m members of a center list) are counted by closed
+forms over binomials, checked in the tests against enumeration.
 Single-threaded, guarded to small sizes, determinism over speed.
 """
 
@@ -13,12 +16,44 @@ from typing import Iterator
 
 from .ballots import VoterDistribution
 from .errors import ParameterError
+from .exactnum import binomial
 from .johnson import CandidateSubset, ElectionParams
 from .tally import TallyResult
 from .theory import WorstCaseResult
 
 BRUTE_MAX_N = 20
 VERTEX_MAX_N = 12
+
+
+def _approval_sum(support: list[tuple[int, Fraction]], cmask: int, s: int) -> Fraction:
+    """Total weight of the (list mask, weight) pairs meeting ``cmask`` in at least s members."""
+    return sum((w for mask, w in support if (mask & cmask).bit_count() >= s), Fraction(0))
+
+
+def approval(dist: VoterDistribution, committee: CandidateSubset) -> Fraction:
+    """Total weight of lists entirely contained in ``committee``: threshold s = j."""
+    return threshold_approval(dist, committee, dist.params.j)
+
+
+def threshold_approval(dist: VoterDistribution, committee: CandidateSubset, s: int) -> Fraction:
+    """Total weight of lists sharing at least ``s`` members with ``committee``.
+
+    ``s = j`` reduces exactly to :func:`approval`; ``s = 0`` is 1.
+    """
+    p = dist.params
+    if len(committee) != p.k:
+        raise ParameterError(f"{committee} is not a {p.k}-element committee")
+    if committee.members and committee.members[-1] > p.n:
+        raise ParameterError(f"{committee} has candidates outside 1..{p.n}")
+    if not 0 <= s <= p.j:
+        raise ParameterError(f"threshold {s} outside 0..{p.j}")
+    return _approval_sum([(lst.mask, w) for lst, w in dist.items()], committee.mask, s)
+
+
+def iter_committees(params: ElectionParams) -> Iterator[CandidateSubset]:
+    """All k-element committees over {1..n} in lexicographic order."""
+    for members in combinations(range(1, params.n + 1), params.k):
+        yield CandidateSubset(members)
 
 
 def brute_best(dist: VoterDistribution, s: int | None = None) -> TallyResult:
@@ -37,16 +72,45 @@ def brute_best(dist: VoterDistribution, s: int | None = None) -> TallyResult:
         cmask = 0
         for c in members:
             cmask |= 1 << c
-        value = sum(
-            (w for mask, w in support if (mask & cmask).bit_count() >= s),
-            Fraction(0),
-        )
+        value = _approval_sum(support, cmask, s)
         if best is None or value > best:
             best, winners = value, [members]
         elif value == best:
             winners.append(members)
     assert best is not None
     return TallyResult(best, tuple(CandidateSubset(m) for m in winners), "brute")
+
+
+def class_of(committee: CandidateSubset, center: CandidateSubset) -> int:
+    """Number of members of ``center`` missing from ``committee``."""
+    return len(center) - committee.intersection_size(center)
+
+
+def class_size(params: ElectionParams, m: int) -> int:
+    """Number of committees missing exactly m members of a fixed list.
+
+    Choose which j-m center members stay, then fill the remaining
+    k+m-j seats outside the center: C(j, j-m) * C(n-j, k+m-j). The
+    classes m = 0..max_class partition the committee space.
+    """
+    if not 0 <= m <= params.max_class:
+        raise ParameterError(f"class index {m} outside 0..{params.max_class}")
+    return binomial(params.j, params.j - m) * binomial(params.n - params.j, params.k + m - params.j)
+
+
+def committees_in_class_containing(params: ElectionParams, r: int, m: int) -> int:
+    """Class-m committees containing one fixed list at distance r from the center.
+
+    Such a committee keeps r-m of the r center members the list dropped
+    and fills its remaining seats away from both sets:
+    C(r, r-m) * C(n-j-r, k-j+m-r). Zero when no such committee exists
+    (in particular whenever r < m).
+    """
+    params.check_radius(r)
+    if not 0 <= m <= params.max_class:
+        raise ParameterError(f"class index {m} outside 0..{params.max_class}")
+    n, k, j = params.n, params.k, params.j
+    return binomial(r, r - m) * binomial(n - j - r, k - j + m - r)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -31,7 +31,7 @@ from operator import itemgetter
 
 from .ballots import VoterDistribution
 from .errors import ParameterError
-from .johnson import CandidateSubset, validate_committee
+from .johnson import CandidateSubset
 
 
 @dataclass(frozen=True)
@@ -48,26 +48,6 @@ class TallyResult:
         members = [w.members for w in self.winners]
         if members != sorted(members):
             raise ParameterError("winners must be sorted lexicographically")
-
-
-def approval(dist: VoterDistribution, committee: CandidateSubset) -> Fraction:
-    """Total weight of lists entirely contained in ``committee``: threshold s = j."""
-    return threshold_approval(dist, committee, dist.params.j)
-
-
-def threshold_approval(dist: VoterDistribution, committee: CandidateSubset, s: int) -> Fraction:
-    """Total weight of lists sharing at least ``s`` members with ``committee``.
-
-    ``s = j`` reduces exactly to :func:`approval`; ``s = 0`` is 1.
-    """
-    validate_committee(committee, dist.params)
-    if not 0 <= s <= dist.params.j:
-        raise ParameterError(f"threshold {s} outside 0..{dist.params.j}")
-    cmask = committee.mask
-    return sum(
-        (w for lst, w in dist.items() if (lst.mask & cmask).bit_count() >= s),
-        Fraction(0),
-    )
 
 
 def best_committees(dist: VoterDistribution, s: int | None = None) -> TallyResult:

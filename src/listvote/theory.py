@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import HypothesisViolation, ParameterError
 from .exactnum import binomial, format_rational
-from .johnson import CandidateSubset, ElectionParams, ring_monotone_threshold, ring_size
+from .johnson import ElectionParams, ring_monotone_threshold, ring_size
 
 
 @dataclass(frozen=True)
@@ -77,53 +77,21 @@ def global_floor(params: ElectionParams) -> Fraction:
     return Fraction(binomial(k, j), binomial(n, j))
 
 
-def class_of(committee: CandidateSubset, center: CandidateSubset) -> int:
-    """Number of members of ``center`` missing from ``committee``."""
-    return len(center) - committee.intersection_size(center)
-
-
-def class_size(params: ElectionParams, m: int) -> int:
-    """Number of committees missing exactly m members of a fixed list.
-
-    Choose which j-m center members stay, then fill the remaining
-    k+m-j seats outside the center: C(j, j-m) * C(n-j, k+m-j). The
-    classes m = 0..max_class partition the committee space.
-    """
-    if not 0 <= m <= params.max_class:
-        raise ParameterError(f"class index {m} outside 0..{params.max_class}")
-    return binomial(params.j, params.j - m) * binomial(params.n - params.j, params.k + m - params.j)
-
-
-def committees_in_class_containing(params: ElectionParams, r: int, m: int) -> int:
-    """Class-m committees containing one fixed list at distance r from the center.
-
-    Such a committee keeps r-m of the r center members the list dropped
-    and fills its remaining seats away from both sets:
-    C(r, r-m) * C(n-j-r, k-j+m-r). Zero when no such committee exists
-    (in particular whenever r < m).
-    """
-    params.check_radius(r)
-    if not 0 <= m <= params.max_class:
-        raise ParameterError(f"class index {m} outside 0..{params.max_class}")
-    n, k, j = params.n, params.k, params.j
-    return binomial(r, r - m) * binomial(n - j - r, k - j + m - r)
-
-
 def ring_coverage(params: ElectionParams) -> tuple[tuple[Fraction, ...], ...]:
     """The coverage table: one row per ring 0..diameter, one column per
     class 0..max_class, every entry in [0, 1].
 
-    entry[r][m] = C(j-m, j-r) * C(k+m-j, r) / (C(j, j-r) * C(n-j, r)):
+    entry[r][m] = C(j-m, j-r) * C(k+m-j, r) / ring_size(params, r):
     a class-m committee keeps j-m center members and k+m-j outsiders, and
     a ring-r list inside it must take j-r of the former and r of the
     latter, so the entry is 0 when r < m. The equivalent factorial form
     breaks down at degenerate indices; the binomial form with zero
     extension is total.
     """
-    n, k, j = params.n, params.k, params.j
+    k, j = params.k, params.j
     rows = []
     for r in range(params.diameter + 1):
-        den = binomial(j, j - r) * binomial(n - j, r)
+        den = ring_size(params, r)
         rows.append(
             tuple(
                 Fraction(binomial(j - m, j - r) * binomial(k + m - j, r), den)

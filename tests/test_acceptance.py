@@ -17,20 +17,16 @@ from listvote import (
     ElectionParams,
     RawBallotFile,
     VoterDistribution,
-    approval,
     ball,
     ball_floor,
     ball_floor_radius_limit,
     best_committees,
     brute_best,
     brute_minimax_grid,
-    class_of,
-    committees_in_class_containing,
     complete_short_lists,
     concentric,
     coverage_monotonicity_check,
     global_floor,
-    iter_committees,
     iter_lists,
     loads_ballot_file,
     normalize,
@@ -42,6 +38,7 @@ from listvote import (
     uniform_on,
     worst_case_concentric,
 )
+from listvote.oracle import approval, class_of, committees_in_class_containing, iter_committees
 
 V123 = CandidateSubset((1, 2, 3))
 

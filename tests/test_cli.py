@@ -292,13 +292,29 @@ class TestBounds:
 
     def test_binomial_past_machine_range_is_refused(self, capsys):
         # lgamma overflows at n = 10**400 too, and C(n, j) for j = 10**399 has
-        # a lower index past 2**63 - 1: one error line and exit 3
+        # a lower index past 2**63 - 1; (n/k)**j refuses the floor first:
+        # one error line and exit 3
         n = 10**400
         code, out, err = run(capsys, "bounds", "--params", f"{n},{n // 2},{n // 10}")
         assert (code, out) == (3, "")
         assert err == (
-            "error: binomial coefficient too large to compute: "
-            "min(b, a - b) is past 2**63 - 1\n"
+            "error: exact result has a numerator or denominator of more than "
+            "4300 digits, too long to print\n"
+        )
+
+    def test_floor_past_float_range_refused_before_any_binomial(self, capsys, monkeypatch):
+        # C(n, 100000) for n = 10**400 has about 40 million digits; the floor's
+        # reduced denominator is at least (n/k)**j = 2**100000, 30,103 digits
+        def no_binomial(a, b):
+            raise AssertionError(f"binomial({a}, {b}) built")
+
+        monkeypatch.setattr(theory, "binomial", no_binomial)
+        n = 10**400
+        code, out, err = run(capsys, "bounds", "--params", f"{n},{n // 2},100000")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: exact result has a numerator or denominator of more than "
+            "4300 digits, too long to print\n"
         )
 
     def test_approx_annotation(self, capsys):

@@ -12,13 +12,13 @@ from listvote import (
     ParameterError,
     ball,
     distance,
-    iter_committees,
     iter_lists,
     ring,
     ring_monotone_threshold,
     ring_size,
 )
 from listvote.johnson import parse_members
+from listvote.oracle import iter_committees
 from conftest import subset
 
 

@@ -11,18 +11,16 @@ from listvote import (
     ParameterError,
     TallyResult,
     VoterDistribution,
-    approval,
     ball,
     best_committees,
     brute_best,
     global_floor,
-    iter_committees,
     iter_lists,
     project_concentric,
     random_distribution,
-    threshold_approval,
     uniform_on,
 )
+from listvote.oracle import approval, iter_committees, threshold_approval
 from conftest import dist_from, subset
 
 

@@ -1,5 +1,7 @@
+import json
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -9,19 +11,14 @@ from listvote import (
     ElectionParams,
     HypothesisViolation,
     ParameterError,
-    approval,
     ball,
     ball_floor,
     ball_floor_radius_limit,
     best_committees,
-    class_of,
-    class_size,
-    committees_in_class_containing,
     concentric,
     concentric_approval,
     coverage_monotonicity_check,
     global_floor,
-    iter_committees,
     iter_lists,
     random_distribution,
     ring,
@@ -32,10 +29,16 @@ from listvote import (
     uniform_on,
     worst_case_concentric,
 )
+from listvote.oracle import approval, class_of, class_size, committees_in_class_containing, iter_committees
 from conftest import dist_from, subset
 
 P643 = ElectionParams(6, 4, 3)
 V123 = CandidateSubset((1, 2, 3))
+
+# worst_case_concentric(params, r).to_dict() for every shape with n <= 11 and
+# every radius 0..diameter, keyed "n,k,j,r", recorded from the Fraction
+# simplex; a rewrite of the LP must reproduce it exactly.
+WORST_CASE_TABLE = Path(__file__).parent / "data" / "worst_case_n11.json"
 
 
 def coverage_factorial_form(params, r, m):
@@ -449,6 +452,18 @@ class TestWorstCaseConcentric:
         for params in all_param_sets(12):
             result = worst_case_concentric(params, params.diameter)
             assert result.value == global_floor(params)
+
+    def test_every_small_shape_matches_recorded_table(self):
+        # pins the value, the weights and the achieving class far beyond
+        # the regime, where only the LP's tie-breaking decides them
+        expected = json.loads(WORST_CASE_TABLE.read_text())
+        got = {
+            f"{p.n},{p.k},{p.j},{r}": worst_case_concentric(p, r).to_dict()
+            for p in all_param_sets(11)
+            for r in range(p.diameter + 1)
+        }
+        assert len(got) == 760
+        assert got == expected
 
     def test_invalid_radius_rejected(self):
         with pytest.raises(ParameterError, match=r"radius 4 outside 0\.\.3"):
