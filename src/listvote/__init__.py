@@ -44,7 +44,6 @@ from .theory import (
     WorstCaseResult,
     ball_floor,
     ball_floor_radius_limit,
-    concentric_approval,
     coverage_monotonicity_check,
     global_floor,
     ring_coverage,

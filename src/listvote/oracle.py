@@ -1,9 +1,11 @@
 """Deliberately naive reference implementations for cross-checking.
 
 These share only the basic value types with the optimized code paths, never
-their internals: no subset-sum transform, no coverage table. The approval
-of one committee is a sum over the support; the committee classes (the
-committees missing m members of a center list) are counted by closed
+their internals: no subset-sum transform, no simplex, no coverage table of
+their own. The approval of one committee is a sum over the support, and a
+class's approval under a concentric distribution is a weighted sum down
+one column of a coverage table the caller passes in; the committee classes
+(the committees missing m members of a center list) are counted by closed
 forms over binomials, checked in the tests against enumeration.
 Single-threaded, guarded to small sizes, determinism over speed.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .ballots import VoterDistribution
 from .errors import ParameterError
@@ -48,6 +50,30 @@ def threshold_approval(dist: VoterDistribution, committee: CandidateSubset, s: i
     if not 0 <= s <= p.j:
         raise ParameterError(f"threshold {s} outside 0..{p.j}")
     return _approval_sum([(lst.mask, w) for lst, w in dist.items()], committee.mask, s)
+
+
+def concentric_approval(
+    weights: Sequence[Fraction],
+    m: int,
+    table: Sequence[Sequence[Fraction]],
+) -> Fraction:
+    """Approval proportion of any class-m committee under a concentric distribution.
+
+    With ring masses w_r, every committee in class m is approved by
+    exactly sum_r w_r * entry[r][m] of the voters. ``table`` is a
+    :func:`listvote.theory.ring_coverage` table; its shape gives the
+    diameter and the class range.
+    """
+    d, max_class = len(table) - 1, len(table[0]) - 1
+    if not 0 <= m <= max_class:
+        raise ParameterError(f"class index {m} outside 0..{max_class}")
+    for r, w in enumerate(weights):
+        if r > d and w != 0:
+            raise ParameterError(f"weight {w} on ring {r} beyond diameter {d}")
+    return sum(
+        (w * table[r][m] for r, w in enumerate(weights) if r <= d),
+        Fraction(0),
+    )
 
 
 def iter_committees(params: ElectionParams) -> Iterator[CandidateSubset]:

@@ -7,15 +7,15 @@ a class and share that fraction, so a concentric distribution's best
 committee is read off the table, and the worst case over all concentric
 distributions on a ball is a tiny exact linear program.
 
-Everything is pure computation over immutable tables; results are exact
-Fractions throughout.
+Everything is pure computation over immutable tables. The linear program
+is solved by a fraction-free simplex whose tableau holds only ints;
+every result is an exact Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import HypothesisViolation, ParameterError
 from .exactnum import binomial, format_rational
@@ -101,30 +101,6 @@ def ring_coverage(params: ElectionParams) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rows)
 
 
-def concentric_approval(
-    weights: Sequence[Fraction],
-    m: int,
-    table: Sequence[Sequence[Fraction]],
-) -> Fraction:
-    """Approval proportion of any class-m committee under a concentric distribution.
-
-    With ring masses w_r, every committee in class m is approved by
-    exactly sum_r w_r * entry[r][m] of the voters. ``table`` is a
-    :func:`ring_coverage` table; its shape gives the diameter and the
-    class range.
-    """
-    d, max_class = len(table) - 1, len(table[0]) - 1
-    if not 0 <= m <= max_class:
-        raise ParameterError(f"class index {m} outside 0..{max_class}")
-    for r, w in enumerate(weights):
-        if r > d and w != 0:
-            raise ParameterError(f"weight {w} on ring {r} beyond diameter {d}")
-    return sum(
-        (w * table[r][m] for r, w in enumerate(weights) if r <= d),
-        Fraction(0),
-    )
-
-
 def ring_monotonicity_check(params: ElectionParams) -> VerificationReport:
     """Verify: |ring r| <= |ring r+1| exactly when r <= the growth threshold."""
     threshold = ring_monotone_threshold(params)
@@ -196,73 +172,122 @@ def ball_floor(params: ElectionParams, radius: int) -> Fraction:
     )
 
 
+def _lex_simplex(
+    rows: list[list[int]], costs: list[list[int]]
+) -> tuple[list[int], list[list[int]], int]:
+    """Lexicographic simplex over integers, started at a slack basis.
+
+    ``rows`` are the constraints, each ending in its right-hand side; the
+    columns before it end in an identity block, one column per row, whose
+    variables form the feasible starting basis. ``costs`` are reduced-cost
+    rows of the same width, compared lexicographically: a column enters
+    when its first nonzero cost is positive. Bland's smallest-index rule
+    picks the entering column and the leaving row, so the loop cannot
+    cycle; the caller must bound every column.
+
+    Pivoting is fraction-free (Edmonds; the integer form lrs uses): every
+    row other than the pivot row becomes (row * piv - row[q] * prow) // d,
+    the pivot row is kept, and d becomes piv. Each entry stays an integer
+    d times the rational tableau's, and d stays positive. Both lists are
+    updated in place. Returns the final basis (the column basic in each
+    row), the rows and d.
+    """
+    width = len(rows[0]) - 1
+    basis = list(range(width - len(rows), width))
+    d = 1
+    while True:
+        q = next(
+            (q for q in range(width) if next((c[q] for c in costs if c[q]), 0) > 0),
+            None,
+        )
+        if q is None:
+            return basis, rows, d
+        # smallest ratio rhs / row[q] over positive row[q], compared by
+        # cross-multiplying; ties go to the smaller basic index
+        p = None
+        for i, row in enumerate(rows):
+            a = row[q]
+            if a > 0:
+                if p is None:
+                    p = i
+                    continue
+                left, right = row[-1] * rows[p][q], rows[p][-1] * a
+                if left < right or (left == right and basis[i] < basis[p]):
+                    p = i
+        prow, piv = rows[p], rows[p][q]
+        for table in (rows, costs):
+            for i, row in enumerate(table):
+                if row is prow:
+                    continue
+                f = row[q]
+                if f:
+                    table[i] = [(a * piv - f * b) // d for a, b in zip(row, prow)]
+                else:
+                    table[i] = [a * piv // d for a in row]
+        basis[p] = q
+        d = piv
+
+
 def worst_case_concentric(params: ElectionParams, radius: int) -> WorstCaseResult:
     """Exact minimax best-committee approval over concentric ball distributions.
 
     Minimizes, over ring-weight vectors (w_0..w_radius >= 0 summing
-    to 1), the maximum t over classes m of sum_r w_r * entry[r][m].
-    Substituting y = w / t turns this into max sum(y) subject to
-    sum_r entry[r][m] * y_r <= 1 for every class m and y >= 0,
-    whose slack basis is feasible, so an exact simplex over Fractions
-    starts there; at the optimum t = 1 / sum(y) and w = y * t. Among
-    optimal points the lexicographically smallest w is kept: the
-    objective is the vector (sum(y), -y_0, ..., -y_radius) compared
-    lexicographically, a column enters only when its reduced-cost vector
-    is lexicographically positive, and Bland's smallest-index rule picks
-    both the entering column and the leaving row, so the loop cannot
-    cycle. Within the guaranteed-radius regime the optimum is all mass on
-    the outermost ring and the value equals :func:`ball_floor`; beyond it
-    this is the sanctioned tool.
+    to 1), the maximum t over classes m of sum_r w_r * entry[r][m] (see
+    :func:`ring_coverage`). Substituting y = w / t turns this into
+    max sum(y) subject to sum_r entry[r][m] * y_r <= 1 for every class m
+    and y >= 0, whose slack basis is feasible; at the optimum
+    t = 1 / sum(y) and w = y * t. Among optimal points the
+    lexicographically smallest w is kept: the objective is the vector
+    (sum(y), -y_0, ..., -y_radius) compared lexicographically, solved by
+    :func:`_lex_simplex`.
+
+    The tableau holds only ints. Column r is scaled by |ring r|
+    (y_r = |ring r| * y'_r), so the coverage entries become
+    C(j-m, j-r) * C(k+m-j, r) and the costs +-|ring r|; a positive column
+    scale keeps every reduced-cost sign and every ratio-test argmin, so
+    the pivots are those of the rational tableau. Fractions appear only
+    in the result, read off the final tableau: class m's approval is
+    t * (1 - s_m) for its slack s_m, so the achieving class is the
+    smallest one whose slack is 0. Within the guaranteed-radius regime the
+    optimum is all mass on the outermost ring and the value equals
+    :func:`ball_floor`; beyond it this is the sanctioned tool.
 
     Any list size and any radius in 0..diameter is accepted; another radius
     raises ParameterError. At the diameter the ball is the whole list
     space and the value is :func:`global_floor`.
     """
     params.check_radius(radius)
-    table = ring_coverage(params)
+    k, j = params.k, params.j
     classes = range(params.max_class + 1)
-    size, width = radius + 1, radius + 1 + len(classes)
-    one, zero = Fraction(1), Fraction(0)
+    size = radius + 1
+    sizes = [ring_size(params, r) for r in range(size)]
     # One row per class (every class 0..max_class is nonempty, since
-    # C(j, j-m) >= 1 and 0 <= k+m-j <= n-j): coverage of y_0..y_radius,
-    # the slacks, then the right-hand side 1. Column q < size is y_q,
-    # the others are slacks.
+    # C(j, j-m) >= 1 and 0 <= k+m-j <= n-j): coverage of y'_0..y'_radius,
+    # the slacks, then the right-hand side 1. Column q < size is y'_q,
+    # the others are slacks. No coefficient is negative and every y'_r has
+    # a positive one, so the feasible region is bounded.
     rows = [
-        [table[r][m] for r in range(size)]
-        + [one if c == m else zero for c in classes]
-        + [one]
+        [binomial(j - m, j - r) * binomial(k + m - j, r) for r in range(size)]
+        + [1 if c == m else 0 for c in classes]
+        + [1]
         for m in classes
     ]
     # Reduced costs of sum(y), -y_0, ..., -y_radius, in that order.
-    costs = [[one] * size + [zero] * (width - size + 1)] + [
-        [-one if q == r else zero for q in range(width + 1)] for r in range(size)
+    width = size + len(classes)
+    costs = [sizes + [0] * (width - size + 1)] + [
+        [-sizes[r] if q == r else 0 for q in range(width + 1)] for r in range(size)
     ]
-    basis = list(range(size, width))
-    while True:
-        entering = next(
-            (q for q in range(width) if next((c[q] for c in costs if c[q]), 0) > 0),
-            None,
-        )
-        if entering is None:
-            break
-        # no coefficient is negative and every y_r has a positive one, so
-        # the feasible region is bounded and some row limits every column
-        p = min(
-            (i for i, row in enumerate(rows) if row[entering] > 0),
-            key=lambda i: (rows[i][-1] / rows[i][entering], basis[i]),
-        )
-        pivot = rows[p][entering]
-        rows[p] = prow = [x / pivot if x else x for x in rows[p]]
-        for row in rows + costs:
-            f = row[entering]
-            if f and row is not prow:
-                row[:] = [a - f * b if b else a for a, b in zip(row, prow)]
-        basis[p] = entering
-    y = [zero] * size
-    for i, q in enumerate(basis):
+    basis, rows, d = _lex_simplex(rows, costs)
+    mass = [0] * size
+    loose = set()
+    for q, row in zip(basis, rows):
         if q < size:
-            y[q] = rows[i][-1]
-    t = 1 / sum(y)
-    weights = tuple(v * t for v in y)
-    achieving = min(m for m in classes if concentric_approval(weights, m, table) == t)
-    return WorstCaseResult(value=t, weights=weights, achieving_class=achieving)
+            mass[q] = sizes[q] * row[-1]
+        elif row[-1]:
+            loose.add(q - size)
+    total = sum(mass)
+    return WorstCaseResult(
+        value=Fraction(d, total),
+        weights=tuple(Fraction(x, total) for x in mass),
+        achieving_class=next(m for m in classes if m not in loose),
+    )

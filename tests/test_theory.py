@@ -5,6 +5,8 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from listvote import (
     CandidateSubset,
@@ -16,7 +18,6 @@ from listvote import (
     ball_floor_radius_limit,
     best_committees,
     concentric,
-    concentric_approval,
     coverage_monotonicity_check,
     global_floor,
     iter_lists,
@@ -29,16 +30,26 @@ from listvote import (
     uniform_on,
     worst_case_concentric,
 )
-from listvote.oracle import approval, class_of, class_size, committees_in_class_containing, iter_committees
+from listvote.oracle import (
+    approval,
+    class_of,
+    class_size,
+    committees_in_class_containing,
+    concentric_approval,
+    iter_committees,
+)
 from conftest import dist_from, subset
 
 P643 = ElectionParams(6, 4, 3)
 V123 = CandidateSubset((1, 2, 3))
 
 # worst_case_concentric(params, r).to_dict() for every shape with n <= 11 and
-# every radius 0..diameter, keyed "n,k,j,r", recorded from the Fraction
-# simplex; a rewrite of the LP must reproduce it exactly.
+# every radius 0..diameter, keyed "n,k,j,r". Both tables were recorded from
+# the earlier simplex over Fractions; any change to the LP must reproduce
+# them exactly.
 WORST_CASE_TABLE = Path(__file__).parent / "data" / "worst_case_n11.json"
+# The same at every radius of the 30 shapes of large_param_sets(0).
+WORST_CASE_LARGE = Path(__file__).parent / "data" / "worst_case_large.json"
 
 
 def coverage_factorial_form(params, r, m):
@@ -64,6 +75,25 @@ def random_param_sets(rng, count, max_n, min_j=1):
         k = rng.randint(min_j, n - 1)
         j = rng.randint(min_j, k)
         yield ElectionParams(n, k, j)
+
+
+def large_param_sets(seed):
+    """30 distinct shapes with 12 <= n <= 40, sorted, drawn from Random(seed)."""
+    rng = Random(seed)
+    shapes = set()
+    while len(shapes) < 30:
+        n = rng.randint(12, 40)
+        k = rng.randint(1, n - 1)
+        shapes.add((n, k, rng.randint(1, k)))
+    return [ElectionParams(*shape) for shape in sorted(shapes)]
+
+
+@st.composite
+def shapes_and_radii(draw):
+    n = draw(st.integers(2, 24))
+    k = draw(st.integers(1, n - 1))
+    params = ElectionParams(n, k, draw(st.integers(1, k)))
+    return params, draw(st.integers(0, params.diameter))
 
 
 def random_ring_weight_vector(rng, length):
@@ -464,6 +494,34 @@ class TestWorstCaseConcentric:
         }
         assert len(got) == 760
         assert got == expected
+
+    def test_larger_shapes_match_recorded_table(self):
+        expected = json.loads(WORST_CASE_LARGE.read_text())
+        got = {
+            f"{p.n},{p.k},{p.j},{r}": worst_case_concentric(p, r).to_dict()
+            for p in large_param_sets(0)
+            for r in range(p.diameter + 1)
+        }
+        assert len(got) == 242
+        assert got == expected
+
+    @given(shapes_and_radii())
+    def test_optimum_is_attained_on_the_coverage_table(self, case):
+        # the LP reads no coverage table, so this re-derives its read-out
+        # (value, weights, achieving class) from the Fraction table
+        params, radius = case
+        result = worst_case_concentric(params, radius)
+        assert len(result.weights) == radius + 1
+        assert all(w >= 0 for w in result.weights)
+        assert sum(result.weights) == 1
+        table = ring_coverage(params)
+        values = [
+            concentric_approval(result.weights, m, table)
+            for m in range(params.max_class + 1)
+        ]
+        assert result.value == max(values)
+        assert result.achieving_class == values.index(max(values))
+        assert result.value >= global_floor(params)
 
     def test_invalid_radius_rejected(self):
         with pytest.raises(ParameterError, match=r"radius 4 outside 0\.\.3"):
