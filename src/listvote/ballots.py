@@ -5,15 +5,20 @@ with weights summing to 1. Ballot files carry raw multiplicities (integer
 counts or exact shares) and are normalized on the way in. Distributions
 are immutable once built.
 
-Ingestion works per distinct entry, not per record, through two lookup
-tables. In the parser, records with the same list in any member order and
-the same count or weight text share one entry: a repeat as written costs
-the record-shape checks and one lookup, a repeat in another member order
-also the range check, a sort and a second lookup. With a float or ``true``
-anywhere in the document no record is looked up, because ``1.0 == 1`` and
-``True == 1`` could pass for an accepted value. Completion completes and
-checks each distinct entry once. :func:`normalize` sums by list mask in
-integer units. Nothing is cached between files.
+Ingestion works per distinct entry, not per record. The parser gives
+records with the same list in any member order and the same count or
+weight text one entry, and counts its repeats. A repeat as written costs
+its key, one lookup and one shape guard (exactly two keys): a hit has the
+values of an accepted record, since JSON strings and objects never equal
+ints, so the guard is all that is left to check. A repeat in a member order
+not yet seen costs the full checks, a sort and a second lookup. With a
+float or ``true`` anywhere in the document no record is looked up,
+because ``1.0 == 1`` and ``True == 1`` could pass for an accepted value.
+:class:`RawBallotFile` holds the distinct entries, their repeat counts and
+the record order, and its check, completion and :func:`normalize` each run
+once per distinct entry, so no stage after the parser walks the records.
+:func:`normalize` sums by list mask in integer units. Nothing is cached
+between files.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from pathlib import Path
 from random import Random
@@ -111,53 +117,105 @@ class BallotEntry:
             raise ParameterError(f"multiplicity must be positive, got {m}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class RawBallotFile:
-    """Parsed ballot file: election parameters plus raw entries.
+    """Parsed ballot file: election parameters plus raw entries, one per record.
 
     Entry lists may be shorter than j (between 1 and j members); short
     entries must pass through :func:`complete_short_lists` before
     normalization.
+
+    The file is held per distinct entry: ``distinct`` holds each entry
+    object once, in order of its first record, and ``repeats[i]`` counts
+    the records that carry ``distinct[i]``. ``entries`` lists the entry of
+    every record in order; it is built from the record order on first
+    read, so stages that read only ``distinct`` and ``repeats`` never walk
+    the records. A file built from a sequence of entries gives every
+    record its own distinct entry with one repeat. Two files are equal
+    when their parameters and entries are. The size and range check runs
+    once per distinct entry.
     """
 
     params: ElectionParams
-    entries: tuple[BallotEntry, ...]
+    distinct: tuple[BallotEntry, ...]
+    repeats: tuple[int, ...]
+    # record -> index into distinct, never mutated; None when record i carries distinct[i]
+    _order: Sequence[int] | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        # One check per distinct list, in order of first appearance.
-        for subset in {entry.subset.mask: entry.subset for entry in self.entries}.values():
-            size = len(subset)
-            if not 1 <= size <= self.params.j:
-                raise ParameterError(f"entry {subset} has size {size}, expected 1..{self.params.j}")
-            if subset.members[-1] > self.params.n:
-                raise ParameterError(f"entry {subset} outside candidates 1..{self.params.n}")
+    def __init__(self, params: ElectionParams, entries: Iterable[BallotEntry]):
+        entries = tuple(entries)
+        self._hold(params, entries, (1,) * len(entries), None)
+
+    @classmethod
+    def _of(
+        cls,
+        params: ElectionParams,
+        distinct: tuple[BallotEntry, ...],
+        repeats: tuple[int, ...],
+        order: Sequence[int] | None,
+    ) -> RawBallotFile:
+        """The file whose record i carries ``distinct[order[i]]``; no copies are made."""
+        raw = object.__new__(cls)
+        raw._hold(params, distinct, repeats, order)
+        return raw
+
+    def _hold(self, params, distinct, repeats, order) -> None:
+        for entry in distinct:
+            subset = entry.subset
+            size = len(subset.members)
+            if not 1 <= size <= params.j:
+                raise ParameterError(f"entry {subset} has size {size}, expected 1..{params.j}")
+            if subset.members[-1] > params.n:
+                raise ParameterError(f"entry {subset} outside candidates 1..{params.n}")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "distinct", distinct)
+        object.__setattr__(self, "repeats", repeats)
+        object.__setattr__(self, "_order", order)
+
+    @cached_property
+    def entries(self) -> tuple[BallotEntry, ...]:
+        """The entry of every record, in order."""
+        if self._order is None:
+            return self.distinct
+        return tuple(map(self.distinct.__getitem__, self._order))
+
+    def __eq__(self, other):
+        if not isinstance(other, RawBallotFile):
+            return NotImplemented
+        return self.params == other.params and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.params, self.entries))
 
 
 def normalize(raw: RawBallotFile) -> VoterDistribution:
     """Turn raw multiplicities into a distribution summing to exactly 1.
 
     Duplicate lists are merged by addition. Entries shorter than j are
-    rejected; complete them first.
+    rejected; complete them first. Runs once per distinct entry, adding
+    its multiplicity times its repeat count; a record costs nothing.
     """
-    if not raw.entries:
+    if not raw.distinct:
         raise BallotFormatError("ballot file has no entries")
     # Sum per list mask in the multiplicities' own type: integer counts stay
-    # ints, and a Fraction is built once per distinct list.
+    # ints, and a Fraction is built once per distinct list (the product is
+    # skipped at one repeat, where it would build a new Fraction).
     totals: dict[int, int | Fraction] = {}
     lists: dict[int, CandidateSubset] = {}
-    for entry in raw.entries:
+    for entry, times in zip(raw.distinct, raw.repeats):
         mask = entry.subset.mask
+        m = entry.multiplicity if times == 1 else entry.multiplicity * times
         if mask in totals:
-            totals[mask] += entry.multiplicity
+            totals[mask] += m
         else:
-            totals[mask] = entry.multiplicity
+            totals[mask] = m
             lists[mask] = entry.subset
     if any(len(lst) < raw.params.j for lst in lists.values()):
-        short = [e.subset for e in raw.entries if len(e.subset) < raw.params.j]
+        short = [(e.subset, times) for e, times in zip(raw.distinct, raw.repeats)
+                 if len(e.subset) < raw.params.j]
         raise BallotFormatError(
-            f"{len(short)} entries shorter than j={raw.params.j} "
-            f"(first: {short[0]}); run complete_short_lists first"
+            f"{sum(times for _, times in short)} entries shorter than j={raw.params.j} "
+            f"(first: {short[0][0]}); run complete_short_lists first"
         )
     # Scale the totals to integer units over the LCM of their denominators
     # (1 for counts), so every weight is one Fraction of two ints.
@@ -237,31 +295,28 @@ def complete_short_lists(raw: RawBallotFile, center: CandidateSubset, radius: in
     ParameterError. Every entry must end up inside the ball: an entry with
     no valid completion raises HypothesisViolation naming the first such
     entry. Multiplicities and entry order are preserved. Each distinct
-    entry object is completed and checked once; :func:`loads_ballot_file`
-    gives all records with the same list and count or weight one entry.
+    entry is completed and checked once, and the result shares the input's
+    repeat counts and record order, so a repeated record costs nothing
+    here; :func:`loads_ballot_file` gives all records with the same list
+    and count or weight one entry.
     """
     params = raw.params
     validate_list(center, params)
     params.check_radius(radius)
-    done: dict[int, BallotEntry] = {}  # id of a source entry -> its completed entry
-    out: list[BallotEntry] = []
-    for entry in raw.entries:
-        finished = done.get(id(entry))
-        if finished is None:
-            subset = full = entry.subset
-            missing = params.j - len(subset)
-            if missing:
-                fill = tuple(c for c in center.members if c not in subset)[:missing]
-                full = CandidateSubset(subset.members + fill)
-            if distance(full, center) > radius:
-                raise HypothesisViolation(
-                    f"entry {subset} has no size-{params.j} superset within "
-                    f"distance {radius} of {center}"
-                )
-            finished = entry if full is subset else BallotEntry(full, entry.multiplicity)
-            done[id(entry)] = finished
-        out.append(finished)
-    return RawBallotFile(params, tuple(out))
+    done: list[BallotEntry] = []
+    for entry in raw.distinct:
+        subset = full = entry.subset
+        missing = params.j - len(subset)
+        if missing:
+            fill = tuple(c for c in center.members if c not in subset)[:missing]
+            full = CandidateSubset(subset.members + fill)
+        if distance(full, center) > radius:
+            raise HypothesisViolation(
+                f"entry {subset} has no size-{params.j} superset within "
+                f"distance {radius} of {center}"
+            )
+        done.append(entry if full is subset else BallotEntry(full, entry.multiplicity))
+    return RawBallotFile._of(params, tuple(done), raw.repeats, raw._order)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +338,10 @@ def loads_ballot_file(text: str) -> RawBallotFile:
     """Parse ballot-file text into a :class:`RawBallotFile`.
 
     Raises BallotFormatError for bad JSON, header or record, naming a bad
-    record's index. A repeated record costs one lookup, two in another member
-    order, and full checks once the text holds a float or ``true``.
+    record's index. A repeated record costs one lookup and one shape
+    guard; in a member order not yet seen, two lookups and the full
+    checks; once the text holds a float or ``true``, the full checks.
+    The result counts each distinct entry's repeats.
     """
     floats: list[str] = []  # float tokens, recorded as they are parsed
     try:
@@ -310,65 +367,83 @@ def loads_ballot_file(text: str) -> RawBallotFile:
         raise BallotFormatError(str(exc)) from exc
     if not isinstance(doc["ballots"], list):
         raise BallotFormatError('"ballots" must be an array')
-    # An accepted record maps to its entry under (count, weight, members) as
-    # written and in sorted member order, so count 1 and weight "1" never
-    # share an entry. A float or `true` equals an int (1.0 == 1, True == 1;
-    # false and 0 are never accepted), so with either in the text, no lookups.
-    accepted: dict[tuple, BallotEntry] | None = None if floats or "true" in text else {}
-    entries = []
+    # An accepted record maps to its entry's index under (count, weight,
+    # members) as written and in sorted member order, so count 1 and weight
+    # "1" never share an entry. A float or `true` equals an int (1.0 == 1,
+    # True == 1; false and 0 are never accepted), so with either in the text,
+    # no lookups. Otherwise a record that hits its as-written key has the
+    # values of an accepted record (strings and objects never equal ints),
+    # so it is valid when its only keys are "list" and the one of
+    # "count"/"weight" it holds: the guard len(rec) == 2. An empty list is
+    # never stored, since "" and {} unpack to the same key; the file is
+    # rejected for it anyway. A record whose key cannot be built or hashed
+    # is checked in full and never stored.
+    memo: dict[tuple, int] | None = None if floats or "true" in text else {}
+    distinct: list[BallotEntry] = []
+    repeats: list[int] = []  # built at the first repeat, with order
+    order: list[int] | None = None  # record -> index into distinct
     for i, rec in enumerate(doc["ballots"]):
-        if not isinstance(rec, dict) or not _ENTRY_KEYS.issuperset(rec):
-            raise BallotFormatError(f"ballot {i}: keys must be among {sorted(_ENTRY_KEYS)}")
-        members = rec.get("list")
-        if not isinstance(members, list):
-            raise BallotFormatError(f'ballot {i}: missing "list" array')
-        if ("weight" in rec) == ("count" in rec):
-            raise BallotFormatError(f'ballot {i}: exactly one of "weight"/"count" required')
-        memo = accepted
-        record = (rec.get("count"), rec.get("weight"), *members)
-        entry = None
+        index = record = None
         if memo is not None:
             try:
-                entry = memo.get(record)
-            except TypeError:  # an array or an object among the values
-                memo = None
-        if entry is not None:
-            entries.append(entry)
-            continue
-        # Range-check before CandidateSubset builds a bitmask as wide as the largest member.
-        if not all(type(c) is int and 0 < c <= params.n for c in members):
-            raise BallotFormatError(
-                f"ballot {i}: list members must be integers in 1..{params.n}, got {members}"
-            )
-        ordered = tuple(sorted(members))
-        key = (*record[:2], *ordered)
-        if memo is not None:
-            entry = memo.get(key)
-        if entry is None:
-            try:
-                subset = CandidateSubset(ordered)
-            except ParameterError as exc:
-                raise BallotFormatError(f"ballot {i}: bad list {members}: {exc}") from exc
-            if "count" in rec:
-                multiplicity: int | Fraction = rec["count"]
-                if type(multiplicity) is not int or multiplicity <= 0:
-                    raise BallotFormatError(f"ballot {i}: count must be a positive integer")
-            else:
-                value = rec["weight"]
-                if not isinstance(value, str):
-                    raise BallotFormatError(f"ballot {i}: weight must be a string like \"7/15\"")
+                record = (rec.get("count"), rec.get("weight"), *rec["list"])
+                index = memo.get(record)
+            except (AttributeError, KeyError, TypeError):
+                record = None
+        if index is None or len(rec) != 2:
+            if not isinstance(rec, dict) or not _ENTRY_KEYS.issuperset(rec):
+                raise BallotFormatError(f"ballot {i}: keys must be among {sorted(_ENTRY_KEYS)}")
+            members = rec.get("list")
+            if not isinstance(members, list):
+                raise BallotFormatError(f'ballot {i}: missing "list" array')
+            if ("weight" in rec) == ("count" in rec):
+                raise BallotFormatError(f'ballot {i}: exactly one of "weight"/"count" required')
+            # Range-check before CandidateSubset builds a bitmask as wide as the largest member.
+            if not all(type(c) is int and 0 < c <= params.n for c in members):
+                raise BallotFormatError(
+                    f"ballot {i}: list members must be integers in 1..{params.n}, got {members}"
+                )
+            ordered = tuple(sorted(members))
+            if record is not None:
+                key = (*record[:2], *ordered)
+                index = memo.get(key)
+            if index is None:
                 try:
-                    multiplicity = parse_rational(value)
-                except ValueError as exc:
-                    raise BallotFormatError(f"ballot {i}: {exc}") from exc
-                if multiplicity <= 0:
-                    raise BallotFormatError(f"ballot {i}: weight must be positive")
-            entry = BallotEntry(subset, multiplicity)
-        if memo is not None:
-            memo[record] = memo[key] = entry
-        entries.append(entry)
+                    subset = CandidateSubset(ordered)
+                except ParameterError as exc:
+                    raise BallotFormatError(f"ballot {i}: bad list {members}: {exc}") from exc
+                if "count" in rec:
+                    multiplicity: int | Fraction = rec["count"]
+                    if type(multiplicity) is not int or multiplicity <= 0:
+                        raise BallotFormatError(f"ballot {i}: count must be a positive integer")
+                else:
+                    value = rec["weight"]
+                    if not isinstance(value, str):
+                        raise BallotFormatError(f'ballot {i}: weight must be a string like "7/15"')
+                    try:
+                        multiplicity = parse_rational(value)
+                    except ValueError as exc:
+                        raise BallotFormatError(f"ballot {i}: {exc}") from exc
+                    if multiplicity <= 0:
+                        raise BallotFormatError(f"ballot {i}: weight must be positive")
+                index = len(distinct)
+                distinct.append(BallotEntry(subset, multiplicity))
+                if record is not None and ordered:
+                    memo[record] = memo[key] = index
+                if order is not None:
+                    order.append(index)
+                    repeats.append(1)
+                continue
+            memo[record] = index
+        if order is None:  # the first repeat: records 0..i-1 each had their own entry
+            order = list(range(i))
+            repeats = [1] * i
+        order.append(index)
+        repeats[index] += 1
     try:
-        return RawBallotFile(params, tuple(entries))
+        if order is None:
+            return RawBallotFile(params, distinct)
+        return RawBallotFile._of(params, tuple(distinct), tuple(repeats), order)
     except ParameterError as exc:
         raise BallotFormatError(str(exc)) from exc
 

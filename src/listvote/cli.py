@@ -229,7 +229,7 @@ def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
 
     if args.complete:
         raw = complete_short_lists(raw, args.center, args.radius)
-    elif any(len(e.subset) < params.j for e in raw.entries):
+    elif any(len(e.subset) < params.j for e in raw.distinct):
         raise ParameterError(
             f"file contains lists shorter than j={params.j}; "
             "rerun with --complete --center --radius"

@@ -247,8 +247,11 @@ def worst_case_concentric(params: ElectionParams, radius: int) -> WorstCaseResul
     scale keeps every reduced-cost sign and every ratio-test argmin, so
     the pivots are those of the rational tableau. Fractions appear only
     in the result, read off the final tableau: class m's approval is
-    t * (1 - s_m) for its slack s_m, so the achieving class is the
-    smallest one whose slack is 0. Within the guaranteed-radius regime the
+    t * (1 - s_m) for its slack s_m. The achieving class is always 0:
+    column 0 (y'_0) is nonzero only in class 0's row, since
+    C(j-m, j) = 0 for m >= 1, and its cost is positive, so if class 0's
+    row had slack, raising y'_0 would raise sum(y); at every optimum
+    class 0 is tight. Within the guaranteed-radius regime the
     optimum is all mass on the outermost ring and the value equals
     :func:`ball_floor`; beyond it this is the sanctioned tool.
 
@@ -279,15 +282,12 @@ def worst_case_concentric(params: ElectionParams, radius: int) -> WorstCaseResul
     ]
     basis, rows, d = _lex_simplex(rows, costs)
     mass = [0] * size
-    loose = set()
     for q, row in zip(basis, rows):
         if q < size:
             mass[q] = sizes[q] * row[-1]
-        elif row[-1]:
-            loose.add(q - size)
     total = sum(mass)
     return WorstCaseResult(
         value=Fraction(d, total),
         weights=tuple(Fraction(x, total) for x in mass),
-        achieving_class=next(m for m in classes if m not in loose),
+        achieving_class=0,
     )

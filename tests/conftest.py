@@ -5,11 +5,9 @@ from hypothesis import settings
 
 from listvote import CandidateSubset, ElectionParams, VoterDistribution, theory
 
-# A harder search for CI, not loaded by default; it reaches every property
-# whose @settings leaves max_examples unset:
-#   python -m pytest --hypothesis-profile=ci tests/test_ballots.py \
-#       tests/test_tally.py tests/test_johnson.py tests/test_exactnum.py \
-#       tests/test_theory.py
+# A harder search for CI, not loaded by default; run over the whole suite, it
+# reaches every property whose @settings leaves max_examples unset:
+#   python -m pytest --hypothesis-profile=ci tests/
 settings.register_profile("ci", max_examples=500)
 
 

@@ -391,6 +391,34 @@ class TestInterning:
         with pytest.raises(BallotFormatError, match="^ballot 1: weight must be a string"):
             loads_ballot_file(text)
 
+    @pytest.mark.parametrize(
+        ("record", "message"),
+        [
+            ('{"list": [1, 2, 3], "count": 1, "weight": null}',
+             'exactly one of "weight"/"count" required'),
+            ('{"list": [1, 2, 3], "count": 1, "x": 1}',
+             "keys must be among ['count', 'list', 'weight']"),
+            ('{"list": "123", "count": 1}', 'missing "list" array'),
+            ('{"list": {"1": 2, "3": 4}, "count": 1}', 'missing "list" array'),
+        ],
+        ids=["null-weight", "unknown-key", "string-list", "object-list"],
+    )
+    def test_repeat_in_another_shape_rejected_at_its_index(self, record, message):
+        # the first two have the values of the accepted record, so they hit its
+        # key; only the shape guard sends them on to the full checks
+        text = ('{"n": 6, "k": 4, "j": 3, "ballots": [{"list": [1, 2, 3], "count": 1}, '
+                f'{{"list": [1, 2, 3], "count": 1}}, {record}]}}')
+        with pytest.raises(BallotFormatError, match=f"^ballot 2: {re.escape(message)}$"):
+            loads_ballot_file(text)
+
+    @pytest.mark.parametrize("value", ['""', "{}"], ids=["string", "object"])
+    def test_empty_list_then_empty_string_or_object_rejected_at_its_index(self, value):
+        # "" and {} unpack to no members, the key of an empty list
+        text = ('{"n": 6, "k": 4, "j": 3, "ballots": [{"list": [], "count": 1}, '
+                f'{{"list": {value}, "count": 1}}]}}')
+        with pytest.raises(BallotFormatError, match='^ballot 1: missing "list" array$'):
+            loads_ballot_file(text)
+
     def test_member_orders_share_one_subset(self):
         raw = loads_ballot_file(two_records("[3, 1, 2]", "[1, 2, 3]"))
         first, second = raw.entries
@@ -667,3 +695,50 @@ def test_complete_then_normalize_matches_reference(case):
     dist = normalize(complete_short_lists(raw, center, radius))
     assert {frozenset(lst.members): w for lst, w in dist.items()} == expected
     assert all(type(w) is Fraction for _, w in dist.items())
+
+
+@st.composite
+def documents_with_repeats(draw):
+    """(params, text, record count): a written raw_files() document with
+    records repeated in drawn member orders at drawn places."""
+    raw = draw(raw_files(small_multiplicities, min_entries=1))
+    records = json.loads(dumps_ballot_file(raw))["ballots"]
+    for _ in range(draw(st.integers(0, 12))):
+        repeat = dict(draw(st.sampled_from(records)))
+        repeat["list"] = draw(st.permutations(repeat["list"]))
+        records.insert(draw(st.integers(0, len(records))), repeat)
+    p = raw.params
+    text = json.dumps({"n": p.n, "k": p.k, "j": p.j, "ballots": records})
+    return p, text, len(records)
+
+
+@given(documents_with_repeats(), st.data())
+def test_distinct_entries_carry_every_record(case, data):
+    params, text, count = case
+    parsed = loads_ballot_file(text)
+    assert len(parsed.repeats) == len(parsed.distinct)
+    assert sum(parsed.repeats) == count == len(parsed.entries)
+    assert [sum(e is d for e in parsed.entries) for d in parsed.distinct] == list(parsed.repeats)
+    # completion and normalization over distinct entries match a record-by-record sum
+    center = CandidateSubset(tuple(sorted(data.draw(
+        st.sets(st.integers(1, params.n), min_size=params.j, max_size=params.j)))))
+    radius = data.draw(st.integers(0, params.diameter))
+    expected = reference_complete_and_normalize(parsed, center, radius)
+    if isinstance(expected, CandidateSubset):
+        with pytest.raises(HypothesisViolation, match=re.escape(f"entry {expected} has no")):
+            complete_short_lists(parsed, center, radius)
+        return
+    dist = normalize(complete_short_lists(parsed, center, radius))
+    assert {frozenset(lst.members): w for lst, w in dist.items()} == expected
+
+
+@given(documents_with_repeats(), st.sampled_from(["true", "1.0"]))
+def test_float_or_true_document_keeps_an_entry_per_record(case, value):
+    # JSON keeps the last of two equal keys, so a leading "n": true or "n": 1.0
+    # leaves the document valid; the parser then looks up no record
+    params, text, count = case
+    bypassed = '{"n": ' + value + ", " + text[1:]
+    parsed = loads_ballot_file(bypassed)
+    assert parsed == loads_ballot_file(text)
+    assert parsed.repeats == (1,) * count
+    assert len(parsed.distinct) == count
