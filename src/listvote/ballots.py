@@ -19,6 +19,23 @@ the record order, and its check, completion and :func:`normalize` each run
 once per distinct entry, so no stage after the parser walks the records.
 :func:`normalize` sums by list mask in integer units. Nothing is cached
 between files.
+
+Each input rule is checked once, by the stage where the value enters;
+later stages build from proven values with the ``unchecked`` constructors
+of :class:`~listvote.johnson.CandidateSubset`, :class:`BallotEntry` and
+:class:`VoterDistribution`:
+
+- :func:`loads_ballot_file` owns the record's shape, its members (ints in
+  1..n, distinct by the bit count of their mask) and its multiplicity (a
+  positive int count, or a positive exact weight text, parsed once per
+  distinct text; ``json.loads`` and ``int()`` enforce the digit limit);
+- :class:`RawBallotFile` owns each entry's size, 1..j, and its range;
+- :func:`complete_short_lists` owns the ball: every completed entry lies
+  inside it;
+- :func:`normalize` owns the length j, and builds positive weights that
+  sum to exactly 1.
+
+The public constructors keep every check, for values from anywhere else.
 """
 
 from __future__ import annotations
@@ -78,6 +95,24 @@ class VoterDistribution:
         if units != scale:
             raise ParameterError(f"weights sum to {Fraction(units, scale)}, expected 1")
 
+    @classmethod
+    def unchecked(
+        cls, params: ElectionParams, support: dict[CandidateSubset, Fraction]
+    ) -> VoterDistribution:
+        """The distribution holding ``support`` itself, built without the checks.
+
+        The caller guarantees what the constructor would check: every list
+        is a valid j-list of ``params``, every weight a positive
+        ``Fraction``, and the weights sum to exactly 1. The one caller,
+        :func:`normalize`, builds them so from a checked
+        :class:`RawBallotFile`. Input from outside goes through
+        ``VoterDistribution(...)``.
+        """
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "params", params)
+        object.__setattr__(dist, "support", support)
+        return dist
+
     def weight(self, lst: CandidateSubset) -> Fraction:
         return self.support.get(lst, Fraction(0))
 
@@ -115,6 +150,23 @@ class BallotEntry:
             raise ParameterError(f"multiplicity has more than {limit} digits")
         if m <= 0:
             raise ParameterError(f"multiplicity must be positive, got {m}")
+
+    @classmethod
+    def unchecked(cls, subset: CandidateSubset, multiplicity: int | Fraction) -> BallotEntry:
+        """The entry, built without the constructor's checks.
+
+        The caller guarantees what the constructor would check: the
+        multiplicity is a positive ``int`` (not ``bool``) or ``Fraction``
+        within the int-to-str digit limit. Callers take it from values
+        already proven: :func:`loads_ballot_file` from a count or weight
+        text it accepted (``json.loads`` and ``int()`` enforce the digit
+        limit), and :func:`complete_short_lists` from an accepted entry.
+        Input from outside goes through ``BallotEntry(...)``.
+        """
+        entry = object.__new__(cls)
+        object.__setattr__(entry, "subset", subset)
+        object.__setattr__(entry, "multiplicity", multiplicity)
+        return entry
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -218,11 +270,14 @@ def normalize(raw: RawBallotFile) -> VoterDistribution:
             f"(first: {short[0][0]}); run complete_short_lists first"
         )
     # Scale the totals to integer units over the LCM of their denominators
-    # (1 for counts), so every weight is one Fraction of two ints.
+    # (1 for counts), so every weight is one Fraction of two ints. The lists
+    # passed the file's size and range check and the length test above, and
+    # each weight is a positive share of a total it divides exactly, so the
+    # distribution is built without its constructor's checks.
     scale = lcm(*(m.denominator for m in totals.values()))
     units = {mask: m.numerator * (scale // m.denominator) for mask, m in totals.items()}
     grand = sum(units.values())
-    return VoterDistribution(
+    return VoterDistribution.unchecked(
         raw.params, {lists[mask]: Fraction(u, grand) for mask, u in units.items()}
     )
 
@@ -308,14 +363,19 @@ def complete_short_lists(raw: RawBallotFile, center: CandidateSubset, radius: in
         subset = full = entry.subset
         missing = params.j - len(subset)
         if missing:
+            # Center members the entry lacks: distinct from its own, so the
+            # completed mask is the OR of the two.
             fill = tuple(c for c in center.members if c not in subset)[:missing]
-            full = CandidateSubset(subset.members + fill)
+            fill_mask = sum(1 << c for c in fill)
+            full = CandidateSubset.unchecked(
+                tuple(sorted(subset.members + fill)), subset.mask | fill_mask
+            )
         if distance(full, center) > radius:
             raise HypothesisViolation(
                 f"entry {subset} has no size-{params.j} superset within "
                 f"distance {radius} of {center}"
             )
-        done.append(entry if full is subset else BallotEntry(full, entry.multiplicity))
+        done.append(entry if full is subset else BallotEntry.unchecked(full, entry.multiplicity))
     return RawBallotFile._of(params, tuple(done), raw.repeats, raw._order)
 
 
@@ -341,7 +401,8 @@ def loads_ballot_file(text: str) -> RawBallotFile:
     record's index. A repeated record costs one lookup and one shape
     guard; in a member order not yet seen, two lookups and the full
     checks; once the text holds a float or ``true``, the full checks.
-    The result counts each distinct entry's repeats.
+    Each distinct weight text is parsed once. The result counts each
+    distinct entry's repeats.
     """
     floats: list[str] = []  # float tokens, recorded as they are parsed
     try:
@@ -379,6 +440,9 @@ def loads_ballot_file(text: str) -> RawBallotFile:
     # rejected for it anyway. A record whose key cannot be built or hashed
     # is checked in full and never stored.
     memo: dict[tuple, int] | None = None if floats or "true" in text else {}
+    # Each distinct weight text is parsed and checked once; only accepted
+    # values are stored, so a bad text is named at its first record.
+    weights: dict[str, Fraction] = {}
     distinct: list[BallotEntry] = []
     repeats: list[int] = []  # built at the first repeat, with order
     order: list[int] | None = None  # record -> index into distinct
@@ -408,10 +472,16 @@ def loads_ballot_file(text: str) -> RawBallotFile:
                 key = (*record[:2], *ordered)
                 index = memo.get(key)
             if index is None:
-                try:
-                    subset = CandidateSubset(ordered)
-                except ParameterError as exc:
-                    raise BallotFormatError(f"ballot {i}: bad list {members}: {exc}") from exc
+                # Members are ints in 1..n, so the mask has one bit per
+                # distinct member: a short bit count is a duplicate.
+                mask = 0
+                for c in ordered:
+                    mask |= 1 << c
+                if mask.bit_count() != len(ordered):
+                    raise BallotFormatError(
+                        f"ballot {i}: bad list {members}: duplicate candidates in {ordered}"
+                    )
+                subset = CandidateSubset.unchecked(ordered, mask)
                 if "count" in rec:
                     multiplicity: int | Fraction = rec["count"]
                     if type(multiplicity) is not int or multiplicity <= 0:
@@ -420,14 +490,17 @@ def loads_ballot_file(text: str) -> RawBallotFile:
                     value = rec["weight"]
                     if not isinstance(value, str):
                         raise BallotFormatError(f'ballot {i}: weight must be a string like "7/15"')
-                    try:
-                        multiplicity = parse_rational(value)
-                    except ValueError as exc:
-                        raise BallotFormatError(f"ballot {i}: {exc}") from exc
-                    if multiplicity <= 0:
-                        raise BallotFormatError(f"ballot {i}: weight must be positive")
+                    multiplicity = weights.get(value)
+                    if multiplicity is None:
+                        try:
+                            multiplicity = parse_rational(value)
+                        except ValueError as exc:
+                            raise BallotFormatError(f"ballot {i}: {exc}") from exc
+                        if multiplicity <= 0:
+                            raise BallotFormatError(f"ballot {i}: weight must be positive")
+                        weights[value] = multiplicity
                 index = len(distinct)
-                distinct.append(BallotEntry(subset, multiplicity))
+                distinct.append(BallotEntry.unchecked(subset, multiplicity))
                 if record is not None and ordered:
                     memo[record] = memo[key] = index
                 if order is not None:

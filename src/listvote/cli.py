@@ -239,8 +239,8 @@ def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
 
     declared_ball = args.center is not None
     if declared_ball:
-        inside = ball(args.center, args.radius, params)
-        outside = sorted(lst for lst in dist.support if lst not in inside)
+        inside = {lst.mask for lst in ball(args.center, args.radius, params)}
+        outside = sorted(lst for lst in dist.support if lst.mask not in inside)
         if outside:
             raise HypothesisViolation(
                 f"support outside declared ball (radius {args.radius} of "

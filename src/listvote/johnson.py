@@ -47,11 +47,23 @@ class CandidateSubset:
 
     @classmethod
     def unchecked(cls, members: tuple[int, ...], mask: int) -> "CandidateSubset":
-        """The subset with these members, already sorted, distinct and >= 1, and their mask.
+        """The subset with these members and this mask, built without the constructor.
 
-        Skips the constructor's sort and checks; a caller must derive both
-        from one bitmask or one valid subset. Input from outside goes through
-        ``CandidateSubset(...)``.
+        The caller guarantees the contract the constructor would enforce:
+        ``members`` is sorted, distinct and within 1..n, and ``mask`` is the
+        OR of ``1 << c`` over them. Since ``mask`` takes no part in equality,
+        nothing downstream would notice a wrong one. Callers derive both from
+        values already proven:
+
+        - ``loads_ballot_file``: a record's members after the range check, once
+          the mask's bit count has shown them distinct;
+        - ``complete_short_lists``: an accepted entry plus center members it
+          lacks;
+        - ``ring`` (so ``ball`` and every generator on them): center members
+          plus candidates outside the center;
+        - ``best_committees``: the winners, decoded from their masks.
+
+        Input from outside goes through ``CandidateSubset(...)``.
         """
         subset = object.__new__(cls)
         object.__setattr__(subset, "members", members)
@@ -154,10 +166,14 @@ def ring(center: CandidateSubset, r: int, params: ElectionParams) -> set[Candida
     validate_list(center, params)
     params.check_radius(r)
     outside = [c for c in range(1, params.n + 1) if c not in center]
+    # Kept members come from the checked center and added ones from outside
+    # it, so each list's members are distinct and its mask is the two masks' OR.
+    additions = [(added, sum(1 << c for c in added)) for added in combinations(outside, r)]
     out: set[CandidateSubset] = set()
     for kept in combinations(center.members, params.j - r):
-        for added in combinations(outside, r):
-            out.add(CandidateSubset(kept + added))
+        kept_mask = sum(1 << c for c in kept)
+        for added, added_mask in additions:
+            out.add(CandidateSubset.unchecked(tuple(sorted(kept + added)), kept_mask | added_mask))
     return out
 
 

@@ -67,10 +67,18 @@ def best_committees(dist: VoterDistribution, s: int | None = None) -> TallyResul
     if s == 0:
         ranks[0][0] = scale
     else:
+        # Rank j's one subset of a list is the list itself: its mask is
+        # seeded directly, once per distinct support list. Only a threshold
+        # below j decodes members for the smaller subsets.
+        top = ranks[p.j]
+        top_coefficient = (-1) ** (p.j - s) * comb(p.j - 1, s - 1)
         for lst, w in dist.items():
             units = w.numerator * (scale // w.denominator)
-            members = [b for b in bits if b & lst.mask]
-            for t in range(s, p.j + 1):
+            top[lst.mask] = top_coefficient * units
+            if s == p.j:
+                continue
+            members = [1 << c for c in lst.members]
+            for t in range(s, p.j):
                 seed = (-1) ** (t - s) * comb(t - 1, s - 1) * units
                 table = ranks[t]
                 for sub in map(sum, combinations(members, t)):

@@ -15,6 +15,23 @@ def subset(*members: int) -> CandidateSubset:
     return CandidateSubset(tuple(members))
 
 
+def assert_canonical(s: CandidateSubset, n: int) -> None:
+    """Fail unless ``s`` keeps ``CandidateSubset``'s contract: members sorted,
+    distinct and within 1..n, and ``mask`` the OR of their bits.
+
+    ``mask`` takes no part in equality, so a subset built without the
+    constructor (``CandidateSubset.unchecked``) with a wrong mask compares
+    equal to the right one; only this check sees it.
+    """
+    members = s.members
+    assert type(members) is tuple and list(members) == sorted(set(members)), s
+    assert all(type(c) is int and 1 <= c <= n for c in members), (s, n)
+    mask = 0
+    for c in members:
+        mask |= 1 << c
+    assert s.mask == mask, (s, bin(s.mask))
+
+
 def dist_from(params: ElectionParams, table: dict[tuple[int, ...], Fraction]) -> VoterDistribution:
     return VoterDistribution(params, {CandidateSubset(m): w for m, w in table.items()})
 

@@ -32,7 +32,7 @@ from listvote import (
     sample_ball_counts,
     uniform_on,
 )
-from conftest import dist_from, subset
+from conftest import assert_canonical, dist_from, subset
 
 P643 = ElectionParams(6, 4, 3)
 V123 = CandidateSubset((1, 2, 3))
@@ -742,3 +742,85 @@ def test_float_or_true_document_keeps_an_entry_per_record(case, value):
     assert parsed == loads_ballot_file(text)
     assert parsed.repeats == (1,) * count
     assert len(parsed.distinct) == count
+
+
+# ---------------------------------------------------------------------------
+# Values built without their constructors: the parser's entries and subsets,
+# completed subsets and normalize's distribution
+# ---------------------------------------------------------------------------
+
+@given(raw_files(), st.data())
+def test_parsed_entries_keep_the_constructor_contracts(raw, data):
+    # the parser builds subsets and entries without their constructors; in any
+    # member order, each must be what the checked constructors build
+    doc = json.loads(dumps_ballot_file(raw))
+    for record in doc["ballots"]:
+        record["list"] = data.draw(st.permutations(record["list"]))
+    parsed = loads_ballot_file(json.dumps(doc))
+    for entry in parsed.distinct:
+        assert_canonical(entry.subset, raw.params.n)
+    for entry, record in zip(parsed.entries, doc["ballots"]):
+        checked = BallotEntry(CandidateSubset(tuple(record["list"])), entry.multiplicity)
+        assert entry == checked
+        assert type(entry.multiplicity) is type(checked.multiplicity)
+
+
+@given(files_near_a_ball())
+def test_completed_and_normalized_lists_keep_the_constructor_contracts(case):
+    raw, center, radius = case
+    try:
+        completed = complete_short_lists(raw, center, radius)
+    except HypothesisViolation:
+        return
+    for entry in completed.distinct:
+        assert_canonical(entry.subset, raw.params.n)
+        assert len(entry.subset) == raw.params.j
+    dist = normalize(completed)
+    for lst in dist.support:
+        assert_canonical(lst, raw.params.n)
+    # the checked constructor accepts what normalize builds without it
+    assert VoterDistribution(dist.params, dict(dist.support)) == dist
+
+
+def weight_records(texts):
+    """A (7,4,3) file whose record i holds a different list and weight texts[i]."""
+    lists = [[1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 3, 4], [1, 3, 5], [2, 3, 4], [2, 3, 5]]
+    records = ", ".join(f'{{"list": {lists[i]}, "weight": "{t}"}}' for i, t in enumerate(texts))
+    return f'{{"n": 7, "k": 4, "j": 3, "ballots": [{records}]}}'
+
+
+class TestWeightTexts:
+    """Each distinct weight text is parsed once; errors still name their first record."""
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [("0/3", "weight must be positive"),
+         ("1/0", "zero denominator: '1/0'"),
+         ("2.5", "not an exact rational literal: '2.5'")],
+        ids=["zero", "zero-denominator", "decimal"],
+    )
+    def test_bad_text_named_at_its_first_record(self, text, message):
+        texts = [text, "1/5", "1/5", "1/5", text]
+        with pytest.raises(BallotFormatError, match=f"^ballot 0: {re.escape(message)}$"):
+            loads_ballot_file(weight_records(texts))
+
+    def test_shared_valid_text_then_bad_text_named_at_its_record(self):
+        texts = ["1/3", "1/3", "1/3", "1/3", "1/3", "0/3"]
+        with pytest.raises(BallotFormatError, match="^ballot 5: weight must be positive$"):
+            loads_ballot_file(weight_records(texts))
+
+    def test_shared_text_gives_equal_weights_on_different_lists(self):
+        raw = loads_ballot_file(weight_records(["1/3", "1/3", "1/3"]))
+        assert [e.multiplicity for e in raw.entries] == [Fraction(1, 3)] * 3
+        assert len(raw.distinct) == 3
+        assert normalize(raw) == VoterDistribution(
+            raw.params, {e.subset: Fraction(1, 3) for e in raw.entries}
+        )
+
+    def test_duplicate_member_after_valid_records_keeps_its_message(self):
+        text = ('{"n": 6, "k": 4, "j": 3, "ballots": ['
+                '{"list": [1, 2, 3], "weight": "1/2"}, {"list": [1, 2, 4], "count": 1}, '
+                '{"list": [2, 2, 3], "weight": "1/2"}]}')
+        message = "ballot 2: bad list [2, 2, 3]: duplicate candidates in (2, 2, 3)"
+        with pytest.raises(BallotFormatError, match=f"^{re.escape(message)}$"):
+            loads_ballot_file(text)

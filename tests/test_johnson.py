@@ -19,7 +19,7 @@ from listvote import (
 )
 from listvote.johnson import parse_members
 from listvote.oracle import iter_committees
-from conftest import subset
+from conftest import assert_canonical, subset
 
 
 class TestCandidateSubset:
@@ -152,6 +152,27 @@ class TestRings:
                 expected = byring.get(r, set())
                 assert ring(center, r, p) == expected
                 assert ring_size(p, r) == len(expected)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_rings_and_balls_keep_the_subset_contract(self, n):
+        # rings build their lists without the constructor; a wrong mask
+        # would still compare equal, so check every list's mask directly
+        for j in range(1, n):
+            p = ElectionParams(n, j, j)
+            centers = {tuple(range(1, j + 1)), tuple(range(n - j + 1, n + 1)),
+                       tuple(range(1, n + 1, 2))[:j]}
+            for members in centers:
+                if len(members) != j:
+                    continue
+                center = CandidateSubset(members)
+                for r in range(p.diameter + 1):
+                    lists = ring(center, r, p)
+                    assert len(lists) == ring_size(p, r)
+                    for lst in lists:
+                        assert_canonical(lst, n)
+                        assert len(lst) == j and distance(lst, center) == r
+                    for lst in ball(center, r, p):
+                        assert_canonical(lst, n)
 
 
 class TestBalls:
