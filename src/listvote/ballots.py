@@ -7,13 +7,25 @@ are immutable once built.
 
 Ingestion works per distinct entry, not per record. The parser gives
 records with the same list in any member order and the same count or
-weight text one entry, and counts its repeats. A repeat as written costs
-its key, one lookup and one shape guard (exactly two keys): a hit has the
-values of an accepted record, since JSON strings and objects never equal
-ints, so the guard is all that is left to check. A repeat in a member order
-not yet seen costs the full checks, a sort and a second lookup. With a
-float or ``true`` anywhere in the document no record is looked up,
-because ``1.0 == 1`` and ``True == 1`` could pass for an accepted value.
+weight text one entry, and counts its repeats. Two readers give the same
+result and the same errors:
+
+- text in the layout :func:`dumps_ballot_file` writes (as do ``listvote
+  generate`` and ``perfbench``) is read per distinct record text. A record
+  costs its share of one ``str.split``, one ``dict.fromkeys`` and one
+  mapping to its entry, all in C. A distinct text costs one pattern match,
+  which proves it a record as written, and one lookup of its sorted key;
+  only a miss runs the value checks. If any text fails to match, the
+  whole file goes to the JSON reader.
+- ``json.loads`` reads every other layout. There a record costs its
+  decoding, and a repeat as written its key, one lookup and one shape
+  guard (exactly two keys): a hit has the values of an accepted record,
+  since JSON strings and objects never equal ints, so the guard is all
+  that is left to check. A repeat in a member order not yet seen costs the
+  full checks, a sort and a second lookup. With a float or ``true``
+  anywhere in the document no record is looked up, because ``1.0 == 1``
+  and ``True == 1`` could pass for an accepted value.
+
 :class:`RawBallotFile` holds the distinct entries, their repeat counts and
 the record order, and its check, completion and :func:`normalize` each run
 once per distinct entry, so no stage after the parser walks the records.
@@ -28,7 +40,8 @@ of :class:`~listvote.johnson.CandidateSubset`, :class:`BallotEntry` and
 - :func:`loads_ballot_file` owns the record's shape, its members (ints in
   1..n, distinct by the bit count of their mask) and its multiplicity (a
   positive int count, or a positive exact weight text, parsed once per
-  distinct text; ``json.loads`` and ``int()`` enforce the digit limit);
+  distinct text; ``json.loads`` and ``int()`` enforce the digit limit).
+  Both readers check values through one function;
 - :class:`RawBallotFile` owns each entry's size, 1..j, and its range;
 - :func:`complete_short_lists` owns the ball: every completed entry lies
   inside it;
@@ -41,6 +54,7 @@ The public constructors keep every check, for values from anywhere else.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -392,18 +406,160 @@ def complete_short_lists(raw: RawBallotFile, center: CandidateSubset, radius: in
 
 _TOP_KEYS = {"n", "k", "j", "ballots"}
 _ENTRY_KEYS = {"list", "weight", "count"}
+_INT_TYPE = frozenset({int})
+
+# The layout dumps_ballot_file writes, and the canonical reader matches: the
+# header pieces around n, k and j, each record indented on its own line, the
+# separator between records and the tail.
+_HEAD = ('{\n  "n": ', ',\n  "k": ', ',\n  "j": ', ',\n  "ballots": [\n')
+_INDENT = "    "
+_SEP = ",\n" + _INDENT
+_TAIL = "\n  ]\n}\n"
+# A JSON int with no sign and no leading zero, short enough for int() at any digit limit.
+_INT = "0|[1-9][0-9]{0,17}"
+_HEAD_RE = re.compile(f"({_INT})".join(map(re.escape, _HEAD)))
+# One record as written: members, then a count or a weight text with no escapes.
+_RECORD_RE = re.compile(
+    rf'\{{"list": \[((?:{_INT})(?:, (?:{_INT}))*)\], '
+    rf'(?:"count": ({_INT})|"weight": "([0-9/+-]{{1,40}})")\}}'
+)
+
+
+class _RecordError(Exception):
+    """A record broke a value rule; the caller names the record."""
+
+
+def _ballot_params(n, k, j) -> ElectionParams:
+    """The header's parameters; an inconsistency is a BallotFormatError."""
+    try:
+        return ElectionParams(n, k, j)
+    except ParameterError as exc:
+        raise BallotFormatError(str(exc)) from exc
+
+
+def _entry(members: list, kind: str, value, n: int, weights: dict[str, Fraction]) -> BallotEntry:
+    """The entry of a record with ``members`` and its ``kind`` ("count" or "weight") ``value``.
+
+    Checks the members (ints in 1..n, distinct) and the multiplicity (a
+    positive int count, or a positive exact weight text); raises
+    _RecordError. ``weights`` maps each weight text accepted so far to its
+    value, so a text is parsed once and a bad one is never stored.
+    """
+    # Types first (bool is a subclass of int), so the sort compares ints;
+    # then the range, before the mask is built as wide as the largest member.
+    ordered = tuple(sorted(members)) if _INT_TYPE.issuperset(map(type, members)) else None
+    if ordered is None or (ordered and not (ordered[0] > 0 and ordered[-1] <= n)):
+        raise _RecordError(f"list members must be integers in 1..{n}, got {members}")
+    # Members are ints in 1..n, so the mask has one bit per distinct member:
+    # a short bit count is a duplicate.
+    mask = 0
+    for c in ordered:
+        mask |= 1 << c
+    if mask.bit_count() != len(ordered):
+        raise _RecordError(f"bad list {members}: duplicate candidates in {ordered}")
+    subset = CandidateSubset.unchecked(ordered, mask)
+    if kind == "count":
+        if type(value) is not int or value <= 0:
+            raise _RecordError("count must be a positive integer")
+        return BallotEntry.unchecked(subset, value)
+    if not isinstance(value, str):
+        raise _RecordError('weight must be a string like "7/15"')
+    multiplicity = weights.get(value)
+    if multiplicity is None:
+        try:
+            multiplicity = parse_rational(value)
+        except ValueError as exc:
+            raise _RecordError(str(exc)) from exc
+        if multiplicity <= 0:
+            raise _RecordError("weight must be positive")
+        weights[value] = multiplicity
+    return BallotEntry.unchecked(subset, multiplicity)
+
+
+def _of_entries(params, distinct, repeats, order) -> RawBallotFile:
+    """The parsed file; an entry of the wrong size or range is a BallotFormatError."""
+    try:
+        return RawBallotFile._of(params, tuple(distinct), tuple(repeats), order)
+    except ParameterError as exc:
+        raise BallotFormatError(str(exc)) from exc
 
 
 def loads_ballot_file(text: str) -> RawBallotFile:
     """Parse ballot-file text into a :class:`RawBallotFile`.
 
     Raises BallotFormatError for bad JSON, header or record, naming a bad
-    record's index. A repeated record costs one lookup and one shape
-    guard; in a member order not yet seen, two lookups and the full
-    checks; once the text holds a float or ``true``, the full checks.
-    Each distinct weight text is parsed once. The result counts each
-    distinct entry's repeats.
+    record's index (its first record when several share its text). Two
+    readers give the same result and the same error. Text in the layout
+    :func:`dumps_ballot_file` writes is read per distinct record text: a
+    record costs its share of a split, a dedupe and a mapping, all in C,
+    and a distinct text one pattern match and one lookup, with the value
+    checks on a miss. Any other text is read by ``json.loads``, where a
+    record costs its decoding and a repeat one lookup and one shape guard;
+    in a member order not yet seen, two lookups and the full checks; once
+    the text holds a float or ``true``, the full checks. Each distinct
+    weight text is parsed once. The result counts each distinct entry's
+    repeats.
     """
+    raw = _loads_canonical(text)
+    return _loads_json(text) if raw is None else raw
+
+
+def _loads_canonical(text: str) -> RawBallotFile | None:
+    """The file, if ``text`` is in the layout :func:`dumps_ballot_file` writes; else None.
+
+    Every distinct record text must match one record as written (members
+    and count as JSON ints of at most 18 digits, a weight text of at most
+    40 characters from ``0-9/+-``) before any value is checked, so a text
+    taken here is valid JSON and means what ``json.loads`` would read. A
+    text that ``json.loads`` would reject is always declined, as is
+    anything longer or in another layout; the JSON reader then reads it.
+    """
+    head = _HEAD_RE.match(text)
+    if head is None or not text.endswith(_TAIL):
+        return None
+    start, end = head.end(), len(text) - len(_TAIL)
+    if start == end:
+        texts = []
+    elif text.startswith(_INDENT, start):  # then the tail starts after the indent
+        texts = text[start + len(_INDENT):end].split(_SEP)
+    else:
+        return None
+    unique = dict.fromkeys(texts)  # distinct texts in order of their first record
+    matches = list(map(_RECORD_RE.fullmatch, unique))
+    if None in matches:
+        return None
+    params = _ballot_params(*map(int, head.groups()))
+    # Every list group is JSON ints joined by ", ", so one json.loads reads them all.
+    lists = json.loads("[[" + "],[".join([match[1] for match in matches]) + "]]")
+    # Texts merge under their count or weight and sorted members, as records
+    # do in the JSON reader. Only an accepted entry's key is stored, and the
+    # values are ints and strings, so a text that hits a key has the values
+    # of an accepted record. unique then maps each text to its entry's index.
+    weights: dict[str, Fraction] = {}
+    keys: dict[tuple, int] = {}
+    distinct: list[BallotEntry] = []
+    for record, match, members in zip(unique, matches, lists):
+        _, count, weight = match.groups()
+        kind, value = ("count", int(count)) if weight is None else ("weight", weight)
+        key = (kind, value, *sorted(members))
+        index = keys.get(key)
+        if index is None:
+            try:
+                entry = _entry(members, kind, value, params.n, weights)
+            except _RecordError as exc:
+                raise BallotFormatError(f"ballot {texts.index(record)}: {exc}") from exc
+            index = keys[key] = len(distinct)
+            distinct.append(entry)
+        unique[record] = index
+    if len(distinct) == len(texts):  # record i carries entry i
+        return _of_entries(params, distinct, [1] * len(texts), None)
+    order = list(map(unique.__getitem__, texts))
+    times = Counter(order)
+    return _of_entries(params, distinct, map(times.__getitem__, range(len(distinct))), order)
+
+
+def _loads_json(text: str) -> RawBallotFile:
+    """The file read by ``json.loads``: any layout."""
     floats: list[str] = []  # float tokens, recorded as they are parsed
     try:
         doc = json.loads(text, parse_float=lambda token: floats.append(token) or float(token))
@@ -422,10 +578,7 @@ def loads_ballot_file(text: str) -> RawBallotFile:
     for key in ("n", "k", "j"):
         if type(doc[key]) is not int:
             raise BallotFormatError(f"header field {key!r} must be an integer")
-    try:
-        params = ElectionParams(doc["n"], doc["k"], doc["j"])
-    except ParameterError as exc:
-        raise BallotFormatError(str(exc)) from exc
+    params = _ballot_params(doc["n"], doc["k"], doc["j"])
     if not isinstance(doc["ballots"], list):
         raise BallotFormatError('"ballots" must be an array')
     # An accepted record maps to its entry's index under (count, weight,
@@ -435,13 +588,12 @@ def loads_ballot_file(text: str) -> RawBallotFile:
     # no lookups. Otherwise a record that hits its as-written key has the
     # values of an accepted record (strings and objects never equal ints),
     # so it is valid when its only keys are "list" and the one of
-    # "count"/"weight" it holds: the guard len(rec) == 2. An empty list is
+    # "count"/"weight" it holds: the guard len(rec) == 2. A record that hits
+    # only its sorted key passed the value checks itself. An empty list is
     # never stored, since "" and {} unpack to the same key; the file is
     # rejected for it anyway. A record whose key cannot be built or hashed
     # is checked in full and never stored.
     memo: dict[tuple, int] | None = None if floats or "true" in text else {}
-    # Each distinct weight text is parsed and checked once; only accepted
-    # values are stored, so a bad text is named at its first record.
     weights: dict[str, Fraction] = {}
     distinct: list[BallotEntry] = []
     repeats: list[int] = []  # built at the first repeat, with order
@@ -462,45 +614,18 @@ def loads_ballot_file(text: str) -> RawBallotFile:
                 raise BallotFormatError(f'ballot {i}: missing "list" array')
             if ("weight" in rec) == ("count" in rec):
                 raise BallotFormatError(f'ballot {i}: exactly one of "weight"/"count" required')
-            # Range-check before CandidateSubset builds a bitmask as wide as the largest member.
-            if not all(type(c) is int and 0 < c <= params.n for c in members):
-                raise BallotFormatError(
-                    f"ballot {i}: list members must be integers in 1..{params.n}, got {members}"
-                )
-            ordered = tuple(sorted(members))
+            kind = "count" if "count" in rec else "weight"
+            try:
+                entry = _entry(members, kind, rec[kind], params.n, weights)
+            except _RecordError as exc:
+                raise BallotFormatError(f"ballot {i}: {exc}") from exc
+            ordered = entry.subset.members
             if record is not None:
                 key = (*record[:2], *ordered)
                 index = memo.get(key)
             if index is None:
-                # Members are ints in 1..n, so the mask has one bit per
-                # distinct member: a short bit count is a duplicate.
-                mask = 0
-                for c in ordered:
-                    mask |= 1 << c
-                if mask.bit_count() != len(ordered):
-                    raise BallotFormatError(
-                        f"ballot {i}: bad list {members}: duplicate candidates in {ordered}"
-                    )
-                subset = CandidateSubset.unchecked(ordered, mask)
-                if "count" in rec:
-                    multiplicity: int | Fraction = rec["count"]
-                    if type(multiplicity) is not int or multiplicity <= 0:
-                        raise BallotFormatError(f"ballot {i}: count must be a positive integer")
-                else:
-                    value = rec["weight"]
-                    if not isinstance(value, str):
-                        raise BallotFormatError(f'ballot {i}: weight must be a string like "7/15"')
-                    multiplicity = weights.get(value)
-                    if multiplicity is None:
-                        try:
-                            multiplicity = parse_rational(value)
-                        except ValueError as exc:
-                            raise BallotFormatError(f"ballot {i}: {exc}") from exc
-                        if multiplicity <= 0:
-                            raise BallotFormatError(f"ballot {i}: weight must be positive")
-                        weights[value] = multiplicity
                 index = len(distinct)
-                distinct.append(BallotEntry.unchecked(subset, multiplicity))
+                distinct.append(entry)
                 if record is not None and ordered:
                     memo[record] = memo[key] = index
                 if order is not None:
@@ -513,20 +638,18 @@ def loads_ballot_file(text: str) -> RawBallotFile:
             repeats = [1] * i
         order.append(index)
         repeats[index] += 1
-    try:
-        if order is None:
-            return RawBallotFile(params, distinct)
-        return RawBallotFile._of(params, tuple(distinct), tuple(repeats), order)
-    except ParameterError as exc:
-        raise BallotFormatError(str(exc)) from exc
+    if order is None:
+        repeats = [1] * len(distinct)
+    return _of_entries(params, distinct, repeats, order)
 
 
 def dumps_ballot_file(raw: RawBallotFile) -> str:
     """Ballot-file text: one record per line, members sorted, so files diff well.
 
     A repeated entry is written once per repeat. :func:`loads_ballot_file`
-    reads the text back to an equal file that writes the same text. Raises
-    nothing for entries built under the current int-to-str digit limit.
+    reads the text back to an equal file that writes the same text, per
+    distinct record text. Raises nothing for entries built under the
+    current int-to-str digit limit.
     """
     records = []
     for entry in raw.entries:
@@ -535,10 +658,11 @@ def dumps_ballot_file(raw: RawBallotFile) -> str:
             tail = f'"count": {entry.multiplicity}'
         else:
             tail = f'"weight": "{format_rational(entry.multiplicity)}"'
-        records.append(f'    {{"list": [{members}], {tail}}}')
-    body = ",\n".join(records)
-    header = f'  "n": {raw.params.n},\n  "k": {raw.params.k},\n  "j": {raw.params.j},'
-    return "{\n" + header + '\n  "ballots": [\n' + body + "\n  ]\n}\n"
+        records.append(f'{{"list": [{members}], {tail}}}')
+    p = raw.params
+    head = "".join(piece + str(v) for piece, v in zip(_HEAD, (p.n, p.k, p.j))) + _HEAD[-1]
+    body = _INDENT + _SEP.join(records) if records else ""
+    return head + body + _TAIL
 
 
 def read_ballot_file(path: str | Path) -> RawBallotFile:

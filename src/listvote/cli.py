@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from random import Random
 
 from . import oracle, theory
@@ -171,7 +172,7 @@ def render(args: argparse.Namespace, result: list[Fact] | RawBallotFile) -> str:
     if args.format == "structured":
         doc = {"command": args.command}
         doc.update((key, value) for key, value, _ in result if key is not None)
-        return json.dumps(doc, indent=2, sort_keys=True, default=_json_value) + "\n"
+        return _json_text(doc) + "\n"
     lines = (
         "".join(_human_text(part, args.approx) for part in line)
         for _, _, line in result
@@ -180,12 +181,42 @@ def render(args: argparse.Namespace, result: list[Fact] | RawBallotFile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, default=_json_value)``, byte for byte.
+
+    ``json.dumps`` encodes in pure Python whenever it indents; here an
+    all-int list (a winner) is one ``str.join`` and a string goes through
+    json's own C escaper. Dict keys are strings. ``indent`` is the newline
+    and indentation of the enclosing level.
+    """
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if {int}.issuperset(map(type, value)):
+            items = map(str, value)
+        else:
+            items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+                 for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, (int, float)):
+        return json.dumps(value)
+    return _json_text(_json_value(value), indent)
+
+
 def _json_value(value):
     """Structured form of the exact objects a result holds."""
+    if isinstance(value, CandidateSubset):
+        return value.members
     if isinstance(value, Fraction):
         return format_rational(value)
-    if isinstance(value, CandidateSubset):
-        return list(value.members)
     if isinstance(value, ElectionParams):
         return {"n": value.n, "k": value.k, "j": value.j}
     if isinstance(value, theory.WorstCaseResult):

@@ -32,6 +32,7 @@ from listvote import (
     sample_ball_counts,
     uniform_on,
 )
+from listvote.ballots import _loads_canonical
 from conftest import assert_canonical, dist_from, subset
 
 P643 = ElectionParams(6, 4, 3)
@@ -824,3 +825,170 @@ class TestWeightTexts:
         message = "ballot 2: bad list [2, 2, 3]: duplicate candidates in (2, 2, 3)"
         with pytest.raises(BallotFormatError, match=f"^{re.escape(message)}$"):
             loads_ballot_file(text)
+
+
+# ---------------------------------------------------------------------------
+# Two readers: the tool's own layout, read per distinct record text, and
+# json.loads for every other layout
+# ---------------------------------------------------------------------------
+
+def in_layout(params, records):
+    """The layout dumps_ballot_file writes, around record texts as given."""
+    head = f'{{\n  "n": {params.n},\n  "k": {params.k},\n  "j": {params.j},\n  "ballots": [\n'
+    body = "    " + ",\n    ".join(records) if records else ""
+    return head + body + "\n  ]\n}\n"
+
+
+def compact(params, records):
+    """The same records in a layout the canonical reader declines."""
+    return f'{{"n": {params.n}, "k": {params.k}, "j": {params.j}, "ballots": [{", ".join(records)}]}}'
+
+
+def record_texts(text):
+    """The record texts of a written file, as written."""
+    return [json.dumps(record) for record in json.loads(text)["ballots"]]
+
+
+def assert_same_parse(got, expected):
+    assert got.params == expected.params
+    assert got.distinct == expected.distinct
+    assert got.repeats == expected.repeats
+    assert got.entries == expected.entries
+    assert [type(e.multiplicity) for e in got.distinct] == [
+        type(e.multiplicity) for e in expected.distinct
+    ]
+
+
+@given(st.one_of(raw_files(), raw_files(small_multiplicities)))
+def test_both_layouts_parse_alike(raw):
+    text = dumps_ballot_file(raw)
+    assert in_layout(raw.params, record_texts(text)) == text
+    assert_same_parse(loads_ballot_file(text), loads_ballot_file(json.dumps(json.loads(text))))
+
+
+@given(raw_files(small_multiplicities))
+def test_written_files_take_the_canonical_reader(raw):
+    text = dumps_ballot_file(raw)
+    parsed = _loads_canonical(text)
+    assert parsed is not None
+    assert_same_parse(parsed, loads_ballot_file(json.dumps(json.loads(text))))
+
+
+@given(documents_with_repeats())
+def test_repeats_in_any_member_order_parse_alike_in_both_layouts(case):
+    # the tool's layout around records in drawn member orders: texts that differ
+    # only in member order merge into one entry, as the JSON reader merges them
+    params, text, count = case
+    parsed = _loads_canonical(in_layout(params, record_texts(text)))
+    assert parsed is not None
+    assert sum(parsed.repeats) == count
+    assert_same_parse(parsed, loads_ballot_file(text))
+
+
+def _members(record):
+    return json.loads(record)["list"]
+
+
+def _tail(record):
+    """The multiplicity part of a record text: '"count": 3' or '"weight": "1/2"'."""
+    return record[record.index("], ") + 3:-1]
+
+
+def _mutant(members, tail):
+    return '{"list": [' + ", ".join(map(str, members)) + "], " + tail + "}"
+
+
+# Each mutation of one record text, and how the canonical reader takes the
+# result: "value" texts still match its record pattern, so it raises the
+# value error itself; "syntax" texts do not, so it declines and json.loads
+# reads them; "valid" texts are declined and parse in both layouts.
+MUTATIONS = {
+    "member-0": ("value", lambda r, n: _mutant([0] + _members(r)[1:], _tail(r))),
+    "member-n+1": ("value", lambda r, n: _mutant([n + 1] + _members(r)[1:], _tail(r))),
+    "duplicate-member": ("value", lambda r, n: _mutant(_members(r) + _members(r)[:1], _tail(r))),
+    "count-0": ("value", lambda r, n: _mutant(_members(r), '"count": 0')),
+    "weight-0": ("value", lambda r, n: _mutant(_members(r), '"weight": "0"')),
+    "weight-1/0": ("value", lambda r, n: _mutant(_members(r), '"weight": "1/0"')),
+    "weight--1/2": ("value", lambda r, n: _mutant(_members(r), '"weight": "-1/2"')),
+    "weight-1/2/3": ("value", lambda r, n: _mutant(_members(r), '"weight": "1/2/3"')),
+    "leading-zero": ("syntax", lambda r, n: _mutant(["01"] + _members(r)[1:], _tail(r))),
+    "19-digit-member": ("syntax", lambda r, n: _mutant([10**18] + _members(r)[1:], _tail(r))),
+    "minus-zero-count": ("syntax", lambda r, n: _mutant(_members(r), '"count": -0')),
+    "exponent-count": ("syntax", lambda r, n: _mutant(_members(r), '"count": 1e0')),
+    "nan-count": ("syntax", lambda r, n: _mutant(_members(r), '"count": NaN')),
+    "escaped-count-key": ("syntax", lambda r, n: _mutant(_members(r), '"\\u0063ount": 0')),
+    "extra-key": ("syntax", lambda r, n: _mutant(_members(r), _tail(r) + ', "x": 1')),
+    "19-digit-count": ("valid", lambda r, n: _mutant(_members(r), f'"count": {10**18}')),
+    "escaped-key": ("valid", lambda r, n: _mutant(
+        _members(r), _tail(r).replace('"count"', '"\\u0063ount"').replace('"weight"', '"w\\u0065ight"')
+    )),
+}
+
+
+def outcome(text):
+    """The parse, or the error message without json's line and column."""
+    try:
+        return loads_ballot_file(text)
+    except BallotFormatError as exc:
+        return re.sub(r": line \d+ column \d+ \(char \d+\)$", "", str(exc))
+
+
+@given(raw_files(small_multiplicities, min_entries=1), st.sampled_from(sorted(MUTATIONS)),
+       st.data())
+def test_mutated_record_gives_one_outcome_in_both_layouts(raw, name, data):
+    kind, mutate = MUTATIONS[name]
+    records = record_texts(dumps_ballot_file(raw))
+    target = data.draw(st.integers(0, len(records) - 1))
+    mutant = mutate(records[target], raw.params.n)
+    # the mutated record at `target` and again later, after the original
+    first = data.draw(st.integers(target + 1, len(records)))
+    records.insert(first, mutant)
+    records.insert(data.draw(st.integers(first + 1, len(records))), mutant)
+    canonical, other = in_layout(raw.params, records), compact(raw.params, records)
+    if kind == "value":
+        with pytest.raises(BallotFormatError):
+            _loads_canonical(canonical)
+    else:
+        assert _loads_canonical(canonical) is None
+    got, expected = outcome(canonical), outcome(other)
+    if kind == "valid":
+        assert_same_parse(got, expected)
+    else:
+        assert isinstance(got, str) and got == expected
+        assert got.startswith("not valid JSON" if name == "leading-zero" else f"ballot {first}: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        in_layout(P643, ['{"list": [1, 2, 3], "count": 1}']).replace("\n", "\r\n"),
+        in_layout(P643, ['{"list": [1, 2, 3], "count": 1}']).rstrip("\n"),
+        in_layout(P643, ['{"list": [1, 2, 3], "count": 1}', ""]),
+        in_layout(P643, ['{"list": [1, 2, 3], "count": 1} ']),
+        in_layout(P643, ['{"list": [1,2,3], "count": 1}']),
+        in_layout(P643, ['{"count": 1, "list": [1, 2, 3]}']),
+        in_layout(P643, ['{"list": [], "count": 1}']),
+        in_layout(P643, ['{"list": [1, 2, 3], "weight": "' + "1" * 41 + '"}']),
+        in_layout(ElectionParams(6, 4, 3), ['{"list": [1, 2, 3], "count": 1}']).replace('"n": 6', '"n": 06'),
+    ],
+    ids=["crlf", "no-final-newline", "trailing-comma", "trailing-space", "compact-list",
+         "keys-swapped", "empty-list", "long-weight", "leading-zero-header"],
+)
+def test_other_layouts_are_declined(text):
+    assert _loads_canonical(text) is None
+    outcome(text)  # and json.loads reads them
+
+
+def test_canonical_error_names_the_first_record_of_its_text():
+    good, bad = '{"list": [1, 2, 3], "count": 1}', '{"list": [1, 2, 9], "count": 1}'
+    text = in_layout(P643, [good, good, bad, good, bad])
+    message = "ballot 2: list members must be integers in 1..6, got [1, 2, 9]"
+    with pytest.raises(BallotFormatError, match=f"^{re.escape(message)}$"):
+        _loads_canonical(text)
+
+
+def test_canonical_header_error_matches_the_json_reader():
+    text = in_layout(ElectionParams(6, 4, 3), []).replace('"k": 4', '"k": 7')
+    assert outcome(text) == outcome(json.dumps(json.loads(text)))
+    with pytest.raises(BallotFormatError):
+        _loads_canonical(text)

@@ -4,6 +4,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from listvote import (
     CandidateSubset,
@@ -14,7 +16,8 @@ from listvote import (
     parse_rational,
     theory,
 )
-from listvote.cli import main
+from listvote import cli
+from listvote.cli import _json_text, main
 
 EXAMPLE_FILE = """{
   "n": 7,
@@ -526,3 +529,48 @@ class TestOutputFiles:
         assert out == ""
         doc = json.loads(dest.read_text())
         assert doc["best_value"] == "8/15"
+
+
+@pytest.mark.parametrize("bad", ["[1, 2, 9]", "[1, 1, 2]"], ids=["range", "duplicate"])
+def test_both_ballot_readers_reject_a_file_alike(capsys, tmp_path, bad):
+    # the tool's own layout takes the per-text reader; the compact copy, json's
+    written = tmp_path / "written.json"
+    main(["generate", "--params", "6,4,3", "--mode", "uniform-ring", "--center", "1,2,3",
+          "--radius", "1", "--output", str(written)])
+    text = written.read_text().replace("[1, 2, 4]", bad)
+    written.write_text(text)
+    packed = tmp_path / "packed.json"
+    packed.write_text(json.dumps(json.loads(text)))
+    results = [run(capsys, "tally", "--input", str(path)) for path in (written, packed)]
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert code == 2 and out == "" and err.startswith("error: ballot ")
+
+
+# Nested JSON values, with tuples (which json writes as arrays) and all-int
+# lists (which the writer joins in one go) made likely.
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(st.integers(), max_size=5)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@given(json_documents)
+def test_structured_writer_matches_json(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_structured_writer_renders_exact_objects_like_json():
+    doc = {"value": Fraction(8, 15), "winners": [CandidateSubset((4, 5, 6, 7))],
+           "params": ElectionParams(7, 4, 3), "none": [], "empty": {}}
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True,
+                                          default=cli._json_value)
+
+
+def test_structured_writer_rejects_an_unknown_type():
+    with pytest.raises(TypeError, match="^no structured form for object$"):
+        _json_text({"winners": [object()]})
