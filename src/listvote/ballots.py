@@ -29,8 +29,9 @@ result and the same errors:
 :class:`RawBallotFile` holds the distinct entries, their repeat counts and
 the record order, and its check, completion and :func:`normalize` each run
 once per distinct entry, so no stage after the parser walks the records.
-:func:`normalize` sums by list mask in integer units. Nothing is cached
-between files.
+:func:`normalize` sums by list mask in integer units, and the distribution
+keeps those units over their total for the tally kernel. Nothing is
+cached between files.
 
 Each input rule is checked once, by the stage where the value enters;
 later stages build from proven values with the ``unchecked`` constructors
@@ -111,13 +112,18 @@ class VoterDistribution:
 
     @classmethod
     def unchecked(
-        cls, params: ElectionParams, support: dict[CandidateSubset, Fraction]
+        cls,
+        params: ElectionParams,
+        support: dict[CandidateSubset, Fraction],
+        units: tuple[int, list[tuple[CandidateSubset, int]]],
     ) -> VoterDistribution:
         """The distribution holding ``support`` itself, built without the checks.
 
         The caller guarantees what the constructor would check: every list
         is a valid j-list of ``params``, every weight a positive
-        ``Fraction``, and the weights sum to exactly 1. The one caller,
+        ``Fraction``, and the weights sum to exactly 1; and ``units`` is
+        ``(total, [(list, units), ...])`` with each weight its units over
+        the total, as :attr:`_units` holds it. The one caller,
         :func:`normalize`, builds them so from a checked
         :class:`RawBallotFile`. Input from outside goes through
         ``VoterDistribution(...)``.
@@ -125,7 +131,21 @@ class VoterDistribution:
         dist = object.__new__(cls)
         object.__setattr__(dist, "params", params)
         object.__setattr__(dist, "support", support)
+        object.__setattr__(dist, "_units", units)
         return dist
+
+    @cached_property
+    def _units(self) -> tuple[int, list[tuple[CandidateSubset, int]]]:
+        """``(total, [(list, units), ...])``: each weight is its units over the one total.
+
+        The tally kernel works in these integers. Computed on first read
+        over the LCM of the weights' denominators; :func:`normalize` fills
+        it from the units it already holds.
+        """
+        weights = self.support.values()
+        scale = lcm(*(w.denominator for w in weights))
+        return scale, [(lst, w.numerator * (scale // w.denominator))
+                       for lst, w in self.support.items()]
 
     def weight(self, lst: CandidateSubset) -> Fraction:
         return self.support.get(lst, Fraction(0))
@@ -288,11 +308,12 @@ def normalize(raw: RawBallotFile) -> VoterDistribution:
     # passed the file's size and range check and the length test above, and
     # each weight is a positive share of a total it divides exactly, so the
     # distribution is built without its constructor's checks.
+    # The same units, over their sum, are the distribution's integer units.
     scale = lcm(*(m.denominator for m in totals.values()))
-    units = {mask: m.numerator * (scale // m.denominator) for mask, m in totals.items()}
-    grand = sum(units.values())
+    units = [(lists[mask], m.numerator * (scale // m.denominator)) for mask, m in totals.items()]
+    grand = sum([u for _, u in units])
     return VoterDistribution.unchecked(
-        raw.params, {lists[mask]: Fraction(u, grand) for mask, u in units.items()}
+        raw.params, {lst: Fraction(u, grand) for lst, u in units}, (grand, units)
     )
 
 

@@ -488,12 +488,13 @@ def _domination_trial(dist: VoterDistribution, rng: Random) -> tuple[str, bool, 
 
 
 def _oracle_trial(dist: VoterDistribution, rng: Random) -> tuple[str, bool, str]:
-    """The kernel and the brute-force oracle agree on the value and every winner."""
+    """Both kernel paths and the brute-force oracle agree on the value and every winner."""
     j = dist.params.j
     s = j if rng.random() < 0.5 else rng.randint(0, j)
     reference = oracle.brute_best(dist, s)
-    result = best_committees(dist, s=s)
-    ok = (result.best_value, result.winners) == (reference.best_value, reference.winners)
+    results = [best_committees(dist, s=s, _path=path) for path in ("packed", "sparse")]
+    ok = all((r.best_value, r.winners) == (reference.best_value, reference.winners)
+             for r in results)
     return f"s={s}", ok, f"value={format_rational(reference.best_value)}"
 
 

@@ -5,33 +5,67 @@ under the threshold variant, at least s of its members. The search is
 always exhaustive and exact: the full argmax set is returned and ties
 are never broken.
 
-Both rules run on one integer kernel, a ranked subset-sum (zeta)
-transform over weights scaled once by the LCM of their denominators. One
-table per rank t maps a t-set's bitmask to integer units. Containment
-seeds rank j with each list. A threshold s >= 1 uses the identity
+Both rules run on one integer subset-sum (zeta) transform, in the
+distribution's integer units over one total. Containment seeds each
+list. A threshold s >= 1 uses the identity
 1[|X| >= s] = sum over T in X, |T| >= s, of (-1)^(|T|-s) C(|T|-1, s-1):
 each t-subset of each list, t = s..j, is seeded with that coefficient
-times the list's units. s = 0 seeds the empty set with the whole weight.
-Then, for each candidate b in turn and each rank from k - 1 down, every
-entry without b is added into its union with b, so rank k ends holding
-every committee's exact approval. With n - i candidates left, a rank
-below k - (n - i) can no longer reach k and is freed. Only supersets of
-seeded sets are touched, all C(n, k) committees only when s = 0 makes
-them tie, so the strategy reads ``sparse``. A committee left out has
-value 0 and cannot win.
+times the list's units. s = 0 seeds the empty set with the whole total.
+After the transform every k-set holds its committee's exact approval.
+The seeds, the read-out of the best value and the winner decode are
+shared by two ways to run the transform; the result's strategy names
+the one that ran.
+
+- ``sparse``: one table per rank t maps a t-set's bitmask to its units.
+  For each candidate b in turn and each rank from k - 1 down, every entry
+  without b is added into its union with b. With n - i candidates left, a
+  rank below k - (n - i) can no longer reach k and is freed. Only
+  supersets of seeded sets are touched, so a small support on many
+  candidates stays cheap. A committee left out has value 0 and cannot
+  win.
+- ``packed``: the whole lattice of 2^n subsets lives in one int P, one
+  lane of W bytes per subset, lane X at bit 8·W·X (SWAR, as in Lamport,
+  "Multiple byte processing with full-word instructions", CACM 1975).
+  Candidate b's step is ``P += (P << 8·W·2^b) & A_b``, where A_b is all
+  ones in the lanes with b: three big-int operations move every subset
+  at once, and A_b comes from A_(b+1) by one shift and one xor. Seeds
+  with a negative coefficient go into a second int N, transformed alike,
+  and the k-set lanes are read from P - N, row by row of 2^(n//2) lanes.
+  A lane of P (N) ends at most scale times the sum of C(j,t)·C(t-1,s-1)
+  over the ranks t of positive (negative) coefficient, a bound the full
+  set's lane reaches, so W is the larger bound in whole bytes, rounded
+  up to 1, 2, 4 or 8 when it fits a machine word, and no lane carries.
+  P - N cannot borrow: every lane of it is an approval, at least 0.
+
+Each call picks its path from counts known before any work starts. With
+seeds_t seeded t-sets (the support times C(j,t)), the sparse path makes
+at most n times the sum over ranks r = s..k-1 of
+min(C(n,r), sum over t of seeds_t · C(n-t, r-t)) table updates. The
+packed path costs its lattice bytes times n over
+``PACKED_BYTES_PER_UPDATE``, plus C(n,k) lane reads. The cheaper one
+runs, and packed only while its lattice fits ``PACKED_MAX_BYTES``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from operator import itemgetter
 
 from .ballots import VoterDistribution
 from .errors import ParameterError
 from .johnson import CandidateSubset
+
+# Lattice bytes the packed path moves in the time of one sparse table
+# update, fitted on a grid of 96 shapes with 10 <= n <= 18 (CHANGES.md).
+PACKED_BYTES_PER_UPDATE = 16
+# The largest lattice the packed path builds; a few copies are live at once.
+PACKED_MAX_BYTES = 1 << 22
+# memoryview formats of the lane widths that are machine words
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 @dataclass(frozen=True)
@@ -50,60 +84,187 @@ class TallyResult:
             raise ParameterError("winners must be sorted lexicographically")
 
 
-def best_committees(dist: VoterDistribution, s: int | None = None) -> TallyResult:
+def best_committees(
+    dist: VoterDistribution, s: int | None = None, *, _path: str | None = None
+) -> TallyResult:
     """Exact maximum approval over all committees, with every argmax.
 
     ``s`` relaxes the rule to threshold approval (default: full
-    containment, s = j). The result's strategy is always ``"sparse"``.
+    containment, s = j). The result's strategy is the path that ran,
+    ``"packed"`` or ``"sparse"``; ``_path`` forces one, for checks that
+    compare the two.
     """
     p = dist.params
     if s is None:
         s = p.j
     if not 0 <= s <= p.j:
         raise ParameterError(f"threshold {s} outside 0..{p.j}")
-    scale = lcm(*(w.denominator for _, w in dist.items()))
-    bits = [1 << c for c in range(1, p.n + 1)]
-    ranks: list[dict[int, int]] = [{} for _ in range(p.k + 1)]
+    scale, units = dist._units
+    width = lane_bytes(scale, p.j, s)
+    path = _path or choose_path(p.n, p.k, p.j, s, len(units), width)
+    ranks = _seed(p.k, p.j, s, scale, units)
+    if path == "packed":
+        best, masks = _packed(p.n, p.k, ranks, width)
+    else:
+        best, masks = _sparse(p.n, p.k, s, ranks)
+    candidates = range(1, p.n + 1)
+    winners = sorted(
+        ((tuple([c for c in candidates if m >> c & 1]), m) for m in masks),
+        key=itemgetter(0),
+    )
+    return TallyResult(
+        Fraction(best, scale),
+        tuple(CandidateSubset.unchecked(members, m) for members, m in winners),
+        path,
+    )
+
+
+def _coefficient(t: int, s: int) -> int:
+    """Moebius coefficient of a t-subset under threshold s >= 1."""
+    return (-1) ** (t - s) * comb(t - 1, s - 1)
+
+
+def lane_bytes(scale: int, j: int, s: int) -> int:
+    """Bytes per packed lane: the largest lane of P or N, in whole bytes.
+
+    Up to 8 bytes the width is rounded up to a machine word, 1, 2, 4 or 8.
+    """
+    if s == 0:
+        bound = scale
+    else:
+        sums = [0, 0]
+        for t in range(s, j + 1):
+            sums[(t - s) & 1] += comb(j, t) * comb(t - 1, s - 1)
+        bound = scale * max(sums)
+    width = (bound.bit_length() + 7) // 8
+    return width if width > 8 else next(w for w in _WORDS if w >= width)
+
+
+def choose_path(n: int, k: int, j: int, s: int, support: int, width: int) -> str:
+    """``"packed"`` or ``"sparse"``, whichever the shape predicts cheaper.
+
+    The sparse cost is the rank-table bound in updates, the packed cost
+    its lattice bytes times n over ``PACKED_BYTES_PER_UPDATE`` plus one
+    read per committee. A lattice above ``PACKED_MAX_BYTES`` is never
+    built.
+    """
+    # a lattice of 2**64 lanes is far above the cap; the shift stays small
+    lattice = width << min(n, 64)
+    if lattice > PACKED_MAX_BYTES:
+        return "sparse"
+    seeds = {0: 1} if s == 0 else {t: support * comb(j, t) for t in range(s, j + 1)}
+    sparse = n * sum(
+        min(comb(n, r), sum(c * comb(n - t, r - t) for t, c in seeds.items() if t <= r))
+        for r in range(s, k)
+    )
+    packed = lattice * n // PACKED_BYTES_PER_UPDATE + comb(n, k)
+    return "packed" if packed < sparse else "sparse"
+
+
+def _seed(
+    k: int, j: int, s: int, scale: int, units: list[tuple[CandidateSubset, int]]
+) -> list[dict[int, int]]:
+    """One table per rank 0..k, mapping each seeded set's bitmask to its units."""
+    ranks: list[dict[int, int]] = [{} for _ in range(k + 1)]
     if s == 0:
         ranks[0][0] = scale
-    else:
-        # Rank j's one subset of a list is the list itself: its mask is
-        # seeded directly, once per distinct support list. Only a threshold
-        # below j decodes members for the smaller subsets.
-        top = ranks[p.j]
-        top_coefficient = (-1) ** (p.j - s) * comb(p.j - 1, s - 1)
-        for lst, w in dist.items():
-            units = w.numerator * (scale // w.denominator)
-            top[lst.mask] = top_coefficient * units
-            if s == p.j:
-                continue
-            members = [1 << c for c in lst.members]
-            for t in range(s, p.j):
-                seed = (-1) ** (t - s) * comb(t - 1, s - 1) * units
-                table = ranks[t]
-                for sub in map(sum, combinations(members, t)):
-                    table[sub] = table.get(sub, 0) + seed
+        return ranks
+    # Rank j's one subset of a list is the list itself: its mask is seeded
+    # directly, once per distinct support list. Only a threshold below j
+    # decodes members for the smaller subsets.
+    top = ranks[j]
+    top_coefficient = _coefficient(j, s)
+    for lst, u in units:
+        top[lst.mask] = top_coefficient * u
+        if s == j:
+            continue
+        members = [1 << c for c in lst.members]
+        for t in range(s, j):
+            seed = _coefficient(t, s) * u
+            table = ranks[t]
+            for sub in map(sum, combinations(members, t)):
+                table[sub] = table.get(sub, 0) + seed
+    return ranks
+
+
+def _sparse(n: int, k: int, s: int, ranks: list[dict[int, int]]) -> tuple[int, list[int]]:
+    """The ranked transform on the tables; the best units and the masks holding them."""
     low = s
-    for i, b in enumerate(bits):
-        if low < p.k - (p.n - i):
+    for i, b in enumerate([1 << c for c in range(1, n + 1)]):
+        if low < k - (n - i):
             ranks[low].clear()
             low += 1
-        for t in range(p.k - 1, low - 1, -1):
+        for t in range(k - 1, low - 1, -1):
             up = ranks[t + 1]
             get = up.get
             for x, v in ranks[t].items():
                 y = x | b
                 if y != x:
                     up[y] = get(y, 0) + v
-    acc = ranks[p.k]
+    acc = ranks[k]
     best = max(acc.values())
-    candidates = range(1, p.n + 1)
-    winners = sorted(
-        ((tuple([c for c in candidates if m >> c & 1]), m) for m, v in acc.items() if v == best),
-        key=itemgetter(0),
-    )
-    return TallyResult(
-        Fraction(best, scale),
-        tuple(CandidateSubset.unchecked(members, m) for members, m in winners),
-        "sparse",
-    )
+    return best, [m for m, v in acc.items() if v == best]
+
+
+def _packed(n: int, k: int, ranks: list[dict[int, int]], width: int) -> tuple[int, list[int]]:
+    """The transform on the packed lattice; the best units and the masks holding them.
+
+    Candidate c is bit c of a mask and bit c - 1 of a lane index.
+    """
+    size = width << n
+    word = _WORDS.get(width) if sys.byteorder == "little" else None
+    pos, neg = bytearray(size), bytearray(size)
+    if word:
+        with memoryview(pos).cast(word) as lanes_pos, memoryview(neg).cast(word) as lanes_neg:
+            for table in ranks:
+                for mask, v in table.items():
+                    if v > 0:
+                        lanes_pos[mask >> 1] = v
+                    else:
+                        lanes_neg[mask >> 1] = -v
+    else:
+        for table in ranks:
+            for mask, v in table.items():
+                at = (mask >> 1) * width
+                if v > 0:
+                    pos[at:at + width] = v.to_bytes(width, "little")
+                else:
+                    neg[at:at + width] = (-v).to_bytes(width, "little")
+    plus, minus = int.from_bytes(pos, "little"), int.from_bytes(neg, "little")
+    # each spent copy of the lattice is freed at once: a few are live together
+    del pos, neg
+    # Candidate b's step adds each lane without b into its union with b:
+    # x += (x << shift) & with_b, where with_b is all ones in the lanes with
+    # b. The top candidate's lanes are the upper half, and the lanes with
+    # b are those whose index changes bit b + 1 when 2**b is added.
+    half = 4 * size
+    with_b = ((1 << half) - 1) << half
+    for b in range(n - 1, -1, -1):
+        shift = 8 * width << b
+        if b < n - 1:
+            with_b ^= with_b >> shift
+        plus += (plus << shift) & with_b
+        if minus:
+            minus += (minus << shift) & with_b
+    del with_b
+    data = (plus - minus).to_bytes(size, "little")
+    del plus, minus
+    if word:
+        lanes = memoryview(data).cast(word)
+    else:
+        lanes = [int.from_bytes(data[at:at + width], "little") for at in range(0, size, width)]
+    # The lattice read as rows of 2**low lanes: a row's k-sets are its lanes
+    # whose column index has the k - (row popcount) bits left.
+    low = n // 2
+    step = 1 << low
+    columns: list[list[int]] = [[] for _ in range(low + 1)]
+    for x in range(step):
+        columns[x.bit_count()].append(x)
+    # a repeated first column keeps every pick a tuple, even of one lane
+    pick = [itemgetter(*xs, xs[0]) for xs in columns]
+    rows = [(high, k - high.bit_count()) for high in range(0, 1 << n, step)
+            if 0 <= k - high.bit_count() <= low]
+    values = [pick[rest](lanes[high:high + step]) for high, rest in rows]
+    best = max(map(max, values))
+    return best, [(high | x) << 1 for (high, rest), got in zip(rows, values) if best in got
+                  for x, v in zip(columns[rest], got) if v == best]

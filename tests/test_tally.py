@@ -20,8 +20,17 @@ from listvote import (
     random_distribution,
     uniform_on,
 )
+from listvote.johnson import CandidateSubset
 from listvote.oracle import approval, iter_committees, threshold_approval
+from listvote.tally import PACKED_MAX_BYTES, choose_path, lane_bytes
 from conftest import dist_from, subset
+
+
+def _rule(dist: VoterDistribution, s: int) -> str:
+    """The path the selection rule picks for ``dist`` at threshold ``s``."""
+    p = dist.params
+    scale, _ = dist._units
+    return choose_path(p.n, p.k, p.j, s, len(dist), lane_bytes(scale, p.j, s))
 
 
 class TestApproval:
@@ -120,7 +129,7 @@ class TestBestCommittees:
             result = best_committees(dist)
             reference = brute_best(dist)
             assert (result.best_value, result.winners) == (reference.best_value, reference.winners)
-            assert result.strategy_used == "sparse"
+            assert result.strategy_used == _rule(dist, dist.params.j)
 
     def test_full_support_strategies_agree(self):
         params = ElectionParams(7, 4, 3)
@@ -129,7 +138,7 @@ class TestBestCommittees:
             result = best_committees(full, s=s)
             reference = brute_best(full, s)
             assert (result.best_value, result.winners) == (reference.best_value, reference.winners)
-            assert result.strategy_used == "sparse"
+            assert result.strategy_used == _rule(full, s)
 
     def test_threshold_strategies_agree(self, example_distribution):
         rng = Random(103)
@@ -171,7 +180,8 @@ class TestBestCommittees:
         params = ElectionParams(29, 3, 2)
         full = uniform_on(params, iter_lists(params))
         result = best_committees(full)
-        assert result.strategy_used == "sparse"
+        # 2**29 lanes are far above the packed lattice cap
+        assert result.strategy_used == _rule(full, 2) == "sparse"
         assert result.best_value == Fraction(3, 406)
         assert len(result.winners) == comb(29, 3)
         # thresholds on the point mass: s = 1 needs one of 1, 2, 3 on the
@@ -220,6 +230,99 @@ def test_kernels_match_brute_force_for_every_threshold(dist):
         assert result.winners == reference.winners
         # winners skip the constructor, and equality ignores the mask
         assert [w.mask for w in result.winners] == [w.mask for w in reference.winners]
+
+
+# Totals whose largest containment lane just fits, or just overflows, a
+# 1-byte and an 8-byte lane.
+_EDGE_TOTALS = [255, 256, 2**64 - 1, 2**64]
+
+
+@st.composite
+def kernel_cases(draw):
+    """A distribution for both kernel paths: any shape with n <= 9, one-list
+    supports, integer counts over an edge total, or shares over coprime
+    denominators whose LCM needs lanes wider than 8 bytes."""
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(1, n - 1))
+    j = draw(st.integers(1, k))
+    params = ElectionParams(n, k, j)
+    lists = sorted(iter_lists(params))
+    size = draw(st.just(1) | st.integers(1, min(len(lists), 30)))
+    chosen = draw(st.lists(st.sampled_from(lists), min_size=size, max_size=size, unique=True))
+    if draw(st.booleans()):
+        # one list at 1/total fixes the LCM of the denominators at the total
+        total = draw(st.sampled_from(_EDGE_TOTALS) | st.integers(size, 10**6))
+        counts = [1] * size
+        counts[-1] += total - size
+        raw = [Fraction(c, total) for c in counts]
+    else:
+        raw = [Fraction(draw(st.integers(1, 10**6)), draw(st.sampled_from(_DENOMINATORS)))
+               for _ in chosen]
+    total = sum(raw)
+    return VoterDistribution(params, {lst: w / total for lst, w in zip(chosen, raw)})
+
+
+@settings(deadline=None)
+@given(kernel_cases())
+def test_both_paths_match_brute_force_for_every_threshold(dist):
+    for s in range(dist.params.j + 1):
+        reference = brute_best(dist, s)
+        for path in ("packed", "sparse"):
+            result = best_committees(dist, s=s, _path=path)
+            assert result.strategy_used == path
+            assert result.best_value == reference.best_value
+            assert [w.mask for w in result.winners] == [w.mask for w in reference.winners]
+            assert result.winners == reference.winners
+
+
+class TestPackedPath:
+    def test_lane_width_at_the_byte_edges(self):
+        # containment: the full set's lane holds the whole total
+        assert [lane_bytes(t, 3, 3) for t in _EDGE_TOTALS] == [1, 2, 8, 9]
+        # s = 0 seeds the empty set with the total; widths below 8 bytes
+        # are rounded up to machine words
+        assert [lane_bytes(2**b, 3, 0) for b in (8, 16, 24, 40, 63)] == [2, 4, 4, 8, 8]
+        # j = 4, s = 3: the ranks t = 3 (+) and t = 4 (-) give 4 and 3 units
+        # per list unit, so P's lanes bound the width
+        assert lane_bytes(63, 4, 3) == 1 and lane_bytes(64, 4, 3) == 2
+
+    def test_lane_holds_exactly_the_edge_total(self):
+        # the LCM of the denominators is the total, and the full set's lane
+        # holds all of it: 255 in 1 byte, 256 in 2, 2**64 - 1 in 8, 2**64 in 9
+        params = ElectionParams(5, 4, 2)
+        for total in _EDGE_TOTALS:
+            dist = dist_from(params, {(1, 2): Fraction(total - 1, total),
+                                      (4, 5): Fraction(1, total)})
+            for s in range(3):
+                reference = brute_best(dist, s)
+                for path in ("packed", "sparse"):
+                    result = best_committees(dist, s=s, _path=path)
+                    assert (result.best_value, result.winners) == (
+                        reference.best_value, reference.winners)
+
+    def test_rule_picks_packed_on_dense_supports(self):
+        # the tally-ball shape, a radius-2 ball of 311 lists at (14,7,4), and
+        # the tally-threshold shape, 60 to 140 lists at (13,6,4) with s = 3,
+        # each over 3000 voters
+        assert choose_path(14, 7, 4, 4, 311, lane_bytes(3000, 4, 4)) == "packed"
+        for support in (60, 100, 140):
+            assert choose_path(13, 6, 4, 3, support, lane_bytes(3000, 4, 3)) == "packed"
+
+    def test_rule_picks_sparse_on_wide_or_thin_supports(self):
+        # 112 lists at (40,4,3): 2**40 lanes are far above the lattice cap
+        assert (1 << 40) > PACKED_MAX_BYTES
+        assert choose_path(40, 4, 3, 3, 112, lane_bytes(20000, 3, 3)) == "sparse"
+        # one list at (16,4,3) touches 13 committees
+        assert choose_path(16, 4, 3, 3, 1, lane_bytes(1, 3, 3)) == "sparse"
+
+    def test_strategy_reports_the_path_that_ran(self):
+        params = ElectionParams(14, 7, 4)
+        center = CandidateSubset((1, 2, 3, 4))
+        dense = uniform_on(params, ball(center, 2, params))
+        assert best_committees(dense).strategy_used == "packed"
+        thin = dist_from(ElectionParams(16, 4, 3), {(1, 2, 3): Fraction(1)})
+        assert best_committees(thin).strategy_used == "sparse"
+        assert best_committees(dense, _path="sparse").strategy_used == "sparse"
 
 
 class TestAverageApproval:
