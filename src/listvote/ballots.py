@@ -30,8 +30,9 @@ result and the same errors:
 the record order, and its check, completion and :func:`normalize` each run
 once per distinct entry, so no stage after the parser walks the records.
 :func:`normalize` sums by list mask in integer units, and the distribution
-keeps those units over their total for the tally kernel. Nothing is
-cached between files.
+stores only those units over their reduced total, the one form the tally
+kernel reads; a list's ``Fraction`` weight is built only when read.
+Nothing is cached between files.
 
 Each input rule is checked once, by the stage where the value enters;
 later stages build from proven values with the ``unchecked`` constructors
@@ -46,8 +47,8 @@ of :class:`~listvote.johnson.CandidateSubset`, :class:`BallotEntry` and
 - :class:`RawBallotFile` owns each entry's size, 1..j, and its range;
 - :func:`complete_short_lists` owns the ball: every completed entry lies
   inside it;
-- :func:`normalize` owns the length j, and builds positive weights that
-  sum to exactly 1.
+- :func:`normalize` owns the length j, and builds positive units that
+  sum to their total, with no factor common to all.
 
 The public constructors keep every check, for values from anywhere else.
 """
@@ -61,7 +62,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping, Sequence
@@ -85,76 +86,66 @@ def _exact(value) -> bool:
     return type(value) is int or isinstance(value, Fraction)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VoterDistribution:
     """Probability distribution over j-element lists.
 
-    Only lists with positive weight are stored; weights sum to exactly 1.
+    Only lists with positive weight are stored, each as integer units over
+    one total: list L weighs ``units[L] / total``. The units are positive,
+    sum to the total and share no factor with it, so the form is unique
+    and equal distributions have equal fields. :attr:`support` builds the
+    weights as ``Fraction`` values on first read.
     """
 
     params: ElectionParams
-    support: Mapping[CandidateSubset, Fraction]
+    total: int
+    units: dict[CandidateSubset, int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "support", dict(self.support))
-        for lst, weight in self.support.items():
-            validate_list(lst, self.params)
+    def __init__(self, params: ElectionParams, support: Mapping[CandidateSubset, Fraction]):
+        support = dict(support)
+        for lst, weight in support.items():
+            validate_list(lst, params)
             if not _exact(weight):
                 raise ParameterError(f"weight {weight!r} on {lst} is not an int or a Fraction")
             if weight <= 0:
                 raise ParameterError(f"non-positive weight {weight} on {lst}")
-        # Sum in integer units over the LCM of the denominators.
-        weights = self.support.values()
-        scale = lcm(*(w.denominator for w in weights))
-        units = sum(w.numerator * (scale // w.denominator) for w in weights)
-        if units != scale:
-            raise ParameterError(f"weights sum to {Fraction(units, scale)}, expected 1")
+        # Units over the LCM of the reduced denominators share no factor with
+        # it, and sum to it exactly when the weights sum to 1.
+        total = lcm(*(w.denominator for w in support.values()))
+        units = {lst: w.numerator * (total // w.denominator) for lst, w in support.items()}
+        got = sum(units.values())
+        if got != total:
+            raise ParameterError(f"weights sum to {Fraction(got, total)}, expected 1")
+        # frozen: the fields are set past __setattr__, as unchecked() does
+        vars(self).update(params=params, total=total, units=units)
 
     @classmethod
     def unchecked(
-        cls,
-        params: ElectionParams,
-        support: dict[CandidateSubset, Fraction],
-        units: tuple[int, list[tuple[CandidateSubset, int]]],
+        cls, params: ElectionParams, total: int, units: dict[CandidateSubset, int]
     ) -> VoterDistribution:
-        """The distribution holding ``support`` itself, built without the checks.
+        """The distribution holding ``units`` itself, built without the checks.
 
-        The caller guarantees what the constructor would check: every list
-        is a valid j-list of ``params``, every weight a positive
-        ``Fraction``, and the weights sum to exactly 1; and ``units`` is
-        ``(total, [(list, units), ...])`` with each weight its units over
-        the total, as :attr:`_units` holds it. The one caller,
-        :func:`normalize`, builds them so from a checked
-        :class:`RawBallotFile`. Input from outside goes through
-        ``VoterDistribution(...)``.
+        The caller guarantees the stored form: every list is a valid j-list
+        of ``params``, every unit a positive int, and the units sum to
+        ``total`` with gcd 1. The one caller, :func:`normalize`, builds them
+        so from a checked :class:`RawBallotFile`. Input from outside goes
+        through ``VoterDistribution(...)``.
         """
         dist = object.__new__(cls)
-        object.__setattr__(dist, "params", params)
-        object.__setattr__(dist, "support", support)
-        object.__setattr__(dist, "_units", units)
+        vars(dist).update(params=params, total=total, units=units)
         return dist
 
     @cached_property
-    def _units(self) -> tuple[int, list[tuple[CandidateSubset, int]]]:
-        """``(total, [(list, units), ...])``: each weight is its units over the one total.
-
-        The tally kernel works in these integers. Computed on first read
-        over the LCM of the weights' denominators; :func:`normalize` fills
-        it from the units it already holds.
-        """
-        weights = self.support.values()
-        scale = lcm(*(w.denominator for w in weights))
-        return scale, [(lst, w.numerator * (scale // w.denominator))
-                       for lst, w in self.support.items()]
-
-    def weight(self, lst: CandidateSubset) -> Fraction:
-        return self.support.get(lst, Fraction(0))
+    def support(self) -> dict[CandidateSubset, Fraction]:
+        """Each list's weight, ``Fraction(units, total)``; the tally kernel never reads it."""
+        total = self.total
+        return {lst: Fraction(u, total) for lst, u in self.units.items()}
 
     def items(self):
         return self.support.items()
 
     def __len__(self) -> int:
-        return len(self.support)
+        return len(self.units)
 
 
 @dataclass(frozen=True)
@@ -296,7 +287,7 @@ def normalize(raw: RawBallotFile) -> VoterDistribution:
         else:
             totals[mask] = m
             lists[mask] = entry.subset
-    if any(len(lst) < raw.params.j for lst in lists.values()):
+    if any(mask.bit_count() < raw.params.j for mask in totals):
         short = [(e.subset, times) for e, times in zip(raw.distinct, raw.repeats)
                  if len(e.subset) < raw.params.j]
         raise BallotFormatError(
@@ -304,17 +295,16 @@ def normalize(raw: RawBallotFile) -> VoterDistribution:
             f"(first: {short[0][0]}); run complete_short_lists first"
         )
     # Scale the totals to integer units over the LCM of their denominators
-    # (1 for counts), so every weight is one Fraction of two ints. The lists
+    # (1 for counts), then divide out the units' common factor. The lists
     # passed the file's size and range check and the length test above, and
-    # each weight is a positive share of a total it divides exactly, so the
-    # distribution is built without its constructor's checks.
-    # The same units, over their sum, are the distribution's integer units.
+    # the units are positive with their sum as total, so the distribution is
+    # built without its constructor's checks.
     scale = lcm(*(m.denominator for m in totals.values()))
-    units = [(lists[mask], m.numerator * (scale // m.denominator)) for mask, m in totals.items()]
-    grand = sum([u for _, u in units])
-    return VoterDistribution.unchecked(
-        raw.params, {lst: Fraction(u, grand) for lst, u in units}, (grand, units)
-    )
+    units = {lists[mask]: m.numerator * (scale // m.denominator) for mask, m in totals.items()}
+    common = gcd(*units.values())
+    if common > 1:
+        units = {lst: u // common for lst, u in units.items()}
+    return VoterDistribution.unchecked(raw.params, sum(units.values()), units)
 
 
 def uniform_on(params: ElectionParams, lists: Iterable[CandidateSubset]) -> VoterDistribution:
@@ -329,10 +319,10 @@ def uniform_on(params: ElectionParams, lists: Iterable[CandidateSubset]) -> Vote
 def ring_weights(dist: VoterDistribution, center: CandidateSubset) -> tuple[Fraction, ...]:
     """Total mass on each ring about ``center``, indices 0..diameter."""
     validate_list(center, dist.params)
-    weights = [Fraction(0)] * (dist.params.diameter + 1)
-    for lst, weight in dist.items():
-        weights[distance(lst, center)] += weight
-    return tuple(weights)
+    units = [0] * (dist.params.diameter + 1)
+    for lst, u in dist.units.items():
+        units[distance(lst, center)] += u
+    return tuple(Fraction(u, dist.total) for u in units)
 
 
 def concentric(

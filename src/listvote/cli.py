@@ -271,7 +271,7 @@ def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
     declared_ball = args.center is not None
     if declared_ball:
         inside = {lst.mask for lst in ball(args.center, args.radius, params)}
-        outside = sorted(lst for lst in dist.support if lst.mask not in inside)
+        outside = sorted(lst for lst in dist.units if lst.mask not in inside)
         if outside:
             raise HypothesisViolation(
                 f"support outside declared ball (radius {args.radius} of "
@@ -480,7 +480,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, list[Fact]]:
 
 def _domination_trial(dist: VoterDistribution, rng: Random) -> tuple[str, bool, str]:
     """Projecting onto rings about a support list never raises the best value."""
-    center = rng.choice(sorted(dist.support))
+    center = rng.choice(sorted(dist.units))
     before = best_committees(dist).best_value
     after = best_committees(project_concentric(dist, center)).best_value
     detail = f"best={format_rational(before)} projected={format_rational(after)}"

@@ -99,7 +99,7 @@ def best_committees(
         s = p.j
     if not 0 <= s <= p.j:
         raise ParameterError(f"threshold {s} outside 0..{p.j}")
-    scale, units = dist._units
+    scale, units = dist.total, dist.units
     width = lane_bytes(scale, p.j, s)
     path = _path or choose_path(p.n, p.k, p.j, s, len(units), width)
     ranks = _seed(p.k, p.j, s, scale, units)
@@ -162,7 +162,7 @@ def choose_path(n: int, k: int, j: int, s: int, support: int, width: int) -> str
 
 
 def _seed(
-    k: int, j: int, s: int, scale: int, units: list[tuple[CandidateSubset, int]]
+    k: int, j: int, s: int, scale: int, units: dict[CandidateSubset, int]
 ) -> list[dict[int, int]]:
     """One table per rank 0..k, mapping each seeded set's bitmask to its units."""
     ranks: list[dict[int, int]] = [{} for _ in range(k + 1)]
@@ -174,7 +174,7 @@ def _seed(
     # decodes members for the smaller subsets.
     top = ranks[j]
     top_coefficient = _coefficient(j, s)
-    for lst, u in units:
+    for lst, u in units.items():
         top[lst.mask] = top_coefficient * u
         if s == j:
             continue

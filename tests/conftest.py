@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import settings
@@ -30,6 +31,20 @@ def assert_canonical(s: CandidateSubset, n: int) -> None:
     for c in members:
         mask |= 1 << c
     assert s.mask == mask, (s, bin(s.mask))
+
+
+def assert_reduced(dist: VoterDistribution) -> None:
+    """Fail unless ``dist`` holds ``VoterDistribution``'s one stored form:
+    positive int units that sum to the total and share no factor with it.
+
+    ``VoterDistribution.unchecked`` takes the form on trust, and equality
+    compares it field by field, so units with a common factor left in
+    would compare unequal to the same weights reduced.
+    """
+    units = list(dist.units.values())
+    assert all(type(u) is int and u > 0 for u in units), dist
+    assert sum(units) == dist.total, dist
+    assert gcd(dist.total, *units) == 1, dist
 
 
 def dist_from(params: ElectionParams, table: dict[tuple[int, ...], Fraction]) -> VoterDistribution:

@@ -33,7 +33,7 @@ from listvote import (
     uniform_on,
 )
 from listvote.ballots import _loads_canonical
-from conftest import assert_canonical, dist_from, subset
+from conftest import assert_canonical, assert_reduced, dist_from, subset
 
 P643 = ElectionParams(6, 4, 3)
 V123 = CandidateSubset((1, 2, 3))
@@ -95,25 +95,33 @@ class TestNormalize:
             ),
         )
         dist = normalize(raw)
-        assert dist.weight(subset(1, 2, 3)) == Fraction(7, 15)
-        assert dist.weight(subset(4, 5, 6)) == Fraction(2, 15)
+        assert dist.support[subset(1, 2, 3)] == Fraction(7, 15)
+        assert dist.support[subset(4, 5, 6)] == Fraction(2, 15)
         assert sum(w for _, w in dist.items()) == 1
 
     def test_single_ballot(self):
         dist = normalize(RawBallotFile(P643, (entry((1, 2, 3), 5),)))
-        assert dist.weight(V123) == 1
+        assert dist.support[V123] == 1
 
     def test_duplicates_merge(self):
         raw = RawBallotFile(P643, (entry((1, 2, 3), 2), entry((1, 2, 3), 3)))
         dist = normalize(raw)
         assert len(dist) == 1
-        assert dist.weight(V123) == 1
+        assert dist.support[V123] == 1
 
     def test_mixed_counts_and_weights(self):
         raw = RawBallotFile(P643, (entry((1, 2, 3), 1), entry((4, 5, 6), Fraction(1, 3))))
         dist = normalize(raw)
-        assert dist.weight(V123) == Fraction(3, 4)
-        assert dist.weight(subset(4, 5, 6)) == Fraction(1, 4)
+        assert dist.support[V123] == Fraction(3, 4)
+        assert dist.support[subset(4, 5, 6)] == Fraction(1, 4)
+
+    def test_counts_sharing_a_factor_reduce(self):
+        raw = RawBallotFile(P643, (entry((1, 2, 3), 2), entry((1, 2, 4), 4),
+                                   entry((4, 5, 6), 6)))
+        dist = normalize(raw)
+        assert dist.total == 6
+        assert dist.units == {V123: 1, subset(1, 2, 4): 2, subset(4, 5, 6): 3}
+        assert_reduced(dist)
 
     def test_short_list_rejected(self):
         raw = RawBallotFile(P643, (entry((1, 2), 1), entry((1, 2, 3), 1)))
@@ -139,7 +147,7 @@ class TestUniformOn:
 
     def test_single_list(self):
         dist = uniform_on(P643, [V123])
-        assert dist.weight(V123) == 1
+        assert dist.support[V123] == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
@@ -302,7 +310,7 @@ class TestBallotFiles:
     def test_read_example(self):
         raw = loads_ballot_file(EXAMPLE_FILE)
         assert raw.params == ElectionParams(7, 4, 3)
-        assert normalize(raw).weight(subset(1, 2, 3)) == Fraction(7, 15)
+        assert normalize(raw).support[subset(1, 2, 3)] == Fraction(7, 15)
 
     def test_write_read_round_trip_bytes(self, tmp_path):
         raw = loads_ballot_file(EXAMPLE_FILE)
@@ -777,10 +785,15 @@ def test_completed_and_normalized_lists_keep_the_constructor_contracts(case):
         assert_canonical(entry.subset, raw.params.n)
         assert len(entry.subset) == raw.params.j
     dist = normalize(completed)
-    for lst in dist.support:
+    assert_reduced(dist)
+    for lst in dist.units:
         assert_canonical(lst, raw.params.n)
-    # the checked constructor accepts what normalize builds without it
-    assert VoterDistribution(dist.params, dict(dist.support)) == dist
+    # the checked constructor accepts what normalize builds without it, and
+    # stores the same weights in the same form
+    checked = VoterDistribution(dist.params, dict(dist.support))
+    assert_reduced(checked)
+    assert (checked.total, checked.units) == (dist.total, dist.units)
+    assert checked == dist
 
 
 def weight_records(texts):

@@ -191,6 +191,26 @@ class TestTally:
         assert out == ""
         assert err == "error: self-check failed: best 1/100 below floor 4/35\n"
 
+    def test_ball_check_and_kernel_leave_support_unbuilt(self, capsys, monkeypatch, tmp_path):
+        # the per-list Fraction weights are built only when dist.support is read
+        seen = []
+        monkeypatch.setattr(cli, "normalize", lambda raw: seen.append(normalize(raw)) or seen[-1])
+        path = tmp_path / "ball.json"
+        path.write_text(
+            '{"n": 6, "k": 4, "j": 3, "ballots": ['
+            '{"list": [1, 2, 3], "count": 2}, {"list": [1, 2, 4], "count": 1}]}'
+        )
+        code, out, _ = run(capsys, "tally", "--input", str(path),
+                           "--center", "1,2,3", "--radius", "1")
+        assert code == 0
+        assert "best approval: 1" in out
+        [dist] = seen
+        assert "support" not in vars(dist)
+        for s in range(dist.params.j + 1):
+            for way in ("packed", "sparse"):
+                cli.best_committees(dist, s, _path=way)
+        assert "support" not in vars(dist)
+
 
 class TestBounds:
     def test_global_floor(self, capsys):

@@ -29,8 +29,7 @@ from conftest import dist_from, subset
 def _rule(dist: VoterDistribution, s: int) -> str:
     """The path the selection rule picks for ``dist`` at threshold ``s``."""
     p = dist.params
-    scale, _ = dist._units
-    return choose_path(p.n, p.k, p.j, s, len(dist), lane_bytes(scale, p.j, s))
+    return choose_path(p.n, p.k, p.j, s, len(dist), lane_bytes(dist.total, p.j, s))
 
 
 class TestApproval:
