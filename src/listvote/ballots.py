@@ -12,11 +12,12 @@ result and the same errors:
 
 - text in the layout :func:`dumps_ballot_file` writes (as do ``listvote
   generate`` and ``perfbench``) is read per distinct record text. A record
-  costs its share of one ``str.split``, one ``dict.fromkeys`` and one
-  mapping to its entry, all in C. A distinct text costs one pattern match,
-  which proves it a record as written, and one lookup of its sorted key;
-  only a miss runs the value checks. If any text fails to match, the
-  whole file goes to the JSON reader.
+  costs its share of one newline split and one ``Counter`` pass, both in
+  C; the record order is built only when ``entries`` is read. A distinct
+  text costs one pattern match, which proves it a record as written, one
+  sort of its members and one lookup of its sorted key; only a miss runs
+  the value checks. If any text fails to match, the whole file goes to
+  the JSON reader.
 - ``json.loads`` reads every other layout. There a record costs its
   decoding, and a repeat as written its key, one lookup and one shape
   guard (exactly two keys): a hit has the values of an accepted record,
@@ -29,7 +30,7 @@ result and the same errors:
 :class:`RawBallotFile` holds the distinct entries, their repeat counts and
 the record order, and its check, completion and :func:`normalize` each run
 once per distinct entry, so no stage after the parser walks the records.
-:func:`normalize` sums by list mask in integer units, and the distribution
+:func:`normalize` sums per list in integer units, and the distribution
 stores only those units over their reduced total, the one form the tally
 kernel reads; a list's ``Fraction`` weight is built only when read.
 Nothing is cached between files.
@@ -58,14 +59,14 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd, lcm
 from pathlib import Path
 from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BallotFormatError, HypothesisViolation, ParameterError
 from .exactnum import format_rational, parse_rational
@@ -100,6 +101,7 @@ class VoterDistribution:
     params: ElectionParams
     total: int
     units: dict[CandidateSubset, int]
+    __hash__ = None  # equal by value over a dict; set here, @dataclass keeps it
 
     def __init__(self, params: ElectionParams, support: Mapping[CandidateSubset, Fraction]):
         support = dict(support)
@@ -148,21 +150,21 @@ class VoterDistribution:
         return len(self.units)
 
 
-@dataclass(frozen=True)
-class BallotEntry:
+class BallotEntry(namedtuple("BallotEntry", ["subset", "multiplicity"])):
     """One ballot-file record: a candidate set plus its multiplicity.
 
     An ``int`` multiplicity is a raw voter count; a ``Fraction`` is an
     exact pre-normalized share. The distinction is preserved on write.
     A count, numerator or denominator longer than the interpreter's
     int-to-str digit limit is rejected, since no file could hold it.
+    The value is the named tuple record ``(subset, multiplicity)``, so it
+    hashes and compares in C.
     """
 
-    subset: CandidateSubset
-    multiplicity: int | Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = self.multiplicity
+    def __new__(cls, subset: CandidateSubset, multiplicity: int | Fraction) -> BallotEntry:
+        m = multiplicity
         if not _exact(m):
             raise ParameterError(f"multiplicity {m!r} is not an int or a Fraction")
         limit = sys.get_int_max_str_digits()
@@ -175,6 +177,7 @@ class BallotEntry:
             raise ParameterError(f"multiplicity has more than {limit} digits")
         if m <= 0:
             raise ParameterError(f"multiplicity must be positive, got {m}")
+        return tuple.__new__(cls, (subset, m))
 
     @classmethod
     def unchecked(cls, subset: CandidateSubset, multiplicity: int | Fraction) -> BallotEntry:
@@ -188,10 +191,7 @@ class BallotEntry:
         limit), and :func:`complete_short_lists` from an accepted entry.
         Input from outside goes through ``BallotEntry(...)``.
         """
-        entry = object.__new__(cls)
-        object.__setattr__(entry, "subset", subset)
-        object.__setattr__(entry, "multiplicity", multiplicity)
-        return entry
+        return tuple.__new__(cls, (subset, multiplicity))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -205,9 +205,9 @@ class RawBallotFile:
     The file is held per distinct entry: ``distinct`` holds each entry
     object once, in order of its first record, and ``repeats[i]`` counts
     the records that carry ``distinct[i]``. ``entries`` lists the entry of
-    every record in order; it is built from the record order on first
-    read, so stages that read only ``distinct`` and ``repeats`` never walk
-    the records. A file built from a sequence of entries gives every
+    every record in order; the record order is built on its first read,
+    so stages that read only ``distinct`` and ``repeats`` never walk the
+    records. A file built from a sequence of entries gives every
     record its own distinct entry with one repeat. Two files are equal
     when their parameters and entries are. The size and range check runs
     once per distinct entry.
@@ -216,8 +216,8 @@ class RawBallotFile:
     params: ElectionParams
     distinct: tuple[BallotEntry, ...]
     repeats: tuple[int, ...]
-    # record -> index into distinct, never mutated; None when record i carries distinct[i]
-    _order: Sequence[int] | None
+    # () -> each record's index into distinct, in order; None when record i carries distinct[i]
+    _order: Callable[[], Iterable[int]] | None
 
     def __init__(self, params: ElectionParams, entries: Iterable[BallotEntry]):
         entries = tuple(entries)
@@ -229,32 +229,28 @@ class RawBallotFile:
         params: ElectionParams,
         distinct: tuple[BallotEntry, ...],
         repeats: tuple[int, ...],
-        order: Sequence[int] | None,
+        order: Callable[[], Iterable[int]] | None,
     ) -> RawBallotFile:
-        """The file whose record i carries ``distinct[order[i]]``; no copies are made."""
+        """The file whose records carry the entries ``distinct[i]`` for i in ``order()``."""
         raw = object.__new__(cls)
         raw._hold(params, distinct, repeats, order)
         return raw
 
     def _hold(self, params, distinct, repeats, order) -> None:
-        for entry in distinct:
-            subset = entry.subset
-            size = len(subset.members)
-            if not 1 <= size <= params.j:
-                raise ParameterError(f"entry {subset} has size {size}, expected 1..{params.j}")
-            if subset.members[-1] > params.n:
+        for subset, _ in distinct:
+            if not 1 <= subset.mask.bit_count() <= params.j:
+                raise ParameterError(f"entry {subset} has size {len(subset)}, expected 1..{params.j}")
+            if subset.mask >> (params.n + 1):
                 raise ParameterError(f"entry {subset} outside candidates 1..{params.n}")
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "distinct", distinct)
-        object.__setattr__(self, "repeats", repeats)
-        object.__setattr__(self, "_order", order)
+        # frozen: the fields are set past __setattr__
+        vars(self).update(params=params, distinct=distinct, repeats=repeats, _order=order)
 
     @cached_property
     def entries(self) -> tuple[BallotEntry, ...]:
         """The entry of every record, in order."""
         if self._order is None:
             return self.distinct
-        return tuple(map(self.distinct.__getitem__, self._order))
+        return tuple(map(self.distinct.__getitem__, self._order()))
 
     def __eq__(self, other):
         if not isinstance(other, RawBallotFile):
@@ -274,22 +270,19 @@ def normalize(raw: RawBallotFile) -> VoterDistribution:
     """
     if not raw.distinct:
         raise BallotFormatError("ballot file has no entries")
-    # Sum per list mask in the multiplicities' own type: integer counts stay
+    # Sum per list in the multiplicities' own type: integer counts stay
     # ints, and a Fraction is built once per distinct list (the product is
     # skipped at one repeat, where it would build a new Fraction).
-    totals: dict[int, int | Fraction] = {}
-    lists: dict[int, CandidateSubset] = {}
-    for entry, times in zip(raw.distinct, raw.repeats):
-        mask = entry.subset.mask
-        m = entry.multiplicity if times == 1 else entry.multiplicity * times
-        if mask in totals:
-            totals[mask] += m
+    totals: dict[CandidateSubset, int | Fraction] = {}
+    for (lst, multiplicity), times in zip(raw.distinct, raw.repeats):
+        m = multiplicity if times == 1 else multiplicity * times
+        if lst in totals:
+            totals[lst] += m
         else:
-            totals[mask] = m
-            lists[mask] = entry.subset
-    if any(mask.bit_count() < raw.params.j for mask in totals):
+            totals[lst] = m
+    if any(lst.mask.bit_count() < raw.params.j for lst in totals):
         short = [(e.subset, times) for e, times in zip(raw.distinct, raw.repeats)
-                 if len(e.subset) < raw.params.j]
+                 if e.subset.mask.bit_count() < raw.params.j]
         raise BallotFormatError(
             f"{sum(times for _, times in short)} entries shorter than j={raw.params.j} "
             f"(first: {short[0][0]}); run complete_short_lists first"
@@ -300,7 +293,7 @@ def normalize(raw: RawBallotFile) -> VoterDistribution:
     # the units are positive with their sum as total, so the distribution is
     # built without its constructor's checks.
     scale = lcm(*(m.denominator for m in totals.values()))
-    units = {lists[mask]: m.numerator * (scale // m.denominator) for mask, m in totals.items()}
+    units = {lst: m.numerator * (scale // m.denominator) for lst, m in totals.items()}
     common = gcd(*units.values())
     if common > 1:
         units = {lst: u // common for lst, u in units.items()}
@@ -383,19 +376,20 @@ def complete_short_lists(raw: RawBallotFile, center: CandidateSubset, radius: in
     params = raw.params
     validate_list(center, params)
     params.check_radius(radius)
+    # a full list's distance from the center is the count of its members outside it
+    outside = ~center.mask
     done: list[BallotEntry] = []
     for entry in raw.distinct:
         subset = full = entry.subset
-        missing = params.j - len(subset)
+        mask = subset.mask
+        missing = params.j - mask.bit_count()
         if missing:
             # Center members the entry lacks: distinct from its own, so the
             # completed mask is the OR of the two.
-            fill = tuple(c for c in center.members if c not in subset)[:missing]
+            fill = tuple([c for c in center.members if not mask >> c & 1][:missing])
             fill_mask = sum(1 << c for c in fill)
-            full = CandidateSubset.unchecked(
-                tuple(sorted(subset.members + fill)), subset.mask | fill_mask
-            )
-        if distance(full, center) > radius:
+            full = CandidateSubset.unchecked(tuple(sorted(subset.members + fill)), mask | fill_mask)
+        if (full.mask & outside).bit_count() > radius:
             raise HypothesisViolation(
                 f"entry {subset} has no size-{params.j} superset within "
                 f"distance {radius} of {center}"
@@ -429,10 +423,11 @@ _TAIL = "\n  ]\n}\n"
 # A JSON int with no sign and no leading zero, short enough for int() at any digit limit.
 _INT = "0|[1-9][0-9]{0,17}"
 _HEAD_RE = re.compile(f"({_INT})".join(map(re.escape, _HEAD)))
-# One record as written: members, then a count or a weight text with no escapes.
+# One record's line as written, indent and comma included: members, then a
+# count or a weight text with no escapes.
 _RECORD_RE = re.compile(
-    rf'\{{"list": \[((?:{_INT})(?:, (?:{_INT}))*)\], '
-    rf'(?:"count": ({_INT})|"weight": "([0-9/+-]{{1,40}})")\}}'
+    rf'{_INDENT}\{{"list": \[((?:{_INT})(?:, (?:{_INT}))*)\], '
+    rf'(?:"count": ({_INT})|"weight": "([0-9/+-]{{1,40}})")\}},'
 )
 
 
@@ -448,17 +443,17 @@ def _ballot_params(n, k, j) -> ElectionParams:
         raise BallotFormatError(str(exc)) from exc
 
 
-def _entry(members: list, kind: str, value, n: int, weights: dict[str, Fraction]) -> BallotEntry:
+def _entry(members: list, ordered: tuple[int, ...] | None, kind: str, value, n: int,
+           weights: dict[str, Fraction]) -> BallotEntry:
     """The entry of a record with ``members`` and its ``kind`` ("count" or "weight") ``value``.
 
+    ``ordered`` is the members sorted, or None when one is not an int.
     Checks the members (ints in 1..n, distinct) and the multiplicity (a
     positive int count, or a positive exact weight text); raises
     _RecordError. ``weights`` maps each weight text accepted so far to its
     value, so a text is parsed once and a bad one is never stored.
     """
-    # Types first (bool is a subclass of int), so the sort compares ints;
-    # then the range, before the mask is built as wide as the largest member.
-    ordered = tuple(sorted(members)) if _INT_TYPE.issuperset(map(type, members)) else None
+    # The range before the mask is built as wide as the largest member.
     if ordered is None or (ordered and not (ordered[0] > 0 and ordered[-1] <= n)):
         raise _RecordError(f"list members must be integers in 1..{n}, got {members}")
     # Members are ints in 1..n, so the mask has one bit per distinct member:
@@ -502,14 +497,14 @@ def loads_ballot_file(text: str) -> RawBallotFile:
     record's index (its first record when several share its text). Two
     readers give the same result and the same error. Text in the layout
     :func:`dumps_ballot_file` writes is read per distinct record text: a
-    record costs its share of a split, a dedupe and a mapping, all in C,
-    and a distinct text one pattern match and one lookup, with the value
-    checks on a miss. Any other text is read by ``json.loads``, where a
-    record costs its decoding and a repeat one lookup and one shape guard;
-    in a member order not yet seen, two lookups and the full checks; once
-    the text holds a float or ``true``, the full checks. Each distinct
-    weight text is parsed once. The result counts each distinct entry's
-    repeats.
+    record costs its share of a newline split and a ``Counter`` pass, both
+    in C, and a distinct text one pattern match, one sort and one lookup,
+    with the value checks on a miss. Any other text is read by
+    ``json.loads``, where a record costs its decoding and a repeat one
+    lookup and one shape guard; in a member order not yet seen, two
+    lookups and the full checks; once the text holds a float or ``true``,
+    the full checks. Each distinct weight text is parsed once. The result
+    counts each distinct entry's repeats.
     """
     raw = _loads_canonical(text)
     return _loads_json(text) if raw is None else raw
@@ -518,55 +513,58 @@ def loads_ballot_file(text: str) -> RawBallotFile:
 def _loads_canonical(text: str) -> RawBallotFile | None:
     """The file, if ``text`` is in the layout :func:`dumps_ballot_file` writes; else None.
 
-    Every distinct record text must match one record as written (members
-    and count as JSON ints of at most 18 digits, a weight text of at most
-    40 characters from ``0-9/+-``) before any value is checked, so a text
-    taken here is valid JSON and means what ``json.loads`` would read. A
-    text that ``json.loads`` would reject is always declined, as is
-    anything longer or in another layout; the JSON reader then reads it.
+    Records are the body's lines, split in one C pass; ``Counter`` counts
+    the distinct texts in another. Every distinct text must match one
+    record's line as written (members and count as JSON ints of at most 18
+    digits, a weight text of at most 40 characters from ``0-9/+-``) before
+    any value is checked, so a text taken here is valid JSON and means
+    what ``json.loads`` would read. A text that ``json.loads`` would reject
+    is always declined, as is anything longer or in another layout; the
+    JSON reader then reads it.
     """
     head = _HEAD_RE.match(text)
-    if head is None or not text.endswith(_TAIL):
+    if head is None or not text.endswith(_TAIL, head.end()):
         return None
     start, end = head.end(), len(text) - len(_TAIL)
-    if start == end:
-        texts = []
-    elif text.startswith(_INDENT, start):  # then the tail starts after the indent
-        texts = text[start + len(_INDENT):end].split(_SEP)
-    else:
-        return None
-    unique = dict.fromkeys(texts)  # distinct texts in order of their first record
-    matches = list(map(_RECORD_RE.fullmatch, unique))
+    texts = text[start:end].split("\n") if start < end else []
+    if texts:
+        texts[-1] += ","  # the last line's comma, so one pattern reads every line
+    times = Counter(texts)  # distinct texts in order of their first record
+    matches = list(map(_RECORD_RE.fullmatch, times))
     if None in matches:
         return None
     params = _ballot_params(*map(int, head.groups()))
     # Every list group is JSON ints joined by ", ", so one json.loads reads them all.
     lists = json.loads("[[" + "],[".join([match[1] for match in matches]) + "]]")
-    # Texts merge under their count or weight and sorted members, as records
-    # do in the JSON reader. Only an accepted entry's key is stored, and the
-    # values are ints and strings, so a text that hits a key has the values
-    # of an accepted record. unique then maps each text to its entry's index.
+    # Texts merge under their count or weight text and sorted members, as
+    # records do in the JSON reader (a count text is canonical, so equal
+    # texts are equal counts). Only an accepted entry's key is stored, and
+    # the values are ints and strings, so a text that hits a key has the
+    # values of an accepted record. index maps each text to its entry's place.
     weights: dict[str, Fraction] = {}
     keys: dict[tuple, int] = {}
+    index: dict[str, int] = {}
     distinct: list[BallotEntry] = []
-    for record, match, members in zip(unique, matches, lists):
+    repeats: list[int] = []
+    for (record, repeat), match, members in zip(times.items(), matches, lists):
         _, count, weight = match.groups()
-        kind, value = ("count", int(count)) if weight is None else ("weight", weight)
-        key = (kind, value, *sorted(members))
-        index = keys.get(key)
-        if index is None:
+        ordered = tuple(sorted(members))
+        key = (count, weight, ordered)
+        at = keys.get(key)
+        if at is None:
+            kind, value = ("count", int(count)) if weight is None else ("weight", weight)
             try:
-                entry = _entry(members, kind, value, params.n, weights)
+                entry = _entry(members, ordered, kind, value, params.n, weights)
             except _RecordError as exc:
                 raise BallotFormatError(f"ballot {texts.index(record)}: {exc}") from exc
-            index = keys[key] = len(distinct)
+            at = keys[key] = len(distinct)
             distinct.append(entry)
-        unique[record] = index
+            repeats.append(0)
+        repeats[at] += repeat
+        index[record] = at
     if len(distinct) == len(texts):  # record i carries entry i
-        return _of_entries(params, distinct, [1] * len(texts), None)
-    order = list(map(unique.__getitem__, texts))
-    times = Counter(order)
-    return _of_entries(params, distinct, map(times.__getitem__, range(len(distinct))), order)
+        return _of_entries(params, distinct, repeats, None)
+    return _of_entries(params, distinct, repeats, partial(map, index.__getitem__, texts))
 
 
 def _loads_json(text: str) -> RawBallotFile:
@@ -626,11 +624,12 @@ def _loads_json(text: str) -> RawBallotFile:
             if ("weight" in rec) == ("count" in rec):
                 raise BallotFormatError(f'ballot {i}: exactly one of "weight"/"count" required')
             kind = "count" if "count" in rec else "weight"
+            # types first (bool is a subclass of int), so the sort compares ints
+            ordered = tuple(sorted(members)) if _INT_TYPE.issuperset(map(type, members)) else None
             try:
-                entry = _entry(members, kind, rec[kind], params.n, weights)
+                entry = _entry(members, ordered, kind, rec[kind], params.n, weights)
             except _RecordError as exc:
                 raise BallotFormatError(f"ballot {i}: {exc}") from exc
-            ordered = entry.subset.members
             if record is not None:
                 key = (*record[:2], *ordered)
                 index = memo.get(key)
@@ -650,8 +649,8 @@ def _loads_json(text: str) -> RawBallotFile:
         order.append(index)
         repeats[index] += 1
     if order is None:
-        repeats = [1] * len(distinct)
-    return _of_entries(params, distinct, repeats, order)
+        return _of_entries(params, distinct, [1] * len(distinct), None)
+    return _of_entries(params, distinct, repeats, order.__iter__)
 
 
 def dumps_ballot_file(raw: RawBallotFile) -> str:

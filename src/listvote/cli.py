@@ -190,6 +190,8 @@ def _json_text(value, indent: str = "\n") -> str:
     and indentation of the enclosing level.
     """
     inner = indent + "  "
+    if isinstance(value, CandidateSubset):  # a tuple record, written as its members
+        value = value.members
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -213,8 +215,6 @@ def _json_text(value, indent: str = "\n") -> str:
 
 def _json_value(value):
     """Structured form of the exact objects a result holds."""
-    if isinstance(value, CandidateSubset):
-        return value.members
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, ElectionParams):
@@ -231,6 +231,8 @@ def _human_text(part, approx: bool) -> str:
 
     A sequence (winners, ring weights) is listed exactly, without annotation.
     """
+    if isinstance(part, CandidateSubset):  # a tuple record, shown as its set
+        return str(part)
     if isinstance(part, Fraction):
         text = format_rational(part)
         if approx and part.denominator != 1:
@@ -260,7 +262,7 @@ def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
 
     if args.complete:
         raw = complete_short_lists(raw, args.center, args.radius)
-    elif any(len(e.subset) < params.j for e in raw.distinct):
+    elif any(e.subset.mask.bit_count() < params.j for e in raw.distinct):
         raise ParameterError(
             f"file contains lists shorter than j={params.j}; "
             "rerun with --complete --center --radius"
@@ -270,8 +272,7 @@ def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
 
     declared_ball = args.center is not None
     if declared_ball:
-        inside = {lst.mask for lst in ball(args.center, args.radius, params)}
-        outside = sorted(lst for lst in dist.units if lst.mask not in inside)
+        outside = sorted(dist.units.keys() - ball(args.center, args.radius, params))
         if outside:
             raise HypothesisViolation(
                 f"support outside declared ball (radius {args.radius} of "

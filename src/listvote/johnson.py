@@ -13,28 +13,32 @@ functions pure, so everything here is safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .errors import ParameterError
 from .exactnum import binomial
 
 
-@dataclass(frozen=True, order=True)
-class CandidateSubset:
+class CandidateSubset(tuple):
     """A set of candidates in canonical sorted form.
 
-    Used for both voter lists and committees. Ordering is lexicographic
-    by member indices, which is the order winners are reported in.
+    Used for both voter lists and committees. The value is the tuple record
+    ``(members, mask)``, with ``mask`` the OR of ``1 << c`` over the
+    members, so it hashes, compares and sorts in C. Ordering is
+    lexicographic by member indices, which is the order winners are
+    reported in. ``len``, iteration and ``in`` see the members only.
     """
 
-    members: tuple[int, ...]
-    mask: int = field(init=False, repr=False, compare=False, default=0)
+    __slots__ = ()
+    members = property(itemgetter(0), doc="The candidates, sorted and distinct.")
+    mask = property(itemgetter(1), doc="The OR of ``1 << c`` over the members.")
 
-    def __post_init__(self):
-        members = tuple(sorted(self.members))
+    def __new__(cls, members: Iterable[int]) -> CandidateSubset:
+        members = tuple(sorted(members))
         if len(set(members)) != len(members):
             raise ParameterError(f"duplicate candidates in {members}")
         if members and members[0] < 1:
@@ -42,18 +46,17 @@ class CandidateSubset:
         mask = 0
         for c in members:
             mask |= 1 << c
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "mask", mask)
+        return tuple.__new__(cls, (members, mask))
 
     @classmethod
-    def unchecked(cls, members: tuple[int, ...], mask: int) -> "CandidateSubset":
+    def unchecked(cls, members: tuple[int, ...], mask: int) -> CandidateSubset:
         """The subset with these members and this mask, built without the constructor.
 
         The caller guarantees the contract the constructor would enforce:
         ``members`` is sorted, distinct and within 1..n, and ``mask`` is the
-        OR of ``1 << c`` over them. Since ``mask`` takes no part in equality,
-        nothing downstream would notice a wrong one. Callers derive both from
-        values already proven:
+        OR of ``1 << c`` over them. A wrong mask makes a subset that compares
+        unequal to the right one. Callers derive both from values already
+        proven:
 
         - ``loads_ballot_file``: a record's members after the range check, once
           the mask's bit count has shown them distinct;
@@ -65,10 +68,13 @@ class CandidateSubset:
 
         Input from outside goes through ``CandidateSubset(...)``.
         """
-        subset = object.__new__(cls)
-        object.__setattr__(subset, "members", members)
-        object.__setattr__(subset, "mask", mask)
-        return subset
+        return tuple.__new__(cls, (members, mask))
+
+    def __reduce__(self):  # pickle and copy rebuild through the checked constructor
+        return type(self), (self.members,)
+
+    def __repr__(self) -> str:
+        return f"CandidateSubset(members={self.members!r})"
 
     def __len__(self) -> int:
         return len(self.members)
@@ -79,10 +85,10 @@ class CandidateSubset:
     def __contains__(self, candidate: int) -> bool:
         return bool(self.mask >> candidate & 1) if candidate >= 0 else False
 
-    def intersection_size(self, other: "CandidateSubset") -> int:
+    def intersection_size(self, other: CandidateSubset) -> int:
         return (self.mask & other.mask).bit_count()
 
-    def issubset(self, other: "CandidateSubset") -> bool:
+    def issubset(self, other: CandidateSubset) -> bool:
         return self.mask & ~other.mask == 0
 
     def __str__(self) -> str:

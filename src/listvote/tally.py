@@ -79,8 +79,7 @@ class TallyResult:
     def __post_init__(self):
         if not self.winners:
             raise ParameterError("a tally result needs at least one winner")
-        members = [w.members for w in self.winners]
-        if members != sorted(members):
+        if list(self.winners) != sorted(self.winners):
             raise ParameterError("winners must be sorted lexicographically")
 
 
@@ -108,15 +107,10 @@ def best_committees(
     else:
         best, masks = _sparse(p.n, p.k, s, ranks)
     candidates = range(1, p.n + 1)
-    winners = sorted(
-        ((tuple([c for c in candidates if m >> c & 1]), m) for m in masks),
-        key=itemgetter(0),
-    )
-    return TallyResult(
-        Fraction(best, scale),
-        tuple(CandidateSubset.unchecked(members, m) for members, m in winners),
-        path,
-    )
+    # subsets sort by their members, the order winners are reported in
+    winners = sorted(CandidateSubset.unchecked(tuple([c for c in candidates if m >> c & 1]), m)
+                     for m in masks)
+    return TallyResult(Fraction(best, scale), tuple(winners), path)
 
 
 def _coefficient(t: int, s: int) -> int:

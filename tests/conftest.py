@@ -20,9 +20,10 @@ def assert_canonical(s: CandidateSubset, n: int) -> None:
     """Fail unless ``s`` keeps ``CandidateSubset``'s contract: members sorted,
     distinct and within 1..n, and ``mask`` the OR of their bits.
 
-    ``mask`` takes no part in equality, so a subset built without the
-    constructor (``CandidateSubset.unchecked``) with a wrong mask compares
-    equal to the right one; only this check sees it.
+    A subset is the tuple record ``(members, mask)``, so one built without
+    the constructor (``CandidateSubset.unchecked``) with a wrong mask
+    compares unequal to the right one; members out of order, repeated or
+    out of range, with their mask to match, are seen only here.
     """
     members = s.members
     assert type(members) is tuple and list(members) == sorted(set(members)), s

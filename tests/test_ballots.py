@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 import sys
 from fractions import Fraction
@@ -32,7 +34,7 @@ from listvote import (
     sample_ball_counts,
     uniform_on,
 )
-from listvote.ballots import _loads_canonical
+from listvote.ballots import _loads_canonical, _loads_json
 from conftest import assert_canonical, assert_reduced, dist_from, subset
 
 P643 = ElectionParams(6, 4, 3)
@@ -80,6 +82,11 @@ class TestVoterDistribution:
     def test_rejects_out_of_range_candidate(self):
         with pytest.raises(ParameterError):
             VoterDistribution(P643, {subset(1, 2, 7): Fraction(1)})
+
+    def test_unhashable(self, example_distribution):
+        # equal by value over a dict of units, so it has no hash
+        with pytest.raises(TypeError, match="^unhashable type: 'VoterDistribution'$"):
+            hash(example_distribution)
 
 
 class TestNormalize:
@@ -480,6 +487,18 @@ class TestBallotEntry:
     def test_entry_outside_candidates_rejected(self):
         with pytest.raises(ParameterError, match=r"^entry \{1,2,9\} outside candidates 1\.\.6$"):
             RawBallotFile(P643, (entry((1, 2, 9), 1),))
+
+    def test_record_repr_pickle_and_copies(self):
+        e = BallotEntry(V123, Fraction(1, 2))
+        assert repr(e) == (
+            "BallotEntry(subset=CandidateSubset(members=(1, 2, 3)), multiplicity=Fraction(1, 2))"
+        )
+        assert (e.subset, e.multiplicity) == (V123, Fraction(1, 2))
+        twins = [pickle.loads(pickle.dumps(e, protocol))
+                 for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins + [copy.copy(e), copy.deepcopy(e)]:
+            assert type(twin) is BallotEntry and type(twin.subset) is CandidateSubset
+            assert twin == e and hash(twin) == hash(e)
 
     def test_longest_multiplicities_round_trip(self):
         raw = RawBallotFile(P643, (
@@ -998,6 +1017,60 @@ def test_canonical_error_names_the_first_record_of_its_text():
     message = "ballot 2: list members must be integers in 1..6, got [1, 2, 9]"
     with pytest.raises(BallotFormatError, match=f"^{re.escape(message)}$"):
         _loads_canonical(text)
+
+
+def test_canonical_reader_merges_member_orders_and_short_lists_as_json_does():
+    records = [
+        '{"list": [1, 2, 3], "count": 1}', '{"list": [3, 1, 2], "count": 1}',
+        '{"list": [2, 1], "count": 2}', '{"list": [2, 3, 1], "count": 1}',
+        '{"list": [1, 2], "count": 2}', '{"list": [5, 2, 1], "weight": "1/2"}',
+        '{"list": [4, 1], "weight": "1/2"}', '{"list": [1, 2, 5], "weight": "1/2"}',
+        '{"list": [1, 2, 3], "count": 1}',
+    ]
+    text = in_layout(P643, records)
+    parsed = _loads_canonical(text)
+    assert parsed is not None and parsed.repeats == (4, 2, 2, 1)
+    assert_same_parse(parsed, loads_ballot_file(json.dumps(json.loads(text))))
+    # completion and normalize run per distinct entry and never build the record order
+    fresh = _loads_canonical(text)
+    done = complete_short_lists(fresh, V123, 1)
+    dist = normalize(done)
+    assert "entries" not in vars(fresh) and "entries" not in vars(done)
+    # counts 4 + 2 * 2 on {1,2,3}, weights 2 * 1/2 on {1,2,5} and 1/2 on {1,2,4}
+    assert dist.total == 19
+    assert dist.units == {V123: 16, subset(1, 2, 5): 2, subset(1, 2, 4): 1}
+
+
+def read_outcome(read, text):
+    """What ``read`` makes of ``text``: the parse or its error message."""
+    try:
+        return read(text)
+    except BallotFormatError as exc:
+        return str(exc)
+
+
+RECORD = '{"list": [1, 2, 3], "count": 1}'
+
+
+@pytest.mark.parametrize(
+    ("text", "canonical"),
+    [
+        (in_layout(P643, []), True),
+        (in_layout(P643, [RECORD]), True),
+        (in_layout(P643, [RECORD, RECORD]).replace("},\n", "}\n"), False),
+        (in_layout(P643, [RECORD, RECORD]).replace("},\n", "},  \n"), False),
+        (in_layout(P643, [RECORD, RECORD]).replace("\n", "\r\n"), False),
+    ],
+    ids=["empty", "one-record", "line-without-comma", "trailing-spaces", "crlf"],
+)
+def test_edge_layouts_read_as_the_json_reader_reads_them(text, canonical):
+    # the newline split adds the last line's comma itself: no other line may lack one
+    assert (_loads_canonical(text) is not None) is canonical
+    got, expected = read_outcome(loads_ballot_file, text), read_outcome(_loads_json, text)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert_same_parse(got, expected)
 
 
 def test_canonical_header_error_matches_the_json_reader():

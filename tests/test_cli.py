@@ -591,6 +591,23 @@ def test_structured_writer_renders_exact_objects_like_json():
                                           default=cli._json_value)
 
 
+def test_a_lone_subset_renders_as_its_members():
+    # a subset is a tuple record (members, mask); both renderers test for it first
+    s = CandidateSubset((3, 1, 2))
+    assert _json_text(s) == json.dumps([1, 2, 3], indent=2)
+    assert cli._human_text(s, approx=False) == "{1,2,3}"
+
+
+def test_json_dumps_never_receives_a_bare_subset(monkeypatch, capsys, example_file):
+    # the renderer writes a subset's members itself, so no encoder sees the
+    # tuple record (members, mask) behind it
+    dumps, seen = json.dumps, []
+    monkeypatch.setattr(cli.json, "dumps", lambda value: seen.append(value) or dumps(value))
+    code, out, _ = run(capsys, "tally", "--input", example_file, "--format", "structured")
+    assert code == 0 and json.loads(out)["winners"] == [[4, 5, 6, 7]]
+    assert seen and not any(isinstance(value, CandidateSubset) for value in seen)
+
+
 def test_structured_writer_rejects_an_unknown_type():
     with pytest.raises(TypeError, match="^no structured form for object$"):
         _json_text({"winners": [object()]})

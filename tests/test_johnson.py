@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 from itertools import combinations
 
@@ -47,6 +49,42 @@ class TestCandidateSubset:
         assert subset(1, 2).issubset(a)
         assert not a.issubset(b)
         assert 2 in a and 5 not in a
+
+    def test_record_views(self):
+        # a tuple record (members, mask), but len, iteration and `in` see the members
+        s = subset(3, 1, 2)
+        assert (len(s), list(s), s.mask) == (3, [1, 2, 3], 0b1110)
+        assert repr(s) == "CandidateSubset(members=(1, 2, 3))"
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        s = subset(3, 1, 2)
+        back = pickle.loads(pickle.dumps(s, protocol))
+        assert type(back) is CandidateSubset and back == s and back.mask == s.mask
+
+    def test_copies_are_equal_subsets(self):
+        s = subset(1, 2, 3)
+        for twin in (copy.copy(s), copy.deepcopy(s), copy.deepcopy([s])[0]):
+            assert type(twin) is CandidateSubset and twin == s and hash(twin) == hash(s)
+
+    def test_unchecked_with_a_wrong_mask_compares_unequal(self):
+        s = subset(1, 2, 3)
+        assert CandidateSubset.unchecked((1, 2, 3), s.mask) == s
+        assert CandidateSubset.unchecked((1, 2, 3), 0b1111) != s
+        assert CandidateSubset.unchecked((1, 2, 3), 0) != s
+
+
+@given(st.lists(st.frozensets(st.integers(1, 12), max_size=6), max_size=8))
+def test_subsets_sort_compare_and_hash_as_their_member_tuples(sets):
+    subsets = [CandidateSubset(s) for s in sets]
+    members = [tuple(sorted(s)) for s in sets]
+    assert [s.members for s in sorted(subsets)] == sorted(members)
+    for a, a_members in zip(subsets, members):
+        for b, b_members in zip(subsets, members):
+            assert (a == b) == (a_members == b_members)
+            assert (a < b) == (a_members < b_members)
+            assert (hash(a) == hash(b)) or a_members != b_members
+    assert len(set(subsets)) == len(set(members))
 
 
 class TestElectionParams:
