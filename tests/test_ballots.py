@@ -3,6 +3,7 @@ import json
 import pickle
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -35,6 +36,7 @@ from listvote import (
     uniform_on,
 )
 from listvote.ballots import _loads_canonical, _loads_json
+from listvote.exactnum import parse_rational
 from conftest import assert_canonical, assert_reduced, dist_from, subset
 
 P643 = ElectionParams(6, 4, 3)
@@ -416,12 +418,16 @@ class TestInterning:
              "keys must be among ['count', 'list', 'weight']"),
             ('{"list": "123", "count": 1}', 'missing "list" array'),
             ('{"list": {"1": 2, "3": 4}, "count": 1}', 'missing "list" array'),
+            ('{"list": [], "count": 1}', "entry {} has size 0, expected 1..3"),
+            ('{"list": [4, 3, 2, 1], "count": 1}', "entry {1,2,3,4} has size 4, expected 1..3"),
         ],
-        ids=["null-weight", "unknown-key", "string-list", "object-list"],
+        ids=["null-weight", "unknown-key", "string-list", "object-list", "empty-list",
+             "long-list"],
     )
     def test_repeat_in_another_shape_rejected_at_its_index(self, record, message):
         # the first two have the values of the accepted record, so they hit its
-        # key; only the shape guard sends them on to the full checks
+        # key; only the shape guard sends them on to the full checks. A list's
+        # size is checked at its own record, as its members are
         text = ('{"n": 6, "k": 4, "j": 3, "ballots": [{"list": [1, 2, 3], "count": 1}, '
                 f'{{"list": [1, 2, 3], "count": 1}}, {record}]}}')
         with pytest.raises(BallotFormatError, match=f"^ballot 2: {re.escape(message)}$"):
@@ -429,10 +435,12 @@ class TestInterning:
 
     @pytest.mark.parametrize("value", ['""', "{}"], ids=["string", "object"])
     def test_empty_list_then_empty_string_or_object_rejected_at_its_index(self, value):
-        # "" and {} unpack to no members, the key of an empty list
+        # "" and {} unpack to no members, the key of an empty list; the empty
+        # list is rejected at its own record, so its key is never stored
         text = ('{"n": 6, "k": 4, "j": 3, "ballots": [{"list": [], "count": 1}, '
                 f'{{"list": {value}, "count": 1}}]}}')
-        with pytest.raises(BallotFormatError, match='^ballot 1: missing "list" array$'):
+        message = "ballot 0: entry {} has size 0, expected 1..3"
+        with pytest.raises(BallotFormatError, match=f"^{re.escape(message)}$"):
             loads_ballot_file(text)
 
     def test_member_orders_share_one_subset(self):
@@ -494,11 +502,17 @@ class TestBallotEntry:
             "BallotEntry(subset=CandidateSubset(members=(1, 2, 3)), multiplicity=Fraction(1, 2))"
         )
         assert (e.subset, e.multiplicity) == (V123, Fraction(1, 2))
-        twins = [pickle.loads(pickle.dumps(e, protocol))
-                 for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        twins = [pickle.loads(pickle.dumps(e, protocol)) for protocol in protocols]
         for twin in twins + [copy.copy(e), copy.deepcopy(e)]:
             assert type(twin) is BallotEntry and type(twin.subset) is CandidateSubset
             assert twin == e and hash(twin) == hash(e)
+        # every copy is rebuilt through the checked constructor
+        bad = BallotEntry.unchecked(V123, -1)
+        rebuilds = [lambda p=p: pickle.loads(pickle.dumps(bad, p)) for p in protocols]
+        for rebuild in rebuilds + [lambda: copy.copy(bad), lambda: copy.deepcopy(bad)]:
+            with pytest.raises(ParameterError, match="^multiplicity must be positive, got -1$"):
+                rebuild()
 
     def test_longest_multiplicities_round_trip(self):
         raw = RawBallotFile(P643, (
@@ -556,6 +570,11 @@ ordinary_multiplicities = st.one_of(
 multiplicities = st.integers(0, 9).flatmap(
     lambda roll: st.sampled_from(LONGEST_PICKS) if roll == 9 else ordinary_multiplicities
 )
+# Small multiplicities make count 1, which true and 1.0 equal, a likely draw,
+# and repeated entries common.
+small_multiplicities = st.one_of(
+    st.integers(1, 3), st.builds(Fraction, st.integers(1, 3), st.integers(1, 3))
+)
 
 
 @st.composite
@@ -567,15 +586,32 @@ def raw_files(draw, multiplicities=multiplicities, min_entries=0):
     return RawBallotFile(params, tuple(entries))
 
 
-@given(raw_files())
-def test_valid_files_round_trip_byte_identically(raw):
+def typed(entries):
+    """Each entry with its multiplicity's type, since count 1 equals weight 1."""
+    return [(e, type(e.multiplicity)) for e in entries]
+
+
+def no_repeated_entry(raw):
+    """Whether no two records carry the same list and the same count or weight."""
+    keys = typed(raw.entries)
+    return len(set(keys)) == len(keys)
+
+
+@given(st.one_of(raw_files(), raw_files(small_multiplicities)))
+def test_valid_files_round_trip_as_multisets(raw):
     text = dumps_ballot_file(raw)
     again = loads_ballot_file(text)
     assert again == raw
-    assert [type(e.multiplicity) for e in again.entries] == [
-        type(e.multiplicity) for e in raw.entries
-    ]
-    assert dumps_ballot_file(again) == text
+    assert Counter(typed(again.entries)) == Counter(typed(raw.entries))
+    # one pass reaches the text every later pass writes, in both layouts
+    fixed = dumps_ballot_file(again)
+    for layout in (fixed, json.dumps(json.loads(fixed)), json.dumps(json.loads(text))):
+        parsed = loads_ballot_file(layout)
+        assert parsed == raw and dumps_ballot_file(parsed) == fixed
+    # with no repeated entry, records read back in their own order
+    if no_repeated_entry(raw):
+        assert fixed == text
+        assert typed(again.entries) == typed(raw.entries)
 
 
 def loads_or_rejects(text):
@@ -616,12 +652,6 @@ def test_mutated_documents_parse_or_are_rejected(raw, data):
     loads_or_rejects(json.dumps(doc))
 
 
-# Small multiplicities make count 1, which true and 1.0 equal, a likely draw.
-small_multiplicities = st.one_of(
-    st.integers(1, 3), st.builds(Fraction, st.integers(1, 3), st.integers(1, 3))
-)
-
-
 @given(raw_files(small_multiplicities, min_entries=1), st.data())
 def test_value_equal_to_a_repeated_record_is_rejected_at_its_index(raw, data):
     # true == 1 and 1.0 == 1: a repeat of an accepted record with one member,
@@ -652,10 +682,10 @@ def test_member_order_does_not_change_the_parse(raw, data):
     for record in doc["ballots"]:
         record["list"] = data.draw(st.permutations(record["list"]))
     parsed = loads_ballot_file(json.dumps(doc))
-    assert parsed == loads_ballot_file(text)
-    assert [type(e.multiplicity) for e in parsed.entries] == [
-        type(e.multiplicity) for e in raw.entries
-    ]
+    assert parsed == loads_ballot_file(text) == raw
+    assert Counter(typed(parsed.entries)) == Counter(typed(raw.entries))
+    if no_repeated_entry(raw):
+        assert typed(parsed.entries) == typed(raw.entries)
     # records with the same list and count or weight share one entry, and
     # completion maps that entry to one completed entry
     center = CandidateSubset(tuple(range(1, raw.params.j + 1)))
@@ -787,10 +817,12 @@ def test_parsed_entries_keep_the_constructor_contracts(raw, data):
     parsed = loads_ballot_file(json.dumps(doc))
     for entry in parsed.distinct:
         assert_canonical(entry.subset, raw.params.n)
-    for entry, record in zip(parsed.entries, doc["ballots"]):
-        checked = BallotEntry(CandidateSubset(tuple(record["list"])), entry.multiplicity)
-        assert entry == checked
-        assert type(entry.multiplicity) is type(checked.multiplicity)
+    checked = [
+        BallotEntry(CandidateSubset(tuple(record["list"])),
+                    record["count"] if "count" in record else parse_rational(record["weight"]))
+        for record in doc["ballots"]
+    ]
+    assert Counter(typed(parsed.entries)) == Counter(typed(checked))
 
 
 @given(files_near_a_ball())
@@ -938,6 +970,7 @@ MUTATIONS = {
     "member-0": ("value", lambda r, n: _mutant([0] + _members(r)[1:], _tail(r))),
     "member-n+1": ("value", lambda r, n: _mutant([n + 1] + _members(r)[1:], _tail(r))),
     "duplicate-member": ("value", lambda r, n: _mutant(_members(r) + _members(r)[:1], _tail(r))),
+    "every-candidate": ("value", lambda r, n: _mutant(range(n, 0, -1), _tail(r))),
     "count-0": ("value", lambda r, n: _mutant(_members(r), '"count": 0')),
     "weight-0": ("value", lambda r, n: _mutant(_members(r), '"weight": "0"')),
     "weight-1/0": ("value", lambda r, n: _mutant(_members(r), '"weight": "1/0"')),
@@ -950,6 +983,7 @@ MUTATIONS = {
     "nan-count": ("syntax", lambda r, n: _mutant(_members(r), '"count": NaN')),
     "escaped-count-key": ("syntax", lambda r, n: _mutant(_members(r), '"\\u0063ount": 0')),
     "extra-key": ("syntax", lambda r, n: _mutant(_members(r), _tail(r) + ', "x": 1')),
+    "empty-list": ("syntax", lambda r, n: _mutant([], _tail(r))),
     "19-digit-count": ("valid", lambda r, n: _mutant(_members(r), f'"count": {10**18}')),
     "escaped-key": ("valid", lambda r, n: _mutant(
         _members(r), _tail(r).replace('"count"', '"\\u0063ount"').replace('"weight"', '"w\\u0065ight"')
@@ -988,6 +1022,11 @@ def test_mutated_record_gives_one_outcome_in_both_layouts(raw, name, data):
     else:
         assert isinstance(got, str) and got == expected
         assert got.startswith("not valid JSON" if name == "leading-zero" else f"ballot {first}: ")
+    sizes = {"every-candidate": raw.params.n, "empty-list": 0}
+    if name in sizes:
+        shown = "{" + ",".join(map(str, range(1, sizes[name] + 1))) + "}"
+        assert got == (f"ballot {first}: entry {shown} has size {sizes[name]}, "
+                       f"expected 1..{raw.params.j}")
 
 
 @pytest.mark.parametrize(
@@ -1031,11 +1070,14 @@ def test_canonical_reader_merges_member_orders_and_short_lists_as_json_does():
     parsed = _loads_canonical(text)
     assert parsed is not None and parsed.repeats == (4, 2, 2, 1)
     assert_same_parse(parsed, loads_ballot_file(json.dumps(json.loads(text))))
-    # completion and normalize run per distinct entry and never build the record order
+    # a file holds no record order: completion and normalize read only its
+    # distinct entries and their repeat counts
     fresh = _loads_canonical(text)
     done = complete_short_lists(fresh, V123, 1)
     dist = normalize(done)
-    assert "entries" not in vars(fresh) and "entries" not in vars(done)
+    assert set(vars(fresh)) == set(vars(done)) == {"params", "distinct", "repeats"}
+    with pytest.raises(TypeError, match="^unhashable type: 'RawBallotFile'$"):
+        hash(fresh)  # equal as multisets of entries, so it has no hash
     # counts 4 + 2 * 2 on {1,2,3}, weights 2 * 1/2 on {1,2,5} and 1/2 on {1,2,4}
     assert dist.total == 19
     assert dist.units == {V123: 16, subset(1, 2, 5): 2, subset(1, 2, 4): 1}
