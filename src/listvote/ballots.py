@@ -209,8 +209,11 @@ class RawBallotFile:
     once in ``distinct``, in order of its first record, and in
     ``repeats[i]`` the count of records that carry ``distinct[i]``. A file
     built from a sequence of entries, after their size and range check,
-    gives each its own place with one repeat. Two files are equal when
-    their parameters and their multisets of entries are.
+    merges equal entries in order of first occurrence, as the parser
+    does; an entry's key holds its multiplicity's type, so count ``1`` and
+    weight ``"1"`` stay apart. Its first write is then the text every
+    later read and write gives. Two files are equal when their parameters
+    and their multisets of entries are.
     """
 
     params: ElectionParams
@@ -225,8 +228,10 @@ class RawBallotFile:
                 raise ParameterError(f"entry {subset} has size {len(subset)}, expected 1..{params.j}")
             if subset.mask >> (params.n + 1):
                 raise ParameterError(f"entry {subset} outside candidates 1..{params.n}")
+        times = Counter((entry, type(entry.multiplicity)) for entry in entries)
         # frozen: the fields are set past __setattr__, as unchecked() does
-        vars(self).update(params=params, distinct=entries, repeats=(1,) * len(entries))
+        vars(self).update(params=params, distinct=tuple(entry for entry, _ in times),
+                          repeats=tuple(times.values()))
 
     @classmethod
     def unchecked(

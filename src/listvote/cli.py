@@ -10,6 +10,15 @@ facts holding exact objects (or, for ``generate``, a ballot file).
 :func:`render` turns that result into text, and :func:`main` maps every
 error a command raises to its exit code.
 
+Each command imports only what it runs. ``theory``, ``johnson``,
+``exactnum`` and ``errors`` load with this module, which is all that
+``bounds`` and ``worst-case`` need. ``tally`` also loads the ballot reader
+(``ballots``) and the kernel (``tally``), ``generate`` loads ``ballots``,
+and ``verify`` loads both and the brute-force ``oracle``. The stages
+``tally`` and ``verify`` call from ``ballots`` and ``tally`` stay module
+attributes, bound on first use and read at call time, so a wrapper set on
+one (``cli.normalize = traced``) is the one the command calls.
+
 Exit codes: 0 ok, 1 verification failure or a tally below its floor,
 2 I/O or malformed file, 3 parameter inconsistency, 4 hypothesis violation.
 """
@@ -19,28 +28,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import importlib
 import json
 import math
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from random import Random
+from typing import TYPE_CHECKING
 
-from . import oracle, theory
-from .ballots import (
-    RawBallotFile,
-    VoterDistribution,
-    complete_short_lists,
-    concentric,
-    distribution_to_raw,
-    dumps_ballot_file,
-    normalize,
-    project_concentric,
-    random_distribution,
-    read_ballot_file,
-    sample_ball_counts,
-    uniform_on,
-)
+from . import theory
 from .errors import BallotFormatError, HypothesisViolation, ParameterError
 from .exactnum import format_rational, parse_rational, too_long_to_print
 from .johnson import (
@@ -51,7 +48,36 @@ from .johnson import (
     parse_members,
     ring,
 )
-from .tally import best_committees
+
+if TYPE_CHECKING:
+    from .ballots import RawBallotFile, VoterDistribution
+
+# The stages the commands take from the ballot reader and the tally kernel,
+# by the submodule that defines each. A command binds the ones it calls
+# before it runs; a read from outside binds one on first use.
+_STAGES = {
+    "read_ballot_file": ".ballots",
+    "complete_short_lists": ".ballots",
+    "normalize": ".ballots",
+    "best_committees": ".tally",
+}
+
+
+def __getattr__(name: str):
+    """A stage of ``_STAGES`` on its first read: ``cli.normalize`` imports ``ballots``."""
+    if name not in _STAGES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(name)
+    return globals()[name]
+
+
+def _bind(*names: str) -> None:
+    """Import and bind each named stage here; a value bound already (a wrapper) is kept."""
+    namespace = globals()
+    for name in names:
+        if name not in namespace:
+            namespace[name] = getattr(importlib.import_module(_STAGES[name], __package__), name)
+
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -167,7 +193,9 @@ def _global_floor_fact(params: ElectionParams) -> Fact:
 
 def render(args: argparse.Namespace, result: list[Fact] | RawBallotFile) -> str:
     """The text of one command's result: a ballot file, JSON, or human lines."""
-    if isinstance(result, RawBallotFile):
+    if not isinstance(result, list):  # generate's ballot file; ballots is loaded
+        from .ballots import dumps_ballot_file
+
         return dumps_ballot_file(result)
     if args.format == "structured":
         doc = {"command": args.command}
@@ -256,6 +284,7 @@ def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
         raise ParameterError("--complete requires --center and --radius")
     if (args.center is None) != (args.radius is None):
         raise ParameterError("--center and --radius must be given together")
+    _bind("read_ballot_file", "complete_short_lists", "normalize", "best_committees")
     raw = read_ballot_file(args.input)
     params = raw.params
     args.center = _center_subset(args.center, params)
@@ -391,6 +420,8 @@ def cmd_generate(args: argparse.Namespace) -> tuple[int, RawBallotFile]:
 
 
 def _generate_raw(args: argparse.Namespace, params: ElectionParams) -> RawBallotFile:
+    from .ballots import concentric, distribution_to_raw, sample_ball_counts, uniform_on
+
     mode = args.mode
     if mode == "uniform-all":
         return distribution_to_raw(uniform_on(params, iter_lists(params)))
@@ -441,6 +472,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, list[Fact]]:
             f"--max-n {max_n} is below {RANDOM_MIN_N}, the smallest n of a randomized "
             "trial; raise --max-n or pass --trials 0"
         )
+    from .ballots import random_distribution
+
+    _bind("best_committees")
     reports: list[theory.VerificationReport] = []
 
     for n in range(2, max_n + 1):
@@ -481,6 +515,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, list[Fact]]:
 
 def _domination_trial(dist: VoterDistribution, rng: Random) -> tuple[str, bool, str]:
     """Projecting onto rings about a support list never raises the best value."""
+    from .ballots import project_concentric
+
     center = rng.choice(sorted(dist.units))
     before = best_committees(dist).best_value
     after = best_committees(project_concentric(dist, center)).best_value
@@ -490,6 +526,8 @@ def _domination_trial(dist: VoterDistribution, rng: Random) -> tuple[str, bool, 
 
 def _oracle_trial(dist: VoterDistribution, rng: Random) -> tuple[str, bool, str]:
     """Both kernel paths and the brute-force oracle agree on the value and every winner."""
+    from . import oracle
+
     j = dist.params.j
     s = j if rng.random() < 0.5 else rng.randint(0, j)
     reference = oracle.brute_best(dist, s)

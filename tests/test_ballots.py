@@ -339,6 +339,23 @@ class TestBallotFiles:
         assert again.entries[1].multiplicity == Fraction(1, 2)
         assert dumps_ballot_file(again) == text
 
+    def test_constructor_merges_equal_entries_as_the_parser_does(self):
+        a, b = entry((1, 2, 3), 1), entry((4, 5, 6), Fraction(1, 2))
+        raw = RawBallotFile(P643, (a, b, a, entry((4, 5, 6), Fraction(2, 4)), entry((1, 2, 3), 2)))
+        assert raw.distinct == (a, b, entry((1, 2, 3), 2))
+        assert raw.repeats == (2, 2, 1)
+        # the first write is the fixed point: A, B, A writes A twice, then B
+        text = dumps_ballot_file(raw)
+        assert dumps_ballot_file(loads_ballot_file(text)) == text
+        assert text.count('{"list": [1, 2, 3], "count": 1}') == 2
+
+    def test_constructor_keeps_count_one_and_weight_one_apart(self):
+        count, weight = entry((1, 2, 3), 1), entry((1, 2, 3), Fraction(1))
+        raw = RawBallotFile(P643, (count, weight, count))
+        assert typed(raw.distinct) == [(count, int), (weight, Fraction)]
+        assert raw.repeats == (2, 1)
+        assert typed(loads_ballot_file(dumps_ballot_file(raw)).distinct) == typed(raw.distinct)
+
     @pytest.mark.parametrize(
         "mutation",
         [
@@ -591,27 +608,18 @@ def typed(entries):
     return [(e, type(e.multiplicity)) for e in entries]
 
 
-def no_repeated_entry(raw):
-    """Whether no two records carry the same list and the same count or weight."""
-    keys = typed(raw.entries)
-    return len(set(keys)) == len(keys)
-
-
 @given(st.one_of(raw_files(), raw_files(small_multiplicities)))
 def test_valid_files_round_trip_as_multisets(raw):
     text = dumps_ballot_file(raw)
     again = loads_ballot_file(text)
     assert again == raw
-    assert Counter(typed(again.entries)) == Counter(typed(raw.entries))
-    # one pass reaches the text every later pass writes, in both layouts
-    fixed = dumps_ballot_file(again)
-    for layout in (fixed, json.dumps(json.loads(fixed)), json.dumps(json.loads(text))):
+    # the constructor merges equal entries in order of first occurrence, as
+    # the parser does, so entries read back in their own order and the
+    # first write is the text every later pass writes, in both layouts
+    assert typed(again.entries) == typed(raw.entries)
+    for layout in (text, json.dumps(json.loads(text))):
         parsed = loads_ballot_file(layout)
-        assert parsed == raw and dumps_ballot_file(parsed) == fixed
-    # with no repeated entry, records read back in their own order
-    if no_repeated_entry(raw):
-        assert fixed == text
-        assert typed(again.entries) == typed(raw.entries)
+        assert parsed == raw and dumps_ballot_file(parsed) == text
 
 
 def loads_or_rejects(text):
@@ -683,9 +691,7 @@ def test_member_order_does_not_change_the_parse(raw, data):
         record["list"] = data.draw(st.permutations(record["list"]))
     parsed = loads_ballot_file(json.dumps(doc))
     assert parsed == loads_ballot_file(text) == raw
-    assert Counter(typed(parsed.entries)) == Counter(typed(raw.entries))
-    if no_repeated_entry(raw):
-        assert typed(parsed.entries) == typed(raw.entries)
+    assert typed(parsed.entries) == typed(raw.entries)
     # records with the same list and count or weight share one entry, and
     # completion maps that entry to one completed entry
     center = CandidateSubset(tuple(range(1, raw.params.j + 1)))
