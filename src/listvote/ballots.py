@@ -7,25 +7,23 @@ are immutable once built.
 
 A ballot file is a multiset of records, as a profile in the paper is a
 distribution over lists: a record's place carries no meaning. Ingestion
-works per distinct entry: the parser gives records with the same list in
-any member order and the same count or weight text one entry, and counts
-its repeats. Two readers give the same result and the same errors:
+works per distinct entry. Both readers merge records by value under one
+key: the sorted members with the count, or with the weight's id, the
+reduced ``"p/q"`` text of its value. Each distinct weight text is parsed
+once and given its id then, so ``"1/2"``, ``"2/4"`` and ``"+1/2"`` make one
+entry, and no key holds a ``Fraction``. An id always holds a ``/`` and a
+count never does, so count ``1`` and weight ``"1"`` stay apart. Two readers
+give the same result and the same errors:
 
 - text in the layout :func:`dumps_ballot_file` writes (as do ``listvote
   generate`` and ``perfbench``) is read per distinct record text. A record
   costs its share of one newline split and one ``Counter`` pass, both in
   C. A distinct text costs one pattern match, which proves it a record as
-  written, one sort of its members and one lookup of its sorted key; only
-  a miss runs the value checks. If any text fails to match, the whole file
-  goes to the JSON reader.
-- ``json.loads`` reads every other layout. There a record costs its
-  decoding, and a repeat as written its key, one lookup and one shape
-  guard (exactly two keys): a hit has the values of an accepted record,
-  since JSON strings and objects never equal ints, so the guard is all
-  that is left to check. A repeat in a member order not yet seen costs the
-  full checks, a sort and a second lookup. With a float or ``true``
-  anywhere in the document no record is looked up, because ``1.0 == 1``
-  and ``True == 1`` could pass for an accepted value.
+  written, one sort of its members and one lookup of its key (after one of
+  its weight text's id); only a miss runs the value checks. If any text
+  fails to match, the whole file goes to the JSON reader.
+- ``json.loads`` reads every other layout. There every record is checked
+  in full, then merged under its key.
 
 :class:`RawBallotFile` holds only the distinct entries, in order of first
 record, and their repeat counts; completion and :func:`normalize` each run
@@ -63,7 +61,6 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
 from math import gcd, lcm
 from pathlib import Path
 from random import Random
@@ -248,11 +245,6 @@ class RawBallotFile:
         raw = object.__new__(cls)
         vars(raw).update(params=params, distinct=distinct, repeats=repeats)
         return raw
-
-    @property
-    def entries(self) -> tuple[BallotEntry, ...]:
-        """Each distinct entry ``repeats[i]`` times, in order of first record."""
-        return tuple(chain.from_iterable(map(repeat, self.distinct, self.repeats)))
 
     def _counts(self) -> Counter:  # the multiset: records per entry
         counts: Counter = Counter()
@@ -448,15 +440,19 @@ def _ballot_params(n, k, j) -> ElectionParams:
         raise BallotFormatError(str(exc)) from exc
 
 
-def _entry(members: list, ordered: tuple[int, ...] | None, kind: str, value,
-           params: ElectionParams, weights: dict[str, Fraction]) -> BallotEntry:
+def _entry(
+    members: list, ordered: tuple[int, ...] | None, kind: str, value,
+    params: ElectionParams, weights: dict[str, tuple[str, Fraction]],
+) -> BallotEntry:
     """The entry of a record with ``members`` and its ``kind`` ("count" or "weight") ``value``.
 
     ``ordered`` is the members sorted, or None when one is not an int.
     Checks the members (ints in 1..n, distinct, 1..j of them) and the
     multiplicity (a positive int count, or a positive exact weight text);
     raises _RecordError. ``weights`` maps each weight text accepted so far
-    to its value, so a text is parsed once and a bad one is never stored.
+    to its id and value, so a text is parsed once and a bad one is never
+    stored. The id is the value's reduced ``"p/q"``, so equal values in any
+    spelling share it, and it never equals a count or a count's text.
     """
     # The range before the mask is built as wide as the largest member.
     if ordered is None or (ordered and not (ordered[0] > 0 and ordered[-1] <= params.n)):
@@ -478,16 +474,17 @@ def _entry(members: list, ordered: tuple[int, ...] | None, kind: str, value,
         return BallotEntry.unchecked(subset, value)
     if not isinstance(value, str):
         raise _RecordError('weight must be a string like "7/15"')
-    multiplicity = weights.get(value)
-    if multiplicity is None:
+    known = weights.get(value)
+    if known is None:
         try:
             multiplicity = parse_rational(value)
         except ValueError as exc:
             raise _RecordError(str(exc)) from exc
         if multiplicity <= 0:
             raise _RecordError("weight must be positive")
-        weights[value] = multiplicity
-    return BallotEntry.unchecked(subset, multiplicity)
+        wid = f"{multiplicity.numerator}/{multiplicity.denominator}"
+        known = weights[value] = (wid, multiplicity)
+    return BallotEntry.unchecked(subset, known[1])
 
 
 def loads_ballot_file(text: str) -> RawBallotFile:
@@ -498,13 +495,13 @@ def loads_ballot_file(text: str) -> RawBallotFile:
     readers give the same result and the same error. Text in the layout
     :func:`dumps_ballot_file` writes is read per distinct record text: a
     record costs its share of a newline split and a ``Counter`` pass, both
-    in C, and a distinct text one pattern match, one sort and one lookup,
-    with the value checks on a miss. Any other text is read by
-    ``json.loads``, where a record costs its decoding and a repeat one
-    lookup and one shape guard; in a member order not yet seen, two
-    lookups and the full checks; once the text holds a float or ``true``,
-    the full checks. Each distinct weight text is parsed once. The result
-    counts the records of each distinct entry.
+    in C, and a distinct text one pattern match, one sort and one lookup of
+    its key (a weight text's id is looked up first), with the value checks
+    on a miss. Any other text is read by ``json.loads``, where a record
+    costs its decoding, the full checks and one lookup. Both merge records
+    equal in value, whatever their member order or weight spelling, and
+    parse each distinct weight text once. The result counts the records of
+    each distinct entry.
     """
     raw = _loads_canonical(text)
     return _loads_json(text) if raw is None else raw
@@ -536,19 +533,23 @@ def _loads_canonical(text: str) -> RawBallotFile | None:
     params = _ballot_params(*map(int, head.groups()))
     # Every list group is JSON ints joined by ", ", so one json.loads reads them all.
     lists = json.loads("[[" + "],[".join([match[1] for match in matches]) + "]]")
-    # Texts merge under their count or weight text and sorted members, as
-    # records do in the JSON reader (a count text is canonical, so equal
-    # texts are equal counts). Only an accepted entry's key is stored, and
-    # the values are ints and strings, so a text that hits a key has the
-    # values of an accepted record.
-    weights: dict[str, Fraction] = {}
+    # Texts merge under the JSON reader's key, with a count held as its
+    # text, which is canonical: equal texts are equal counts. Only an
+    # accepted entry's key is stored, so a text whose key is stored has the
+    # values of an accepted record. A weight text not yet seen has no key
+    # until it is parsed, so it takes the checks.
+    weights: dict[str, tuple[str, Fraction]] = {}
     keys: dict[tuple, int] = {}
     distinct: list[BallotEntry] = []
     repeats: list[int] = []
     for (record, copies), match, members in zip(times.items(), matches, lists):
         _, count, weight = match.groups()
         ordered = tuple(sorted(members))
-        key = (count, weight, ordered)
+        if weight is None:
+            key = (ordered, count)
+        else:
+            known = weights.get(weight)
+            key = None if known is None else (ordered, known[0])
         at = keys.get(key)
         if at is None:
             kind, value = ("count", int(count)) if weight is None else ("weight", weight)
@@ -556,18 +557,20 @@ def _loads_canonical(text: str) -> RawBallotFile | None:
                 entry = _entry(members, ordered, kind, value, params, weights)
             except _RecordError as exc:
                 raise BallotFormatError(f"ballot {texts.index(record)}: {exc}") from exc
-            at = keys[key] = len(distinct)
-            distinct.append(entry)
-            repeats.append(0)
+            if key is None:
+                key = (ordered, weights[weight][0])
+            at = keys.setdefault(key, len(distinct))
+            if at == len(distinct):
+                distinct.append(entry)
+                repeats.append(0)
         repeats[at] += copies
     return RawBallotFile.unchecked(params, tuple(distinct), tuple(repeats))
 
 
 def _loads_json(text: str) -> RawBallotFile:
-    """The file read by ``json.loads``: any layout."""
-    floats: list[str] = []  # float tokens, recorded as they are parsed
+    """The file read by ``json.loads``: any layout, every record checked in full."""
     try:
-        doc = json.loads(text, parse_float=lambda token: floats.append(token) or float(token))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise BallotFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -586,54 +589,32 @@ def _loads_json(text: str) -> RawBallotFile:
     params = _ballot_params(doc["n"], doc["k"], doc["j"])
     if not isinstance(doc["ballots"], list):
         raise BallotFormatError('"ballots" must be an array')
-    # An accepted record maps to its entry's index under (count, weight,
-    # members) as written and in sorted member order, so count 1 and weight
-    # "1" never share an entry. A float or `true` equals an int (1.0 == 1,
-    # True == 1; false and 0 are never accepted), so with either in the text,
-    # no lookups. Otherwise a record that hits its as-written key has the
-    # values of an accepted record (strings and objects never equal ints),
-    # so it is valid when its only keys are "list" and the one of
-    # "count"/"weight" it holds: the guard len(rec) == 2. A record that hits
-    # only its sorted key passed the value checks itself. An empty list never
-    # passes them, so "" and {}, which unpack to its key, never hit. A record
-    # whose key cannot be built or hashed is checked in full and never stored.
-    memo: dict[tuple, int] | None = None if floats or "true" in text else {}
-    weights: dict[str, Fraction] = {}
+    weights: dict[str, tuple[str, Fraction]] = {}
+    keys: dict[tuple, int] = {}
     distinct: list[BallotEntry] = []
     repeats: list[int] = []
     for i, rec in enumerate(doc["ballots"]):
-        index = record = None
-        if memo is not None:
-            try:
-                record = (rec.get("count"), rec.get("weight"), *rec["list"])
-                index = memo.get(record)
-            except (AttributeError, KeyError, TypeError):
-                record = None
-        if index is None or len(rec) != 2:
-            if not isinstance(rec, dict) or not _ENTRY_KEYS.issuperset(rec):
-                raise BallotFormatError(f"ballot {i}: keys must be among {sorted(_ENTRY_KEYS)}")
-            members = rec.get("list")
-            if not isinstance(members, list):
-                raise BallotFormatError(f'ballot {i}: missing "list" array')
-            if ("weight" in rec) == ("count" in rec):
-                raise BallotFormatError(f'ballot {i}: exactly one of "weight"/"count" required')
-            kind = "count" if "count" in rec else "weight"
-            # types first (bool is a subclass of int), so the sort compares ints
-            ordered = tuple(sorted(members)) if _INT_TYPE.issuperset(map(type, members)) else None
-            try:
-                entry = _entry(members, ordered, kind, rec[kind], params, weights)
-            except _RecordError as exc:
-                raise BallotFormatError(f"ballot {i}: {exc}") from exc
-            if record is not None:
-                key = (*record[:2], *ordered)
-                index = memo.get(key)
-            if index is None:
-                index = len(distinct)
-                distinct.append(entry)
-                repeats.append(0)
-            if record is not None:
-                memo[record] = memo[key] = index
-        repeats[index] += 1
+        if not isinstance(rec, dict) or not _ENTRY_KEYS.issuperset(rec):
+            raise BallotFormatError(f"ballot {i}: keys must be among {sorted(_ENTRY_KEYS)}")
+        members = rec.get("list")
+        if not isinstance(members, list):
+            raise BallotFormatError(f'ballot {i}: missing "list" array')
+        if ("weight" in rec) == ("count" in rec):
+            raise BallotFormatError(f'ballot {i}: exactly one of "weight"/"count" required')
+        kind = "count" if "count" in rec else "weight"
+        # types first (bool is a subclass of int), so the sort compares ints
+        ordered = tuple(sorted(members)) if _INT_TYPE.issuperset(map(type, members)) else None
+        value = rec[kind]
+        try:
+            entry = _entry(members, ordered, kind, value, params, weights)
+        except _RecordError as exc:
+            raise BallotFormatError(f"ballot {i}: {exc}") from exc
+        key = (ordered, value) if kind == "count" else (ordered, weights[value][0])
+        at = keys.setdefault(key, len(distinct))
+        if at == len(distinct):
+            distinct.append(entry)
+            repeats.append(0)
+        repeats[at] += 1
     return RawBallotFile.unchecked(params, tuple(distinct), tuple(repeats))
 
 

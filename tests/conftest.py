@@ -1,10 +1,18 @@
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd
 
 import pytest
 from hypothesis import settings
 
-from listvote import CandidateSubset, ElectionParams, VoterDistribution, theory
+from listvote import (
+    BallotEntry,
+    CandidateSubset,
+    ElectionParams,
+    RawBallotFile,
+    VoterDistribution,
+    theory,
+)
 
 # A harder search for CI, not loaded by default; run over the whole suite, it
 # reaches every property whose @settings leaves max_examples unset:
@@ -14,6 +22,11 @@ settings.register_profile("ci", max_examples=500)
 
 def subset(*members: int) -> CandidateSubset:
     return CandidateSubset(tuple(members))
+
+
+def record_entries(raw: RawBallotFile) -> tuple[BallotEntry, ...]:
+    """Each of ``raw.distinct`` ``raw.repeats[i]`` times, in order of first record."""
+    return tuple(chain.from_iterable(map(repeat, raw.distinct, raw.repeats)))
 
 
 def assert_canonical(s: CandidateSubset, n: int) -> None:

@@ -39,6 +39,7 @@ from listvote import (
     worst_case_concentric,
 )
 from listvote.oracle import approval, class_of, committees_in_class_containing, iter_committees
+from conftest import record_entries
 
 V123 = CandidateSubset((1, 2, 3))
 
@@ -296,7 +297,7 @@ def test_criterion_9_short_list_and_alpha_pipelines():
                 entries.append(BallotEntry(CandidateSubset(short), rng.randint(1, 5)))
             raw = RawBallotFile(params, tuple(entries))
             completed = complete_short_lists(raw, center, radius)
-            for before, after in zip(raw.entries, completed.entries):
+            for before, after in zip(record_entries(raw), record_entries(completed)):
                 assert before.subset.issubset(after.subset)
                 assert len(after.subset) == params.j
             dist = normalize(completed)

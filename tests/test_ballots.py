@@ -37,7 +37,7 @@ from listvote import (
 )
 from listvote.ballots import _loads_canonical, _loads_json
 from listvote.exactnum import parse_rational
-from conftest import assert_canonical, assert_reduced, dist_from, subset
+from conftest import assert_canonical, assert_reduced, dist_from, record_entries, subset
 
 P643 = ElectionParams(6, 4, 3)
 V123 = CandidateSubset((1, 2, 3))
@@ -261,18 +261,18 @@ class TestCompleteShortLists:
     def test_unique_completion_from_center(self):
         raw = RawBallotFile(P643, (entry((1, 2), 1),))
         done = complete_short_lists(raw, V123, 1)
-        assert done.entries[0].subset == V123
-        assert done.entries[0].multiplicity == 1
+        assert done.distinct[0].subset == V123
+        assert done.distinct[0].multiplicity == 1
 
     def test_full_length_untouched(self):
         raw = RawBallotFile(P643, (entry((1, 2, 4), 3),))
         done = complete_short_lists(raw, V123, 1)
-        assert done.entries[0].subset == subset(1, 2, 4)
+        assert done.distinct[0].subset == subset(1, 2, 4)
 
     def test_outsider_entry(self):
         raw = RawBallotFile(P643, (entry((4,), 1),))
         done = complete_short_lists(raw, V123, 1)
-        assert done.entries[0].subset == subset(1, 2, 4)
+        assert done.distinct[0].subset == subset(1, 2, 4)
 
     def test_impossible_entry_named(self):
         # {4,5} plus any third member is at distance >= 2 from {1,2,3}
@@ -294,7 +294,7 @@ class TestCompleteShortLists:
             short = tuple(sorted(rng.sample(base.members, size)))
             raw = RawBallotFile(P643, (entry(short, 1),))
             done = complete_short_lists(raw, V123, 2)
-            completed = done.entries[0].subset
+            completed = done.distinct[0].subset
             assert CandidateSubset(short).issubset(completed)
             assert distance(completed, V123) <= 2
             assert len(completed) == 3
@@ -326,7 +326,7 @@ class TestBallotFiles:
         path = tmp_path / "ballots.json"
         path.write_text(dumps_ballot_file(raw))
         text = path.read_text()
-        assert loads_ballot_file(text).entries == raw.entries
+        assert record_entries(loads_ballot_file(text)) == record_entries(raw)
         path.write_text(dumps_ballot_file(read_ballot_file(path)))
         assert path.read_text() == text
 
@@ -334,9 +334,9 @@ class TestBallotFiles:
         raw = RawBallotFile(P643, (entry((1, 2, 3), 4), entry((1, 2, 4), Fraction(1, 2))))
         text = dumps_ballot_file(raw)
         again = loads_ballot_file(text)
-        assert again.entries[0].multiplicity == 4
-        assert isinstance(again.entries[0].multiplicity, int)
-        assert again.entries[1].multiplicity == Fraction(1, 2)
+        assert again.distinct[0].multiplicity == 4
+        assert isinstance(again.distinct[0].multiplicity, int)
+        assert again.distinct[1].multiplicity == Fraction(1, 2)
         assert dumps_ballot_file(again) == text
 
     def test_constructor_merges_equal_entries_as_the_parser_does(self):
@@ -442,8 +442,8 @@ class TestInterning:
              "long-list"],
     )
     def test_repeat_in_another_shape_rejected_at_its_index(self, record, message):
-        # the first two have the values of the accepted record, so they hit its
-        # key; only the shape guard sends them on to the full checks. A list's
+        # the first two have the values of the accepted record, so a reader that
+        # looked a record up before checking its shape would take them. A list's
         # size is checked at its own record, as its members are
         text = ('{"n": 6, "k": 4, "j": 3, "ballots": [{"list": [1, 2, 3], "count": 1}, '
                 f'{{"list": [1, 2, 3], "count": 1}}, {record}]}}')
@@ -452,8 +452,8 @@ class TestInterning:
 
     @pytest.mark.parametrize("value", ['""', "{}"], ids=["string", "object"])
     def test_empty_list_then_empty_string_or_object_rejected_at_its_index(self, value):
-        # "" and {} unpack to no members, the key of an empty list; the empty
-        # list is rejected at its own record, so its key is never stored
+        # "" and {} unpack to no members, as an empty list does; the empty list
+        # is rejected at its own record, so no key of it is ever stored
         text = ('{"n": 6, "k": 4, "j": 3, "ballots": [{"list": [], "count": 1}, '
                 f'{{"list": {value}, "count": 1}}]}}')
         message = "ballot 0: entry {} has size 0, expected 1..3"
@@ -462,7 +462,7 @@ class TestInterning:
 
     def test_member_orders_share_one_subset(self):
         raw = loads_ballot_file(two_records("[3, 1, 2]", "[1, 2, 3]"))
-        first, second = raw.entries
+        first, second = record_entries(raw)
         assert first.subset is second.subset
         assert first.subset.members == (1, 2, 3)
 
@@ -481,7 +481,7 @@ class TestInterning:
         text = ('{"n": 6, "k": 4, "j": 3, "ballots": ['
                 '{"list": [1, 2, 3], "count": 1}, {"list": [3, 2, 1], "weight": "1"}]}')
         raw = loads_ballot_file(text)
-        assert [type(e.multiplicity) for e in raw.entries] == [int, Fraction]
+        assert [type(e.multiplicity) for e in record_entries(raw)] == [int, Fraction]
         written = dumps_ballot_file(raw)
         assert '"count": 1}' in written and '"weight": "1"}' in written
         assert dumps_ballot_file(loads_ballot_file(written)) == written
@@ -549,9 +549,9 @@ class TestGenerators:
 
     def test_sample_ball_counts(self):
         raw = sample_ball_counts(P643, V123, 1, 500, Random(3))
-        assert sum(e.multiplicity for e in raw.entries) == 500
+        assert sum(e.multiplicity for e in record_entries(raw)) == 500
         allowed = ball(V123, 1, P643)
-        assert all(e.subset in allowed for e in raw.entries)
+        assert all(e.subset in allowed for e in record_entries(raw))
         dist = normalize(raw)
         assert sum(w for _, w in dist.items()) == 1
 
@@ -616,7 +616,7 @@ def test_valid_files_round_trip_as_multisets(raw):
     # the constructor merges equal entries in order of first occurrence, as
     # the parser does, so entries read back in their own order and the
     # first write is the text every later pass writes, in both layouts
-    assert typed(again.entries) == typed(raw.entries)
+    assert typed(record_entries(again)) == typed(record_entries(raw))
     for layout in (text, json.dumps(json.loads(text))):
         parsed = loads_ballot_file(layout)
         assert parsed == raw and dumps_ballot_file(parsed) == text
@@ -691,13 +691,13 @@ def test_member_order_does_not_change_the_parse(raw, data):
         record["list"] = data.draw(st.permutations(record["list"]))
     parsed = loads_ballot_file(json.dumps(doc))
     assert parsed == loads_ballot_file(text) == raw
-    assert typed(parsed.entries) == typed(raw.entries)
+    assert typed(record_entries(parsed)) == typed(record_entries(raw))
     # records with the same list and count or weight share one entry, and
     # completion maps that entry to one completed entry
     center = CandidateSubset(tuple(range(1, raw.params.j + 1)))
     completed = complete_short_lists(parsed, center, raw.params.diameter)
     groups = {}
-    for entry, full in zip(parsed.entries, completed.entries):
+    for entry, full in zip(record_entries(parsed), record_entries(completed)):
         key = (entry.subset.mask, type(entry.multiplicity), entry.multiplicity)
         groups.setdefault(key, set()).add((id(entry), id(full)))
     assert all(len(pairs) == 1 for pairs in groups.values())
@@ -707,7 +707,7 @@ def reference_complete_and_normalize(raw, center, radius):
     """Completion by the documented rule, then Fraction sums; names the first bad entry."""
     j = raw.params.j
     totals = {}
-    for e in raw.entries:
+    for e in record_entries(raw):
         members = set(e.subset.members)
         for c in sorted(center.members):
             if len(members) < j:
@@ -781,8 +781,7 @@ def test_distinct_entries_carry_every_record(case, data):
     params, text, count = case
     parsed = loads_ballot_file(text)
     assert len(parsed.repeats) == len(parsed.distinct)
-    assert sum(parsed.repeats) == count == len(parsed.entries)
-    assert [sum(e is d for e in parsed.entries) for d in parsed.distinct] == list(parsed.repeats)
+    assert sum(parsed.repeats) == count == len(record_entries(parsed))
     # completion and normalization over distinct entries match a record-by-record sum
     center = CandidateSubset(tuple(sorted(data.draw(
         st.sets(st.integers(1, params.n), min_size=params.j, max_size=params.j)))))
@@ -797,15 +796,35 @@ def test_distinct_entries_carry_every_record(case, data):
 
 
 @given(documents_with_repeats(), st.sampled_from(["true", "1.0"]))
-def test_float_or_true_document_keeps_an_entry_per_record(case, value):
+def test_float_or_true_header_does_not_change_the_parse(case, value):
     # JSON keeps the last of two equal keys, so a leading "n": true or "n": 1.0
-    # leaves the document valid; the parser then looks up no record
+    # leaves the document valid; true == 1 and 1.0 == 1 change no record's key
     params, text, count = case
-    bypassed = '{"n": ' + value + ", " + text[1:]
-    parsed = loads_ballot_file(bypassed)
-    assert parsed == loads_ballot_file(text)
-    assert parsed.repeats == (1,) * count
-    assert len(parsed.distinct) == count
+    parsed = loads_ballot_file('{"n": ' + value + ", " + text[1:])
+    assert_same_parse(parsed, loads_ballot_file(text))
+
+
+@given(documents_with_repeats(), st.data())
+def test_equal_values_in_any_spelling_make_one_entry(case, data):
+    # each weight "p/q" respelled "sp/sq", with a "+" or not: the records keep
+    # their values, so both readers parse them as the document as written
+    params, text, count = case
+    expected = loads_ballot_file(text)
+    records = json.loads(text)["ballots"]
+    for record in records:
+        if "weight" in record:
+            value = parse_rational(record["weight"])
+            scale = data.draw(st.integers(1, 1000))
+            sign = data.draw(st.sampled_from(["", "+"]))
+            record["weight"] = f"{sign}{value.numerator * scale}/{value.denominator * scale}"
+    texts = list(map(json.dumps, records))
+    canonical = in_layout(params, texts)
+    assert _loads_canonical(canonical) is not None
+    for layout in (canonical, in_dumps_layout(params, texts, data.draw(dumps_options))):
+        parsed = loads_ballot_file(layout)
+        # no two entries equal in members, multiplicity type and value
+        assert len(set(typed(parsed.distinct))) == len(parsed.distinct)
+        assert_same_parse(parsed, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +847,7 @@ def test_parsed_entries_keep_the_constructor_contracts(raw, data):
                     record["count"] if "count" in record else parse_rational(record["weight"]))
         for record in doc["ballots"]
     ]
-    assert Counter(typed(parsed.entries)) == Counter(typed(checked))
+    assert Counter(typed(record_entries(parsed))) == Counter(typed(checked))
 
 
 @given(files_near_a_ball())
@@ -882,11 +901,21 @@ class TestWeightTexts:
 
     def test_shared_text_gives_equal_weights_on_different_lists(self):
         raw = loads_ballot_file(weight_records(["1/3", "1/3", "1/3"]))
-        assert [e.multiplicity for e in raw.entries] == [Fraction(1, 3)] * 3
+        assert [e.multiplicity for e in record_entries(raw)] == [Fraction(1, 3)] * 3
         assert len(raw.distinct) == 3
         assert normalize(raw) == VoterDistribution(
-            raw.params, {e.subset: Fraction(1, 3) for e in raw.entries}
+            raw.params, {e.subset: Fraction(1, 3) for e in record_entries(raw)}
         )
+
+    def test_equal_weight_texts_make_one_entry(self):
+        records = [f'{{"list": [1, 2, 3], "weight": "{text}"}}' for text in ("1/2", "2/4", "+1/2")]
+        canonical = in_layout(P643, records)
+        assert _loads_canonical(canonical) is not None
+        for text in (canonical, json.dumps(json.loads(canonical))):
+            raw = loads_ballot_file(text)
+            assert raw.distinct == (entry((1, 2, 3), Fraction(1, 2)),)
+            assert raw.repeats == (3,)
+            assert dumps_ballot_file(raw) == in_layout(P643, [records[0]] * 3)
 
     def test_duplicate_member_after_valid_records_keeps_its_message(self):
         text = ('{"n": 6, "k": 4, "j": 3, "ballots": ['
@@ -909,9 +938,32 @@ def in_layout(params, records):
     return head + body + "\n  ]\n}\n"
 
 
-def compact(params, records):
-    """The same records in a layout the canonical reader declines."""
-    return f'{{"n": {params.n}, "k": {params.k}, "j": {params.j}, "ballots": [{", ".join(records)}]}}'
+# json.dumps layouts the canonical reader declines: the default, indented,
+# keys sorted, the most compact separators, and their combinations.
+dumps_options = st.fixed_dictionaries({}, optional={
+    "indent": st.integers(1, 4), "sort_keys": st.just(True), "separators": st.just((",", ":")),
+})
+
+
+def in_dumps_layout(params, records, options):
+    """The document of ``records`` (texts) as ``json.dumps(doc, **options)`` writes it.
+
+    A text that ``json.loads`` rejects is kept as written, in the place of a
+    placeholder string.
+    """
+    kept = {}
+
+    def value(record):
+        try:
+            return json.loads(record)
+        except ValueError:
+            return kept.setdefault(record, f"\0{len(kept)}")
+
+    doc = {"n": params.n, "k": params.k, "j": params.j, "ballots": list(map(value, records))}
+    text = json.dumps(doc, **options)
+    for record, mark in kept.items():
+        text = text.replace(json.dumps(mark), record)
+    return text
 
 
 def record_texts(text):
@@ -923,17 +975,18 @@ def assert_same_parse(got, expected):
     assert got.params == expected.params
     assert got.distinct == expected.distinct
     assert got.repeats == expected.repeats
-    assert got.entries == expected.entries
     assert [type(e.multiplicity) for e in got.distinct] == [
         type(e.multiplicity) for e in expected.distinct
     ]
 
 
-@given(st.one_of(raw_files(), raw_files(small_multiplicities)))
-def test_both_layouts_parse_alike(raw):
+@given(st.one_of(raw_files(), raw_files(small_multiplicities)), dumps_options)
+def test_both_layouts_parse_alike(raw, options):
     text = dumps_ballot_file(raw)
     assert in_layout(raw.params, record_texts(text)) == text
-    assert_same_parse(loads_ballot_file(text), loads_ballot_file(json.dumps(json.loads(text))))
+    other = json.dumps(json.loads(text), **options)
+    assert _loads_canonical(other) is None
+    assert_same_parse(loads_ballot_file(text), loads_ballot_file(other))
 
 
 @given(raw_files(small_multiplicities))
@@ -1006,8 +1059,8 @@ def outcome(text):
 
 
 @given(raw_files(small_multiplicities, min_entries=1), st.sampled_from(sorted(MUTATIONS)),
-       st.data())
-def test_mutated_record_gives_one_outcome_in_both_layouts(raw, name, data):
+       dumps_options, st.data())
+def test_mutated_record_gives_one_outcome_in_both_layouts(raw, name, options, data):
     kind, mutate = MUTATIONS[name]
     records = record_texts(dumps_ballot_file(raw))
     target = data.draw(st.integers(0, len(records) - 1))
@@ -1016,7 +1069,8 @@ def test_mutated_record_gives_one_outcome_in_both_layouts(raw, name, data):
     first = data.draw(st.integers(target + 1, len(records)))
     records.insert(first, mutant)
     records.insert(data.draw(st.integers(first + 1, len(records))), mutant)
-    canonical, other = in_layout(raw.params, records), compact(raw.params, records)
+    canonical = in_layout(raw.params, records)
+    other = in_dumps_layout(raw.params, records, options)
     if kind == "value":
         with pytest.raises(BallotFormatError):
             _loads_canonical(canonical)

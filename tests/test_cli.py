@@ -18,6 +18,7 @@ from listvote import (
 )
 from listvote import cli
 from listvote.cli import _json_text, main
+from conftest import record_entries
 
 EXAMPLE_FILE = """{
   "n": 7,
@@ -393,8 +394,8 @@ class TestGenerate:
         )
         assert code == 0
         raw = loads_ballot_file(out)
-        assert len(raw.entries) == 9
-        assert all(e.multiplicity == Fraction(1, 9) for e in raw.entries)
+        assert len(record_entries(raw)) == 9
+        assert all(e.multiplicity == Fraction(1, 9) for e in record_entries(raw))
 
     def test_concentric_weights_are_ring_two(self, capsys):
         code, out, _ = run(
@@ -403,10 +404,10 @@ class TestGenerate:
         )
         assert code == 0
         raw = loads_ballot_file(out)
-        assert len(raw.entries) == 9
-        assert all(e.multiplicity == Fraction(1, 9) for e in raw.entries)
+        assert len(record_entries(raw)) == 9
+        assert all(e.multiplicity == Fraction(1, 9) for e in record_entries(raw))
         center = {1, 2, 3}
-        assert all(len(center & set(e.subset.members)) == 1 for e in raw.entries)
+        assert all(len(center & set(e.subset.members)) == 1 for e in record_entries(raw))
 
     def test_random_ball_seeded(self, capsys):
         argv = [
@@ -418,7 +419,7 @@ class TestGenerate:
         code, out2, _ = run(capsys, *argv)
         assert out1 == out2
         raw = loads_ballot_file(out1)
-        assert sum(e.multiplicity for e in raw.entries) == 500
+        assert sum(e.multiplicity for e in record_entries(raw)) == 500
         dist = normalize(raw)
         assert sum(w for _, w in dist.items()) == 1
         center = {1, 2, 3}
@@ -435,7 +436,7 @@ class TestGenerate:
         code, out, _ = run(capsys, "generate", "--params", "5,3,2", "--mode", "uniform-all")
         assert code == 0
         raw = loads_ballot_file(out)
-        assert len(raw.entries) == 10
+        assert len(record_entries(raw)) == 10
 
     @pytest.mark.parametrize("flag", [["--format", "structured"], ["--approx"]])
     def test_report_flags_rejected(self, capsys, flag):
