@@ -58,7 +58,6 @@ import json
 import re
 import sys
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -85,7 +84,15 @@ def _exact(value) -> bool:
     return type(value) is int or isinstance(value, Fraction)
 
 
-@dataclass(frozen=True, init=False)
+def _refuse_assignment(self, name, value=None):
+    """The ``__setattr__`` and ``__delattr__`` of a value class: its fields are fixed.
+
+    Constructors set the fields through the instance dict, as do
+    ``cached_property``, unpickling and copying.
+    """
+    raise AttributeError(f"cannot assign or delete field {name!r} of {type(self).__name__}")
+
+
 class VoterDistribution:
     """Probability distribution over j-element lists.
 
@@ -99,7 +106,7 @@ class VoterDistribution:
     params: ElectionParams
     total: int
     units: dict[CandidateSubset, int]
-    __hash__ = None  # equal by value over a dict; set here, @dataclass keeps it
+    __hash__ = None  # equal by value over a dict
 
     def __init__(self, params: ElectionParams, support: Mapping[CandidateSubset, Fraction]):
         support = dict(support)
@@ -116,7 +123,6 @@ class VoterDistribution:
         got = sum(units.values())
         if got != total:
             raise ParameterError(f"weights sum to {Fraction(got, total)}, expected 1")
-        # frozen: the fields are set past __setattr__, as unchecked() does
         vars(self).update(params=params, total=total, units=units)
 
     @classmethod
@@ -134,6 +140,17 @@ class VoterDistribution:
         dist = object.__new__(cls)
         vars(dist).update(params=params, total=total, units=units)
         return dist
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __eq__(self, other):
+        if not isinstance(other, VoterDistribution):
+            return NotImplemented
+        return (self.params, self.total, self.units) == (other.params, other.total, other.units)
+
+    def __repr__(self) -> str:
+        return (f"VoterDistribution(params={self.params!r}, total={self.total!r}, "
+                f"units={self.units!r})")
 
     @cached_property
     def support(self) -> dict[CandidateSubset, Fraction]:
@@ -195,7 +212,6 @@ class BallotEntry(namedtuple("BallotEntry", ["subset", "multiplicity"])):
         return type(self), tuple(self)
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class RawBallotFile:
     """Parsed ballot file: election parameters plus a multiset of raw entries.
 
@@ -216,17 +232,17 @@ class RawBallotFile:
     params: ElectionParams
     distinct: tuple[BallotEntry, ...]
     repeats: tuple[int, ...]
-    __hash__ = None  # equal by value over a multiset; set here, @dataclass keeps it
+    __hash__ = None  # equal by value over a multiset
 
     def __init__(self, params: ElectionParams, entries: Iterable[BallotEntry]):
         entries = tuple(entries)
+        n, j = params.n, params.j
         for subset, _ in entries:
-            if not 1 <= subset.mask.bit_count() <= params.j:
-                raise ParameterError(f"entry {subset} has size {len(subset)}, expected 1..{params.j}")
-            if subset.mask >> (params.n + 1):
-                raise ParameterError(f"entry {subset} outside candidates 1..{params.n}")
+            if not 1 <= subset.mask.bit_count() <= j:
+                raise ParameterError(f"entry {subset} has size {len(subset)}, expected 1..{j}")
+            if subset.mask >> (n + 1):
+                raise ParameterError(f"entry {subset} outside candidates 1..{n}")
         times = Counter((entry, type(entry.multiplicity)) for entry in entries)
-        # frozen: the fields are set past __setattr__, as unchecked() does
         vars(self).update(params=params, distinct=tuple(entry for entry, _ in times),
                           repeats=tuple(times.values()))
 
@@ -246,6 +262,8 @@ class RawBallotFile:
         vars(raw).update(params=params, distinct=distinct, repeats=repeats)
         return raw
 
+    __setattr__ = __delattr__ = _refuse_assignment
+
     def _counts(self) -> Counter:  # the multiset: records per entry
         counts: Counter = Counter()
         for entry, times in zip(self.distinct, self.repeats):
@@ -256,6 +274,10 @@ class RawBallotFile:
         if not isinstance(other, RawBallotFile):
             return NotImplemented
         return self.params == other.params and self._counts() == other._counts()
+
+    def __repr__(self) -> str:
+        return (f"RawBallotFile(params={self.params!r}, distinct={self.distinct!r}, "
+                f"repeats={self.repeats!r})")
 
 
 def normalize(raw: RawBallotFile) -> VoterDistribution:
@@ -277,11 +299,12 @@ def normalize(raw: RawBallotFile) -> VoterDistribution:
             totals[lst] += m
         else:
             totals[lst] = m
-    if any(lst.mask.bit_count() < raw.params.j for lst in totals):
+    j = raw.params.j
+    if any(lst.mask.bit_count() < j for lst in totals):
         short = [(e.subset, times) for e, times in zip(raw.distinct, raw.repeats)
-                 if e.subset.mask.bit_count() < raw.params.j]
+                 if e.subset.mask.bit_count() < j]
         raise BallotFormatError(
-            f"{sum(times for _, times in short)} entries shorter than j={raw.params.j} "
+            f"{sum(times for _, times in short)} entries shorter than j={j} "
             f"(first: {short[0][0]}); run complete_short_lists first"
         )
     # Scale the totals to integer units over the LCM of their denominators
@@ -372,13 +395,14 @@ def complete_short_lists(raw: RawBallotFile, center: CandidateSubset, radius: in
     params = raw.params
     validate_list(center, params)
     params.check_radius(radius)
+    j = params.j
     # a full list's distance from the center is the count of its members outside it
     outside = ~center.mask
     done: list[BallotEntry] = []
     for entry in raw.distinct:
         subset = full = entry.subset
         mask = subset.mask
-        missing = params.j - mask.bit_count()
+        missing = j - mask.bit_count()
         if missing:
             # Center members the entry lacks: distinct from its own, so the
             # completed mask is the OR of the two.
@@ -387,7 +411,7 @@ def complete_short_lists(raw: RawBallotFile, center: CandidateSubset, radius: in
             full = CandidateSubset.unchecked(tuple(sorted(subset.members + fill)), mask | fill_mask)
         if (full.mask & outside).bit_count() > radius:
             raise HypothesisViolation(
-                f"entry {subset} has no size-{params.j} superset within "
+                f"entry {subset} has no size-{j} superset within "
                 f"distance {radius} of {center}"
             )
         done.append(entry if full is subset else BallotEntry.unchecked(full, entry.multiplicity))
@@ -442,21 +466,22 @@ def _ballot_params(n, k, j) -> ElectionParams:
 
 def _entry(
     members: list, ordered: tuple[int, ...] | None, kind: str, value,
-    params: ElectionParams, weights: dict[str, tuple[str, Fraction]],
+    n: int, j: int, weights: dict[str, tuple[str, Fraction]],
 ) -> BallotEntry:
     """The entry of a record with ``members`` and its ``kind`` ("count" or "weight") ``value``.
 
-    ``ordered`` is the members sorted, or None when one is not an int.
-    Checks the members (ints in 1..n, distinct, 1..j of them) and the
-    multiplicity (a positive int count, or a positive exact weight text);
-    raises _RecordError. ``weights`` maps each weight text accepted so far
+    ``ordered`` is the members sorted, or None when one is not an int;
+    ``n`` and ``j`` are the file's, read once by the caller. Checks the
+    members (ints in 1..n, distinct, 1..j of them) and the multiplicity (a
+    positive int count, or a positive exact weight text); raises
+    _RecordError. ``weights`` maps each weight text accepted so far
     to its id and value, so a text is parsed once and a bad one is never
     stored. The id is the value's reduced ``"p/q"``, so equal values in any
     spelling share it, and it never equals a count or a count's text.
     """
     # The range before the mask is built as wide as the largest member.
-    if ordered is None or (ordered and not (ordered[0] > 0 and ordered[-1] <= params.n)):
-        raise _RecordError(f"list members must be integers in 1..{params.n}, got {members}")
+    if ordered is None or (ordered and not (ordered[0] > 0 and ordered[-1] <= n)):
+        raise _RecordError(f"list members must be integers in 1..{n}, got {members}")
     # Members are ints in 1..n, so the mask has one bit per distinct member:
     # a short bit count is a duplicate.
     mask = 0
@@ -466,8 +491,8 @@ def _entry(
     if size != len(ordered):
         raise _RecordError(f"bad list {members}: duplicate candidates in {ordered}")
     subset = CandidateSubset.unchecked(ordered, mask)
-    if not 1 <= size <= params.j:
-        raise _RecordError(f"entry {subset} has size {size}, expected 1..{params.j}")
+    if not 1 <= size <= j:
+        raise _RecordError(f"entry {subset} has size {size}, expected 1..{j}")
     if kind == "count":
         if type(value) is not int or value <= 0:
             raise _RecordError("count must be a positive integer")
@@ -531,6 +556,7 @@ def _loads_canonical(text: str) -> RawBallotFile | None:
     if None in matches:
         return None
     params = _ballot_params(*map(int, head.groups()))
+    n, j = params.n, params.j
     # Every list group is JSON ints joined by ", ", so one json.loads reads them all.
     lists = json.loads("[[" + "],[".join([match[1] for match in matches]) + "]]")
     # Texts merge under the JSON reader's key, with a count held as its
@@ -554,7 +580,7 @@ def _loads_canonical(text: str) -> RawBallotFile | None:
         if at is None:
             kind, value = ("count", int(count)) if weight is None else ("weight", weight)
             try:
-                entry = _entry(members, ordered, kind, value, params, weights)
+                entry = _entry(members, ordered, kind, value, n, j, weights)
             except _RecordError as exc:
                 raise BallotFormatError(f"ballot {texts.index(record)}: {exc}") from exc
             if key is None:
@@ -587,6 +613,7 @@ def _loads_json(text: str) -> RawBallotFile:
         if type(doc[key]) is not int:
             raise BallotFormatError(f"header field {key!r} must be an integer")
     params = _ballot_params(doc["n"], doc["k"], doc["j"])
+    n, j = params.n, params.j
     if not isinstance(doc["ballots"], list):
         raise BallotFormatError('"ballots" must be an array')
     weights: dict[str, tuple[str, Fraction]] = {}
@@ -606,7 +633,7 @@ def _loads_json(text: str) -> RawBallotFile:
         ordered = tuple(sorted(members)) if _INT_TYPE.issuperset(map(type, members)) else None
         value = rec[kind]
         try:
-            entry = _entry(members, ordered, kind, value, params, weights)
+            entry = _entry(members, ordered, kind, value, n, j, weights)
         except _RecordError as exc:
             raise BallotFormatError(f"ballot {i}: {exc}") from exc
         key = (ordered, value) if kind == "count" else (ordered, weights[value][0])

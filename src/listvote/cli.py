@@ -26,7 +26,6 @@ Exit codes: 0 ok, 1 verification failure or a tally below its floor,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import importlib
 import json
@@ -218,8 +217,11 @@ def _json_text(value, indent: str = "\n") -> str:
     and indentation of the enclosing level.
     """
     inner = indent + "  "
-    if isinstance(value, CandidateSubset):  # a tuple record, written as its members
+    # tuple records first: a subset is written as its members, the others as objects
+    if isinstance(value, CandidateSubset):
         value = value.members
+    elif isinstance(value, _OBJECT_RECORDS):
+        value = _json_value(value)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -250,8 +252,13 @@ def _json_value(value):
     if isinstance(value, theory.WorstCaseResult):
         return value.to_dict()
     if isinstance(value, theory.VerificationReport):
-        return dataclasses.asdict(value) | {"passed": value.passed}
+        cells = [cell._asdict() for cell in value.cells]
+        return {"name": value.name, "cells": cells, "passed": value.passed}
     raise TypeError(f"no structured form for {type(value).__name__}")
+
+
+# The tuple records a result holds that are written as JSON objects.
+_OBJECT_RECORDS = (ElectionParams, theory.WorstCaseResult, theory.VerificationReport)
 
 
 def _human_text(part, approx: bool) -> str:
@@ -287,13 +294,14 @@ def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
     _bind("read_ballot_file", "complete_short_lists", "normalize", "best_committees")
     raw = read_ballot_file(args.input)
     params = raw.params
+    j = params.j
     args.center = _center_subset(args.center, params)
 
     if args.complete:
         raw = complete_short_lists(raw, args.center, args.radius)
-    elif any(e.subset.mask.bit_count() < params.j for e in raw.distinct):
+    elif any(e.subset.mask.bit_count() < j for e in raw.distinct):
         raise ParameterError(
-            f"file contains lists shorter than j={params.j}; "
+            f"file contains lists shorter than j={j}; "
             "rerun with --complete --center --radius"
         )
 
@@ -308,11 +316,11 @@ def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
                 f"{args.center}): {', '.join(str(x) for x in outside[:5])}"
             )
 
-    s = args.threshold if args.threshold is not None else params.j
+    s = args.threshold if args.threshold is not None else j
     result = best_committees(dist, s=s)
     facts = [
         _fact("params", "parameters", params),
-        ("threshold", s, None if s == params.j
+        ("threshold", s, None if s == j
          else (f"threshold: {s} (voters approve with >= {s} listed members)",)),
         _fact("best_value", "best approval", result.best_value),
         _fact("winners", f"winning committees ({len(result.winners)})", result.winners),

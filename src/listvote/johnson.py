@@ -13,7 +13,7 @@ functions pure, so everything here is safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
@@ -110,24 +110,28 @@ def parse_members(text: str) -> tuple[int, ...]:
         raise ParameterError(f"cannot parse candidate set {text!r}") from exc
 
 
-@dataclass(frozen=True)
-class ElectionParams:
+class ElectionParams(namedtuple("ElectionParams", ["n", "k", "j"])):
     """Election shape: n candidates, committees of size k, lists of size j.
 
     Requires 1 <= j <= k < n. The derived ``diameter`` is the largest
     possible distance between two lists, min(j, n - j), and ``max_class``
     the most members of one list a committee can miss, min(j, n - k).
+    The value is the named tuple record ``(n, k, j)``.
     """
 
-    n: int
-    k: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.j <= self.k < self.n:
-            raise ParameterError(
-                f"need 1 <= j <= k < n, got n={self.n} k={self.k} j={self.j}"
-            )
+    def __new__(cls, n: int, k: int, j: int) -> ElectionParams:
+        if not 1 <= j <= k < n:
+            raise ParameterError(f"need 1 <= j <= k < n, got n={n} k={k} j={j}")
+        return tuple.__new__(cls, (n, k, j))
+
+    def __reduce__(self):  # pickle and copy rebuild through the checked constructor
+        return type(self), tuple(self)
+
+    @classmethod
+    def _make(cls, iterable):  # and so does _replace, which builds through _make
+        return cls(*iterable)
 
     @property
     def diameter(self) -> int:

@@ -49,7 +49,7 @@ runs, and packed only while its lattice fits ``PACKED_MAX_BYTES``.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -68,19 +68,26 @@ PACKED_MAX_BYTES = 1 << 22
 _WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-@dataclass(frozen=True)
-class TallyResult:
+class TallyResult(namedtuple("TallyResult", ["best_value", "winners", "strategy_used"])):
     """Best approval value with the complete set of committees achieving it."""
 
-    best_value: Fraction
-    winners: tuple[CandidateSubset, ...]
-    strategy_used: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.winners:
+    def __new__(
+        cls, best_value: Fraction, winners: tuple[CandidateSubset, ...], strategy_used: str
+    ) -> TallyResult:
+        if not winners:
             raise ParameterError("a tally result needs at least one winner")
-        if list(self.winners) != sorted(self.winners):
+        if list(winners) != sorted(winners):
             raise ParameterError("winners must be sorted lexicographically")
+        return tuple.__new__(cls, (best_value, winners, strategy_used))
+
+    def __reduce__(self):  # pickle and copy rebuild through the checked constructor
+        return type(self), tuple(self)
+
+    @classmethod
+    def _make(cls, iterable):  # and so does _replace, which builds through _make
+        return cls(*iterable)
 
 
 def best_committees(

@@ -14,7 +14,7 @@ every result is an exact Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import HypothesisViolation, ParameterError
@@ -22,8 +22,7 @@ from .exactnum import binomial, format_rational
 from .johnson import ElectionParams, ring_monotone_threshold, ring_size
 
 
-@dataclass(frozen=True)
-class WorstCaseResult:
+class WorstCaseResult(namedtuple("WorstCaseResult", ["value", "weights", "achieving_class"])):
     """Exact minimax over concentric distributions on a ball.
 
     ``value`` is the smallest achievable best-committee approval,
@@ -31,9 +30,7 @@ class WorstCaseResult:
     ``achieving_class`` the smallest class index attaining the maximum.
     """
 
-    value: Fraction
-    weights: tuple[Fraction, ...]
-    achieving_class: int
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -43,19 +40,14 @@ class WorstCaseResult:
         }
 
 
-@dataclass(frozen=True)
-class CheckedCell:
-    label: str
-    ok: bool
-    detail: str = ""
+class CheckedCell(namedtuple("CheckedCell", ["label", "ok", "detail"], defaults=[""])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple("VerificationReport", ["name", "cells"])):
     """Outcome of a validator sweep: one line per checked cell."""
 
-    name: str
-    cells: tuple[CheckedCell, ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -586,10 +586,23 @@ def test_structured_writer_matches_json(value):
 
 
 def test_structured_writer_renders_exact_objects_like_json():
+    worst = theory.WorstCaseResult(Fraction(1, 3), (Fraction(0), Fraction(1)), 0)
+    report = theory.VerificationReport("suite", (theory.CheckedCell("cell", True),
+                                                 theory.CheckedCell("other", False, "why")))
+    records = {"params": ElectionParams(7, 4, 3), "worst_case": worst, "suites": [report]}
     doc = {"value": Fraction(8, 15), "winners": [CandidateSubset((4, 5, 6, 7))],
-           "params": ElectionParams(7, 4, 3), "none": [], "empty": {}}
-    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True,
+           "none": [], "empty": {}, **records}
+    # json.dumps writes any tuple as an array and never asks `default` about
+    # it, so the reference takes the tuple records already converted
+    converted = dict(doc, params=cli._json_value(records["params"]),
+                     worst_case=cli._json_value(worst), suites=[cli._json_value(report)])
+    assert _json_text(doc) == json.dumps(converted, indent=2, sort_keys=True,
                                           default=cli._json_value)
+    assert json.loads(_json_text(doc))["suites"] == [{
+        "name": "suite", "passed": False,
+        "cells": [{"label": "cell", "ok": True, "detail": ""},
+                  {"label": "other", "ok": False, "detail": "why"}],
+    }]
 
 
 def test_a_lone_subset_renders_as_its_members():

@@ -36,6 +36,8 @@ ROOT_NAMES = (
 TRACED_STAGES = ("read_ballot_file", "complete_short_lists", "normalize", "ball",
                  "best_committees")
 HEAVY = {"listvote.ballots", "listvote.tally", "listvote.oracle"}
+# Standard modules no command needs: the records are built without them.
+UNNEEDED = {"dataclasses", "inspect"}
 
 # Six candidates, 4-committees, 3-lists; {1,2} completes to {1,2,3} in the
 # radius-1 ball about {1,2,3}.
@@ -44,11 +46,12 @@ SHORT_LIST_FILE = json.dumps({"n": 6, "k": 4, "j": 3, "ballots": [
     {"list": [1, 2, 4], "count": 1},
 ]})
 
-RUN_COMMAND = """
+RUN_COMMAND = f"""
 import json, sys
 from listvote import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("listvote."))]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("listvote.") or m in {sorted(UNNEEDED)!r})]))
 """
 
 
@@ -62,40 +65,55 @@ def fresh(code: str, *args: str, cwd: Path) -> object:
 
 
 def loaded_by(tmp_path: Path, *argv: str) -> set[str]:
-    """The ``listvote`` submodules a fresh ``cli.main(argv)`` has loaded when it returns."""
+    """The ``listvote`` submodules, and the ``UNNEEDED`` modules, that a fresh
+    ``cli.main(argv)`` has loaded when it returns."""
     (tmp_path / "short.json").write_text(SHORT_LIST_FILE)
     code, modules = fresh(RUN_COMMAND, *argv, "--output", "out.txt", cwd=tmp_path)
     assert code == 0
     return set(modules)
 
 
+COMMANDS = {
+    "worst-case": ("worst-case", "--params", "22,14,8", "--radius", "4"),
+    "bounds": ("bounds", "--params", "9,5,3", "--radius", "1", "--alpha", "1/2"),
+    # beyond the guaranteed regime: bounds reports the computed worst case
+    "bounds-worst-case": ("bounds", "--params", "22,14,8", "--radius", "4"),
+    "tally": ("tally", "--input", "short.json", "--complete", "--center", "1,2,3",
+              "--radius", "1"),
+    "generate": ("generate", "--mode", "random-ball", "--params", "9,5,3", "--center", "1,2,3",
+                 "--radius", "1", "--seed", "1"),
+    "verify": ("verify", "--max-n", "4", "--trials", "1"),
+}
+
+
 class TestCommandsImportOnlyWhatTheyRun:
-    @pytest.mark.parametrize("argv", [
-        ("worst-case", "--params", "22,14,8", "--radius", "4"),
-        ("bounds", "--params", "9,5,3", "--radius", "1", "--alpha", "1/2"),
-        # beyond the guaranteed regime: bounds reports the computed worst case
-        ("bounds", "--params", "22,14,8", "--radius", "4"),
-    ], ids=["worst-case", "bounds", "bounds-worst-case"])
-    def test_closed_forms_and_lp_load_no_ballots_tally_or_oracle(self, tmp_path, argv):
-        loaded = loaded_by(tmp_path, *argv)
+    @pytest.mark.parametrize("name", ["worst-case", "bounds", "bounds-worst-case"])
+    def test_closed_forms_and_lp_load_no_ballots_tally_or_oracle(self, tmp_path, name):
+        loaded = loaded_by(tmp_path, *COMMANDS[name])
         assert {"listvote.cli", "listvote.theory"} <= loaded
         assert not loaded & HEAVY
 
     def test_tally_loads_no_oracle(self, tmp_path):
-        loaded = loaded_by(tmp_path, "tally", "--input", "short.json", "--complete",
-                           "--center", "1,2,3", "--radius", "1")
+        loaded = loaded_by(tmp_path, *COMMANDS["tally"])
         assert {"listvote.ballots", "listvote.tally"} <= loaded
         assert "listvote.oracle" not in loaded
 
     def test_generate_loads_no_tally_or_oracle(self, tmp_path):
-        loaded = loaded_by(tmp_path, "generate", "--mode", "random-ball", "--params", "9,5,3",
-                           "--center", "1,2,3", "--radius", "1", "--seed", "1")
+        loaded = loaded_by(tmp_path, *COMMANDS["generate"])
         assert "listvote.ballots" in loaded
         assert not loaded & {"listvote.tally", "listvote.oracle"}
 
     def test_verify_loads_the_oracle(self, tmp_path):
-        loaded = loaded_by(tmp_path, "verify", "--max-n", "4", "--trials", "1")
+        loaded = loaded_by(tmp_path, *COMMANDS["verify"])
         assert HEAVY <= loaded
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_no_command_loads_dataclasses_or_inspect(self, tmp_path, name):
+        # importing dataclasses (and with it inspect) and building a
+        # @dataclass class each cost a fresh process milliseconds
+        loaded = loaded_by(tmp_path, *COMMANDS[name])
+        assert "listvote.cli" in loaded
+        assert not loaded & UNNEEDED
 
 
 class TestLazyRootNames:
