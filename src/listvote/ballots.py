@@ -211,6 +211,10 @@ class BallotEntry(namedtuple("BallotEntry", ["subset", "multiplicity"])):
     def __reduce__(self):  # pickle and copy rebuild through the checked constructor
         return type(self), tuple(self)
 
+    @classmethod
+    def _make(cls, iterable):  # and so does _replace, which builds through _make
+        return cls(*iterable)
+
 
 class RawBallotFile:
     """Parsed ballot file: election parameters plus a multiset of raw entries.

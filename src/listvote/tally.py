@@ -36,6 +36,8 @@ the one that ran.
   set's lane reaches, so W is the larger bound in whole bytes, rounded
   up to 1, 2, 4 or 8 when it fits a machine word, and no lane carries.
   P - N cannot borrow: every lane of it is an approval, at least 0.
+  Lanes are read and written as machine words of a little-endian host;
+  a wider lane runs sparse.
 
 Each call picks its path from counts known before any work starts. With
 seeds_t seeded t-sets (the support times C(j,t)), the sparse path makes
@@ -43,7 +45,8 @@ at most n times the sum over ranks r = s..k-1 of
 min(C(n,r), sum over t of seeds_t · C(n-t, r-t)) table updates. The
 packed path costs its lattice bytes times n over
 ``PACKED_BYTES_PER_UPDATE``, plus C(n,k) lane reads. The cheaper one
-runs, and packed only while its lattice fits ``PACKED_MAX_BYTES``.
+runs, and packed only while its lattice fits ``PACKED_MAX_BYTES`` and
+its lane is a machine word.
 """
 
 from __future__ import annotations
@@ -64,8 +67,9 @@ from .johnson import CandidateSubset
 PACKED_BYTES_PER_UPDATE = 16
 # The largest lattice the packed path builds; a few copies are live at once.
 PACKED_MAX_BYTES = 1 << 22
-# memoryview formats of the lane widths that are machine words
-_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# memoryview formats of the lane widths that are machine words, whose
+# bytes are the lane's little-endian bytes only on a little-endian host
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 
 
 class TallyResult(namedtuple("TallyResult", ["best_value", "winners", "strategy_used"])):
@@ -98,7 +102,8 @@ def best_committees(
     ``s`` relaxes the rule to threshold approval (default: full
     containment, s = j). The result's strategy is the path that ran,
     ``"packed"`` or ``"sparse"``; ``_path`` forces one, for checks that
-    compare the two.
+    compare the two. Forcing ``"packed"`` on a lane that is not a machine
+    word raises ``ParameterError``.
     """
     p = dist.params
     if s is None:
@@ -128,7 +133,8 @@ def _coefficient(t: int, s: int) -> int:
 def lane_bytes(scale: int, j: int, s: int) -> int:
     """Bytes per packed lane: the largest lane of P or N, in whole bytes.
 
-    Up to 8 bytes the width is rounded up to a machine word, 1, 2, 4 or 8.
+    Up to 8 bytes the width is rounded up to a machine word, 1, 2, 4 or 8;
+    a wider lane keeps its width, and only the sparse path runs on it.
     """
     if s == 0:
         bound = scale
@@ -138,7 +144,7 @@ def lane_bytes(scale: int, j: int, s: int) -> int:
             sums[(t - s) & 1] += comb(j, t) * comb(t - 1, s - 1)
         bound = scale * max(sums)
     width = (bound.bit_length() + 7) // 8
-    return width if width > 8 else next(w for w in _WORDS if w >= width)
+    return width if width > 8 else 1 << (width - 1).bit_length()
 
 
 def choose_path(n: int, k: int, j: int, s: int, support: int, width: int) -> str:
@@ -147,11 +153,11 @@ def choose_path(n: int, k: int, j: int, s: int, support: int, width: int) -> str
     The sparse cost is the rank-table bound in updates, the packed cost
     its lattice bytes times n over ``PACKED_BYTES_PER_UPDATE`` plus one
     read per committee. A lattice above ``PACKED_MAX_BYTES`` is never
-    built.
+    built, nor one whose lane is not a machine word on this host.
     """
     # a lattice of 2**64 lanes is far above the cap; the shift stays small
     lattice = width << min(n, 64)
-    if lattice > PACKED_MAX_BYTES:
+    if lattice > PACKED_MAX_BYTES or width not in _WORDS:
         return "sparse"
     seeds = {0: 1} if s == 0 else {t: support * comb(j, t) for t in range(s, j + 1)}
     sparse = n * sum(
@@ -212,25 +218,19 @@ def _packed(n: int, k: int, ranks: list[dict[int, int]], width: int) -> tuple[in
 
     Candidate c is bit c of a mask and bit c - 1 of a lane index.
     """
+    word = _WORDS.get(width)
+    if word is None:
+        raise ParameterError(
+            f"packed needs a lane of 1, 2, 4 or 8 bytes on a little-endian host, got {width}")
     size = width << n
-    word = _WORDS.get(width) if sys.byteorder == "little" else None
     pos, neg = bytearray(size), bytearray(size)
-    if word:
-        with memoryview(pos).cast(word) as lanes_pos, memoryview(neg).cast(word) as lanes_neg:
-            for table in ranks:
-                for mask, v in table.items():
-                    if v > 0:
-                        lanes_pos[mask >> 1] = v
-                    else:
-                        lanes_neg[mask >> 1] = -v
-    else:
+    with memoryview(pos).cast(word) as lanes_pos, memoryview(neg).cast(word) as lanes_neg:
         for table in ranks:
             for mask, v in table.items():
-                at = (mask >> 1) * width
                 if v > 0:
-                    pos[at:at + width] = v.to_bytes(width, "little")
+                    lanes_pos[mask >> 1] = v
                 else:
-                    neg[at:at + width] = (-v).to_bytes(width, "little")
+                    lanes_neg[mask >> 1] = -v
     plus, minus = int.from_bytes(pos, "little"), int.from_bytes(neg, "little")
     # each spent copy of the lattice is freed at once: a few are live together
     del pos, neg
@@ -250,10 +250,7 @@ def _packed(n: int, k: int, ranks: list[dict[int, int]], width: int) -> tuple[in
     del with_b
     data = (plus - minus).to_bytes(size, "little")
     del plus, minus
-    if word:
-        lanes = memoryview(data).cast(word)
-    else:
-        lanes = [int.from_bytes(data[at:at + width], "little") for at in range(0, size, width)]
+    lanes = memoryview(data).cast(word)
     # The lattice read as rows of 2**low lanes: a row's k-sets are its lanes
     # whose column index has the k - (row popcount) bits left.
     low = n // 2

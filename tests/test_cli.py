@@ -473,6 +473,16 @@ class TestVerify:
         assert "[concentric-domination]" in out
         assert "[oracle-equivalence]" in out
 
+    def test_oracle_trials_run_sparse_alone_without_word_lanes(self, capsys, monkeypatch):
+        # no machine-word lanes, as on a big-endian host: packed cannot run,
+        # and the oracle trials check the sparse path alone
+        from listvote import tally
+
+        monkeypatch.setattr(tally, "_WORDS", {})
+        code, out, _ = run(capsys, "verify", "--max-n", "6", "--trials", "4", "--seed", "0")
+        assert code == 0
+        assert "RESULT: PASS" in out
+
     def test_deterministic_given_seed(self, capsys):
         argv = ["verify", "--max-n", "6", "--trials", "4", "--seed", "7"]
         code1, out1, _ = run(capsys, *argv)

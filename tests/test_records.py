@@ -130,7 +130,9 @@ def test_record_contract(make, field, hashes, rejected):
 @pytest.mark.parametrize("cls, fields, match", [
     (ElectionParams, (6, 6, 3), "^need 1 <= j <= k < n, got n=6 k=6 j=3$"),
     (TallyResult, (HALF, (), "sparse"), "^a tally result needs at least one winner$"),
-], ids=["ElectionParams", "TallyResult"])
+    (BallotEntry, (subset(1, 2), -5), "^multiplicity must be positive, got -5$"),
+    (BallotEntry, (subset(1, 2), True), "^multiplicity True is not an int or a Fraction$"),
+], ids=["ElectionParams", "TallyResult", "BallotEntry-negative", "BallotEntry-bool"])
 def test_copies_of_a_checked_record_rebuild_through_its_constructor(cls, fields, match):
     record = tuple.__new__(cls, fields)  # past the checks, as no caller builds one
     rebuilds = [lambda p=p: pickle.loads(pickle.dumps(record, p)) for p in PROTOCOLS]
@@ -146,6 +148,10 @@ def test_replace_checks_the_new_value():
         params()._replace(k=9)
     with pytest.raises(ParameterError, match="^a tally result needs at least one winner$"):
         tally()._replace(winners=())
+    entry = BallotEntry(subset(1, 2), 1)
+    assert entry._replace(multiplicity=HALF) == BallotEntry(subset(1, 2), HALF)
+    with pytest.raises(ParameterError, match="^multiplicity must be positive, got -5$"):
+        entry._replace(multiplicity=-5)
 
 
 def test_records_keep_their_fields_defaults_and_derived_values():

@@ -20,6 +20,7 @@ from listvote import (
     random_distribution,
     uniform_on,
 )
+from listvote import tally
 from listvote.johnson import CandidateSubset
 from listvote.oracle import approval, iter_committees, threshold_approval
 from listvote.tally import PACKED_MAX_BYTES, choose_path, lane_bytes
@@ -30,6 +31,26 @@ def _rule(dist: VoterDistribution, s: int) -> str:
     """The path the selection rule picks for ``dist`` at threshold ``s``."""
     p = dist.params
     return choose_path(p.n, p.k, p.j, s, len(dist), lane_bytes(dist.total, p.j, s))
+
+
+def _check_paths(dist: VoterDistribution, s: int) -> None:
+    """Each path the lane width allows matches brute force at threshold ``s``.
+
+    A lane over 8 bytes is not a machine word: the rule picks sparse, and
+    forcing packed is refused with the width named.
+    """
+    reference = brute_best(dist, s)
+    width = lane_bytes(dist.total, dist.params.j, s)
+    if width > 8:
+        assert _rule(dist, s) == "sparse"
+        with pytest.raises(ParameterError, match=f"on a little-endian host, got {width}$"):
+            best_committees(dist, s=s, _path="packed")
+    for path in ("packed", "sparse") if width <= 8 else ("sparse",):
+        result = best_committees(dist, s=s, _path=path)
+        assert result.strategy_used == path
+        assert result.best_value == reference.best_value
+        assert [w.mask for w in result.winners] == [w.mask for w in reference.winners]
+        assert result.winners == reference.winners
 
 
 class TestApproval:
@@ -265,13 +286,7 @@ def kernel_cases(draw):
 @given(kernel_cases())
 def test_both_paths_match_brute_force_for_every_threshold(dist):
     for s in range(dist.params.j + 1):
-        reference = brute_best(dist, s)
-        for path in ("packed", "sparse"):
-            result = best_committees(dist, s=s, _path=path)
-            assert result.strategy_used == path
-            assert result.best_value == reference.best_value
-            assert [w.mask for w in result.winners] == [w.mask for w in reference.winners]
-            assert result.winners == reference.winners
+        _check_paths(dist, s)
 
 
 class TestPackedPath:
@@ -286,18 +301,16 @@ class TestPackedPath:
         assert lane_bytes(63, 4, 3) == 1 and lane_bytes(64, 4, 3) == 2
 
     def test_lane_holds_exactly_the_edge_total(self):
-        # the LCM of the denominators is the total, and the full set's lane
-        # holds all of it: 255 in 1 byte, 256 in 2, 2**64 - 1 in 8, 2**64 in 9
+        # the LCM of the denominators is the total, and under containment
+        # and s = 0 the full set's lane holds all of it: 255 in 1 byte, 256
+        # in 2 and 2**64 - 1 in 8 run packed; 2**64 needs 9 and runs sparse
         params = ElectionParams(5, 4, 2)
+        assert [lane_bytes(t, 2, s) for s in (0, 2) for t in _EDGE_TOTALS] == [1, 2, 8, 9] * 2
         for total in _EDGE_TOTALS:
             dist = dist_from(params, {(1, 2): Fraction(total - 1, total),
                                       (4, 5): Fraction(1, total)})
             for s in range(3):
-                reference = brute_best(dist, s)
-                for path in ("packed", "sparse"):
-                    result = best_committees(dist, s=s, _path=path)
-                    assert (result.best_value, result.winners) == (
-                        reference.best_value, reference.winners)
+                _check_paths(dist, s)
 
     def test_rule_picks_packed_on_dense_supports(self):
         # the tally-ball shape, a radius-2 ball of 311 lists at (14,7,4), and
@@ -322,6 +335,20 @@ class TestPackedPath:
         thin = dist_from(ElectionParams(16, 4, 3), {(1, 2, 3): Fraction(1)})
         assert best_committees(thin).strategy_used == "sparse"
         assert best_committees(dense, _path="sparse").strategy_used == "sparse"
+
+    def test_a_host_without_word_lanes_runs_sparse(self, monkeypatch):
+        # no machine-word lanes, as on a big-endian host: the dense (14,7,4)
+        # ball that runs packed above runs sparse, to the same result
+        params = ElectionParams(14, 7, 4)
+        dense = uniform_on(params, ball(CandidateSubset((1, 2, 3, 4)), 2, params))
+        packed = best_committees(dense)
+        assert packed.strategy_used == "packed"
+        monkeypatch.setattr(tally, "_WORDS", {})
+        assert _rule(dense, 4) == "sparse"
+        result = best_committees(dense)
+        assert result == (packed.best_value, packed.winners, "sparse")
+        with pytest.raises(ParameterError, match="little-endian host, got 2$"):
+            best_committees(dense, _path="packed")
 
 
 class TestAverageApproval:
