@@ -70,6 +70,7 @@ from .exactnum import format_rational, parse_rational
 from .johnson import (
     CandidateSubset,
     ElectionParams,
+    _CheckedRecord,
     ball,
     distance,
     iter_lists,
@@ -165,7 +166,7 @@ class VoterDistribution:
         return len(self.units)
 
 
-class BallotEntry(namedtuple("BallotEntry", ["subset", "multiplicity"])):
+class BallotEntry(_CheckedRecord, namedtuple("BallotEntry", ["subset", "multiplicity"])):
     """One ballot-file record: a candidate set plus its multiplicity.
 
     An ``int`` multiplicity is a raw voter count; a ``Fraction`` is an
@@ -207,13 +208,6 @@ class BallotEntry(namedtuple("BallotEntry", ["subset", "multiplicity"])):
         Input from outside goes through ``BallotEntry(...)``.
         """
         return tuple.__new__(cls, (subset, multiplicity))
-
-    def __reduce__(self):  # pickle and copy rebuild through the checked constructor
-        return type(self), tuple(self)
-
-    @classmethod
-    def _make(cls, iterable):  # and so does _replace, which builds through _make
-        return cls(*iterable)
 
 
 class RawBallotFile:

@@ -14,10 +14,10 @@ Each command imports only what it runs. ``theory``, ``johnson``,
 ``exactnum`` and ``errors`` load with this module, which is all that
 ``bounds`` and ``worst-case`` need. ``tally`` also loads the ballot reader
 (``ballots``) and the kernel (``tally``), ``generate`` loads ``ballots``,
-and ``verify`` loads both and the brute-force ``oracle``. The stages
-``tally`` and ``verify`` call from ``ballots`` and ``tally`` stay module
-attributes, bound on first use and read at call time, so a wrapper set on
-one (``cli.normalize = traced``) is the one the command calls.
+and ``verify`` loads both and the brute-force ``oracle``. The four stages
+they run from ``ballots`` and ``tally`` are functions here that import
+their library function where they run. A command reads each at call time,
+so a wrapper set on one (``cli.normalize = traced``) is the one it calls.
 
 Exit codes: 0 ok, 1 verification failure or a tally below its floor,
 2 I/O or malformed file, 3 parameter inconsistency, 4 hypothesis violation.
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import json
 import math
 import sys
@@ -50,32 +49,32 @@ from .johnson import (
 
 if TYPE_CHECKING:
     from .ballots import RawBallotFile, VoterDistribution
-
-# The stages the commands take from the ballot reader and the tally kernel,
-# by the submodule that defines each. A command binds the ones it calls
-# before it runs; a read from outside binds one on first use.
-_STAGES = {
-    "read_ballot_file": ".ballots",
-    "complete_short_lists": ".ballots",
-    "normalize": ".ballots",
-    "best_committees": ".tally",
-}
+    from .tally import TallyResult
 
 
-def __getattr__(name: str):
-    """A stage of ``_STAGES`` on its first read: ``cli.normalize`` imports ``ballots``."""
-    if name not in _STAGES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(name)
-    return globals()[name]
+def read_ballot_file(path: str) -> RawBallotFile:
+    from .ballots import read_ballot_file as read
+
+    return read(path)
 
 
-def _bind(*names: str) -> None:
-    """Import and bind each named stage here; a value bound already (a wrapper) is kept."""
-    namespace = globals()
-    for name in names:
-        if name not in namespace:
-            namespace[name] = getattr(importlib.import_module(_STAGES[name], __package__), name)
+def complete_short_lists(raw: RawBallotFile, center: CandidateSubset, radius: int) -> RawBallotFile:
+    from .ballots import complete_short_lists as complete
+
+    return complete(raw, center, radius)
+
+
+def normalize(raw: RawBallotFile) -> VoterDistribution:
+    from .ballots import normalize as to_distribution
+
+    return to_distribution(raw)
+
+
+def best_committees(dist: VoterDistribution, s: int | None = None, *,
+                    _path: str | None = None) -> TallyResult:
+    from .tally import best_committees as best
+
+    return best(dist, s, _path=_path)
 
 
 EXIT_OK = 0
@@ -291,7 +290,6 @@ def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
         raise ParameterError("--complete requires --center and --radius")
     if (args.center is None) != (args.radius is None):
         raise ParameterError("--center and --radius must be given together")
-    _bind("read_ballot_file", "complete_short_lists", "normalize", "best_committees")
     raw = read_ballot_file(args.input)
     params = raw.params
     j = params.j
@@ -482,7 +480,6 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, list[Fact]]:
         )
     from .ballots import random_distribution
 
-    _bind("best_committees")
     reports: list[theory.VerificationReport] = []
 
     for n in range(2, max_n + 1):
@@ -539,8 +536,7 @@ def _oracle_trial(dist: VoterDistribution, rng: Random) -> tuple[str, bool, str]
     j = dist.params.j
     s = j if rng.random() < 0.5 else rng.randint(0, j)
     reference = oracle.brute_best(dist, s)
-    # packed runs only on a machine-word lane of this host
-    packs = tally.lane_bytes(dist.total, j, s) in tally._WORDS
+    packs = tally.packs(tally.lane_bytes(dist.total, j, s))
     paths = ("packed", "sparse") if packs else ("sparse",)
     results = [best_committees(dist, s=s, _path=path) for path in paths]
     ok = all((r.best_value, r.winners) == (reference.best_value, reference.winners)

@@ -15,11 +15,11 @@ from fractions import Fraction
 
 from .errors import ParameterError
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" into a Fraction.
+    """Parse "p" or "p/q", in ASCII digits, into a Fraction.
 
     Decimal notation is rejected on purpose: inputs must be exact.
     """

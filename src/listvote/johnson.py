@@ -110,7 +110,20 @@ def parse_members(text: str) -> tuple[int, ...]:
         raise ParameterError(f"cannot parse candidate set {text!r}") from exc
 
 
-class ElectionParams(namedtuple("ElectionParams", ["n", "k", "j"])):
+class _CheckedRecord:
+    """Base of a tuple record whose copies, pickles and ``_make`` run its constructor."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make too
+        return cls(*iterable)
+
+
+class ElectionParams(_CheckedRecord, namedtuple("ElectionParams", ["n", "k", "j"])):
     """Election shape: n candidates, committees of size k, lists of size j.
 
     Requires 1 <= j <= k < n. The derived ``diameter`` is the largest
@@ -125,13 +138,6 @@ class ElectionParams(namedtuple("ElectionParams", ["n", "k", "j"])):
         if not 1 <= j <= k < n:
             raise ParameterError(f"need 1 <= j <= k < n, got n={n} k={k} j={j}")
         return tuple.__new__(cls, (n, k, j))
-
-    def __reduce__(self):  # pickle and copy rebuild through the checked constructor
-        return type(self), tuple(self)
-
-    @classmethod
-    def _make(cls, iterable):  # and so does _replace, which builds through _make
-        return cls(*iterable)
 
     @property
     def diameter(self) -> int:

@@ -60,7 +60,7 @@ from operator import itemgetter
 
 from .ballots import VoterDistribution
 from .errors import ParameterError
-from .johnson import CandidateSubset
+from .johnson import CandidateSubset, _CheckedRecord
 
 # Lattice bytes the packed path moves in the time of one sparse table
 # update, fitted on a grid of 96 shapes with 10 <= n <= 18 (CHANGES.md).
@@ -72,7 +72,8 @@ PACKED_MAX_BYTES = 1 << 22
 _WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 
 
-class TallyResult(namedtuple("TallyResult", ["best_value", "winners", "strategy_used"])):
+class TallyResult(_CheckedRecord,
+                  namedtuple("TallyResult", ["best_value", "winners", "strategy_used"])):
     """Best approval value with the complete set of committees achieving it."""
 
     __slots__ = ()
@@ -86,13 +87,6 @@ class TallyResult(namedtuple("TallyResult", ["best_value", "winners", "strategy_
             raise ParameterError("winners must be sorted lexicographically")
         return tuple.__new__(cls, (best_value, winners, strategy_used))
 
-    def __reduce__(self):  # pickle and copy rebuild through the checked constructor
-        return type(self), tuple(self)
-
-    @classmethod
-    def _make(cls, iterable):  # and so does _replace, which builds through _make
-        return cls(*iterable)
-
 
 def best_committees(
     dist: VoterDistribution, s: int | None = None, *, _path: str | None = None
@@ -102,8 +96,8 @@ def best_committees(
     ``s`` relaxes the rule to threshold approval (default: full
     containment, s = j). The result's strategy is the path that ran,
     ``"packed"`` or ``"sparse"``; ``_path`` forces one, for checks that
-    compare the two. Forcing ``"packed"`` on a lane that is not a machine
-    word raises ``ParameterError``.
+    compare the two. Forcing ``"packed"`` where :func:`packs` is false
+    raises ``ParameterError``.
     """
     p = dist.params
     if s is None:
@@ -113,6 +107,9 @@ def best_committees(
     scale, units = dist.total, dist.units
     width = lane_bytes(scale, p.j, s)
     path = _path or choose_path(p.n, p.k, p.j, s, len(units), width)
+    if path == "packed" and not packs(width):
+        raise ParameterError(
+            f"packed needs a lane of 1, 2, 4 or 8 bytes on a little-endian host, got {width}")
     ranks = _seed(p.k, p.j, s, scale, units)
     if path == "packed":
         best, masks = _packed(p.n, p.k, ranks, width)
@@ -147,6 +144,11 @@ def lane_bytes(scale: int, j: int, s: int) -> int:
     return width if width > 8 else 1 << (width - 1).bit_length()
 
 
+def packs(width: int) -> bool:
+    """Whether the packed path runs on lanes of ``width`` bytes: a machine word of this host."""
+    return width in _WORDS
+
+
 def choose_path(n: int, k: int, j: int, s: int, support: int, width: int) -> str:
     """``"packed"`` or ``"sparse"``, whichever the shape predicts cheaper.
 
@@ -157,7 +159,7 @@ def choose_path(n: int, k: int, j: int, s: int, support: int, width: int) -> str
     """
     # a lattice of 2**64 lanes is far above the cap; the shift stays small
     lattice = width << min(n, 64)
-    if lattice > PACKED_MAX_BYTES or width not in _WORDS:
+    if lattice > PACKED_MAX_BYTES or not packs(width):
         return "sparse"
     seeds = {0: 1} if s == 0 else {t: support * comb(j, t) for t in range(s, j + 1)}
     sparse = n * sum(
@@ -218,10 +220,7 @@ def _packed(n: int, k: int, ranks: list[dict[int, int]], width: int) -> tuple[in
 
     Candidate c is bit c of a mask and bit c - 1 of a lane index.
     """
-    word = _WORDS.get(width)
-    if word is None:
-        raise ParameterError(
-            f"packed needs a lane of 1, 2, 4 or 8 bytes on a little-endian host, got {width}")
+    word = _WORDS[width]
     size = width << n
     pos, neg = bytearray(size), bytearray(size)
     with memoryview(pos).cast(word) as lanes_pos, memoryview(neg).cast(word) as lanes_neg:

@@ -158,6 +158,19 @@ class TestLazyCliStages:
         assert not set(before) & HEAVY
         assert callables == [True] * len(TRACED_STAGES)
 
+    def test_verify_trials_run_before_any_command(self, tmp_path):
+        # the trials call cli.best_committees, which no command has run yet
+        code = (
+            "import json\n"
+            "from random import Random\n"
+            "from listvote import ElectionParams, cli, random_distribution\n"
+            "rng = Random(0)\n"
+            "dist = random_distribution(ElectionParams(6, 4, 3), rng)\n"
+            "trials = (cli._domination_trial, cli._oracle_trial)\n"
+            "print(json.dumps([trial(dist, rng)[1] for trial in trials]))"
+        )
+        assert fresh(code, cwd=tmp_path) == [True, True]
+
     def test_wrappers_set_before_the_first_tally_are_called(self, tmp_path):
         # each wrapper is bound without reading the stage through cli first,
         # so the command must keep it rather than bind the library's own
