@@ -500,6 +500,10 @@ def _entry(
     known = weights.get(value)
     if known is None:
         try:
+            # a weight is written "p/q" bare; parse_rational strips
+            # whitespace for the command-line options
+            if value.strip() != value:
+                raise ValueError(f"not an exact rational literal: {value!r}")
             multiplicity = parse_rational(value)
         except ValueError as exc:
             raise _RecordError(str(exc)) from exc

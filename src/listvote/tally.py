@@ -23,21 +23,21 @@ the one that ran.
   supersets of seeded sets are touched, so a small support on many
   candidates stays cheap. A committee left out has value 0 and cannot
   win.
-- ``packed``: the whole lattice of 2^n subsets lives in one int P, one
+- ``packed``: the whole lattice of 2^n subsets lives in one int, one
   lane of W bytes per subset, lane X at bit 8·W·X (SWAR, as in Lamport,
   "Multiple byte processing with full-word instructions", CACM 1975).
-  Candidate b's step is ``P += (P << 8·W·2^b) & A_b``, where A_b is all
+  Candidate b's step is ``x += (x << 8·W·2^b) & A_b``, where A_b is all
   ones in the lanes with b: three big-int operations move every subset
-  at once, and A_b comes from A_(b+1) by one shift and one xor. Seeds
-  with a negative coefficient go into a second int N, transformed alike,
-  and the k-set lanes are read from P - N, row by row of 2^(n//2) lanes.
-  A lane of P (N) ends at most scale times the sum of C(j,t)·C(t-1,s-1)
-  over the ranks t of positive (negative) coefficient, a bound the full
-  set's lane reaches, so W is the larger bound in whole bytes, rounded
-  up to 1, 2, 4 or 8 when it fits a machine word, and no lane carries.
-  P - N cannot borrow: every lane of it is an approval, at least 0.
-  Lanes are read and written as machine words of a little-endian host;
-  a wider lane runs sparse.
+  at once, and A_b comes from A_(b+1) by one shift and one xor. Every
+  lane ends as an approval in 0..scale, and under containment and s = 0
+  never leaves that range. A threshold 0 < s < j seeds both signs, so its
+  lanes hold residues mod 2^(8·W-1), seeded as v mod 2^(8·W-1), and each
+  step ends with ``x &= L``, clearing every lane's top (guard) bit: two
+  residues sum below 2^(8·W), so no lane carries into the next. W holds
+  the total's bits, plus the guard bit, rounded up to 1, 2, 4 or 8
+  bytes; lanes are read and written as machine words of a little-endian
+  host, the k-set lanes row by row of 2^(n//2) lanes, and a wider lane
+  runs sparse.
 
 Each call picks its path from counts known before any work starts. With
 seeds_t seeded t-sets (the support times C(j,t)), the sparse path makes
@@ -112,7 +112,7 @@ def best_committees(
             f"packed needs a lane of 1, 2, 4 or 8 bytes on a little-endian host, got {width}")
     ranks = _seed(p.k, p.j, s, scale, units)
     if path == "packed":
-        best, masks = _packed(p.n, p.k, ranks, width)
+        best, masks = _packed(p.n, p.k, ranks, width, 0 < s < p.j)
     else:
         best, masks = _sparse(p.n, p.k, s, ranks)
     candidates = range(1, p.n + 1)
@@ -122,25 +122,13 @@ def best_committees(
     return TallyResult(Fraction(best, scale), tuple(winners), path)
 
 
-def _coefficient(t: int, s: int) -> int:
-    """Moebius coefficient of a t-subset under threshold s >= 1."""
-    return (-1) ** (t - s) * comb(t - 1, s - 1)
-
-
 def lane_bytes(scale: int, j: int, s: int) -> int:
-    """Bytes per packed lane: the largest lane of P or N, in whole bytes.
+    """Bytes per packed lane: the total's bits, plus a guard bit when 0 < s < j.
 
     Up to 8 bytes the width is rounded up to a machine word, 1, 2, 4 or 8;
     a wider lane keeps its width, and only the sparse path runs on it.
     """
-    if s == 0:
-        bound = scale
-    else:
-        sums = [0, 0]
-        for t in range(s, j + 1):
-            sums[(t - s) & 1] += comb(j, t) * comb(t - 1, s - 1)
-        bound = scale * max(sums)
-    width = (bound.bit_length() + 7) // 8
+    width = (scale.bit_length() + (0 < s < j) + 7) // 8
     return width if width > 8 else 1 << (width - 1).bit_length()
 
 
@@ -154,7 +142,8 @@ def choose_path(n: int, k: int, j: int, s: int, support: int, width: int) -> str
 
     The sparse cost is the rank-table bound in updates, the packed cost
     its lattice bytes times n over ``PACKED_BYTES_PER_UPDATE`` plus one
-    read per committee. A lattice above ``PACKED_MAX_BYTES`` is never
+    read per committee, with ``width`` from :func:`lane_bytes`, guard bit
+    included. A lattice above ``PACKED_MAX_BYTES`` is never
     built, nor one whose lane is not a machine word on this host.
     """
     # a lattice of 2**64 lanes is far above the cap; the shift stays small
@@ -178,20 +167,23 @@ def _seed(
     if s == 0:
         ranks[0][0] = scale
         return ranks
+    # the Moebius coefficient of a t-subset, t = s..j
+    coefficient = {t: (-1) ** (t - s) * comb(t - 1, s - 1) for t in range(s, j + 1)}
     # Rank j's one subset of a list is the list itself: its mask is seeded
     # directly, once per distinct support list. Only a threshold below j
-    # decodes members for the smaller subsets.
+    # decodes members for the smaller subsets; rank j - 1's drop one each.
     top = ranks[j]
-    top_coefficient = _coefficient(j, s)
     for lst, u in units.items():
-        top[lst.mask] = top_coefficient * u
+        top[lst.mask] = coefficient[j] * u
         if s == j:
             continue
         members = [1 << c for c in lst.members]
         for t in range(s, j):
-            seed = _coefficient(t, s) * u
+            seed = coefficient[t] * u
             table = ranks[t]
-            for sub in map(sum, combinations(members, t)):
+            subs = (map(lst.mask.__xor__, members) if t == j - 1
+                    else map(sum, combinations(members, t)))
+            for sub in subs:
                 table[sub] = table.get(sub, 0) + seed
     return ranks
 
@@ -215,24 +207,28 @@ def _sparse(n: int, k: int, s: int, ranks: list[dict[int, int]]) -> tuple[int, l
     return best, [m for m, v in acc.items() if v == best]
 
 
-def _packed(n: int, k: int, ranks: list[dict[int, int]], width: int) -> tuple[int, list[int]]:
+def _packed(
+    n: int, k: int, ranks: list[dict[int, int]], width: int, guard: bool
+) -> tuple[int, list[int]]:
     """The transform on the packed lattice; the best units and the masks holding them.
 
-    Candidate c is bit c of a mask and bit c - 1 of a lane index.
+    With ``guard`` the lanes hold residues mod 2**(8 * width - 1), and every
+    step clears each lane's top bit. Candidate c is bit c of a mask and bit
+    c - 1 of a lane index.
     """
     word = _WORDS[width]
     size = width << n
-    pos, neg = bytearray(size), bytearray(size)
-    with memoryview(pos).cast(word) as lanes_pos, memoryview(neg).cast(word) as lanes_neg:
+    data = bytearray(size)
+    modulus = 1 << 8 * width - 1
+    with memoryview(data).cast(word) as lanes:
         for table in ranks:
             for mask, v in table.items():
-                if v > 0:
-                    lanes_pos[mask >> 1] = v
-                else:
-                    lanes_neg[mask >> 1] = -v
-    plus, minus = int.from_bytes(pos, "little"), int.from_bytes(neg, "little")
+                lanes[mask >> 1] = v % modulus if guard else v
+    x = int.from_bytes(data, "little")
     # each spent copy of the lattice is freed at once: a few are live together
-    del pos, neg
+    del data
+    if guard:
+        keep = int.from_bytes((b"\xff" * (width - 1) + b"\x7f") * (1 << n), "little")
     # Candidate b's step adds each lane without b into its union with b:
     # x += (x << shift) & with_b, where with_b is all ones in the lanes with
     # b. The top candidate's lanes are the upper half, and the lanes with
@@ -243,12 +239,12 @@ def _packed(n: int, k: int, ranks: list[dict[int, int]], width: int) -> tuple[in
         shift = 8 * width << b
         if b < n - 1:
             with_b ^= with_b >> shift
-        plus += (plus << shift) & with_b
-        if minus:
-            minus += (minus << shift) & with_b
+        x += (x << shift) & with_b
+        if guard:
+            x &= keep
     del with_b
-    data = (plus - minus).to_bytes(size, "little")
-    del plus, minus
+    data = x.to_bytes(size, "little")
+    del x
     lanes = memoryview(data).cast(word)
     # The lattice read as rows of 2**low lanes: a row's k-sets are its lanes
     # whose column index has the k - (row popcount) bits left.

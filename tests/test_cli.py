@@ -592,6 +592,21 @@ def test_both_ballot_readers_reject_a_weight_in_non_ascii_digits(capsys, tmp_pat
     assert results[0] == (2, "", "error: ballot 1: not an exact rational literal: '٢/١٥'\n")
 
 
+def test_both_ballot_readers_reject_a_padded_weight(capsys, tmp_path):
+    # an ideographic space, a space and an escaped newline around "2/15": the
+    # option parser strips such padding, a ballot file's weight has none
+    text = EXAMPLE_FILE.replace('[4, 5, 6], "weight": "2/15"',
+                                '[4, 5, 6], "weight": "\u3000 2/15\\n"')
+    path = tmp_path / "padded.json"
+    results = []
+    for layout in (text, json.dumps(json.loads(text))):
+        path.write_text(layout, encoding="utf-8")
+        results.append(run(capsys, "tally", "--input", str(path)))
+    assert results[0] == results[1]
+    assert results[0] == (2, "", "error: ballot 1: not an exact rational literal: "
+                                 "'\\u3000 2/15\\n'\n")
+
+
 # Nested JSON values, with tuples (which json writes as arrays) and all-int
 # lists (which the writer joins in one go) made likely.
 json_documents = st.recursive(

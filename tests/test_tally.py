@@ -256,8 +256,10 @@ def test_kernels_match_brute_force_for_every_threshold(dist):
 
 
 # Totals whose largest containment lane just fits, or just overflows, a
-# 1-byte and an 8-byte lane.
+# 1-byte and an 8-byte lane; and those whose threshold lanes, a guard bit
+# above the total's bits, do the same.
 _EDGE_TOTALS = [255, 256, 2**64 - 1, 2**64]
+_GUARD_TOTALS = [127, 128, 2**63 - 1, 2**63]
 
 
 @st.composite
@@ -274,7 +276,7 @@ def kernel_cases(draw):
     chosen = draw(st.lists(st.sampled_from(lists), min_size=size, max_size=size, unique=True))
     if draw(st.booleans()):
         # one list at 1/total fixes the LCM of the denominators at the total
-        total = draw(st.sampled_from(_EDGE_TOTALS) | st.integers(size, 10**6))
+        total = draw(st.sampled_from(_EDGE_TOTALS + _GUARD_TOTALS) | st.integers(size, 10**6))
         counts = [1] * size
         counts[-1] += total - size
         raw = [Fraction(c, total) for c in counts]
@@ -297,14 +299,34 @@ def test_both_paths_match_brute_force_for_every_threshold(dist):
 
 class TestPackedPath:
     def test_lane_width_at_the_byte_edges(self):
-        # containment: the full set's lane holds the whole total
+        # containment and s = 0: the full set's lane holds the whole total,
+        # and widths below 8 bytes are rounded up to machine words
         assert [lane_bytes(t, 3, 3) for t in _EDGE_TOTALS] == [1, 2, 8, 9]
-        # s = 0 seeds the empty set with the total; widths below 8 bytes
-        # are rounded up to machine words
         assert [lane_bytes(2**b, 3, 0) for b in (8, 16, 24, 40, 63)] == [2, 4, 4, 8, 8]
-        # j = 4, s = 3: the ranks t = 3 (+) and t = 4 (-) give 4 and 3 units
-        # per list unit, so P's lanes bound the width
-        assert lane_bytes(63, 4, 3) == 1 and lane_bytes(64, 4, 3) == 2
+        # 0 < s < j: the total's bits and one guard bit, whatever j and s
+        assert [lane_bytes(t, 3, s) for s in (1, 2) for t in _GUARD_TOTALS] == [1, 2, 8, 9] * 2
+        assert lane_bytes(127, 4, 3) == 1 and lane_bytes(128, 4, 3) == 2
+        assert lane_bytes(127, 10, 5) == 1
+        # (10,8,3) at s = 2 over the largest prime below 2**63: a bound per
+        # Moebius sign, 3 units per list unit, would need 9 bytes
+        assert lane_bytes(2**63 - 25, 3, 2) == 8
+        assert choose_path(10, 8, 3, 2, 85, 8) == "packed"
+
+    @pytest.mark.parametrize("width, wider", [(1, 2), (2, 4), (4, 8), (8, 9)])
+    def test_residues_wrap_at_every_word_edge(self, width, wider):
+        # a total of 2**(8W-1) - 1 fills a threshold's W-byte residue lanes
+        # below the guard bit, and 2**(8W-1) needs the next width; the heavy
+        # list's negative seeds wrap, and intermediate lanes pass the total
+        params = ElectionParams(6, 4, 3)
+        edge = 2 ** (8 * width - 1)
+        for total, guarded in ((edge - 1, width), (edge, wider)):
+            dist = dist_from(params, {(1, 2, 3): Fraction(total - 2, total),
+                                      (1, 2, 4): Fraction(1, total),
+                                      (3, 5, 6): Fraction(1, total)})
+            assert dist.total == total
+            for s in range(4):
+                assert lane_bytes(total, 3, s) == (guarded if 0 < s < 3 else width)
+                _check_paths(dist, s)
 
     def test_lane_holds_exactly_the_edge_total(self):
         # the LCM of the denominators is the total, and under containment
