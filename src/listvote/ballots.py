@@ -25,14 +25,16 @@ give the same result and the same errors:
 - ``json.loads`` reads every other layout. There every record is checked
   in full, then merged under its key.
 
-:class:`RawBallotFile` holds only the distinct entries, in order of first
-record, and their repeat counts; completion and :func:`normalize` each run
+Both readers and completion build a :class:`RawBallotFile` from one merge
+map, ``{key: [entry, repeats]}``, keyed by the entry's value, so every file
+holds each distinct entry once, in order of its first record, with the
+count of records that carry it. Completion and :func:`normalize` each run
 once per distinct entry, so no stage after the parser walks the records.
 A file with no repeated entry, as every file the tool writes, round-trips
-byte-identically. :func:`normalize` sums per list in integer units, and the
-distribution stores only those units over their reduced total, the one
-form the tally kernel reads; a list's ``Fraction`` weight is built only
-when read. Nothing is cached between files.
+byte-identically. :func:`normalize` sums per list in integer units, and
+the distribution stores only those units over their reduced total, the
+one form the tally kernel reads; a list's ``Fraction`` weight is built
+only when read. Nothing is cached between files.
 
 Each input rule is checked once, by the stage where the value enters;
 later stages build from proven values with the ``unchecked`` constructors
@@ -218,13 +220,14 @@ class RawBallotFile:
 
     A record's place has no meaning, so the file holds each distinct entry
     once in ``distinct``, in order of its first record, and in
-    ``repeats[i]`` the count of records that carry ``distinct[i]``. A file
-    built from a sequence of entries, after their size and range check,
-    merges equal entries in order of first occurrence, as the parser
-    does; an entry's key holds its multiplicity's type, so count ``1`` and
-    weight ``"1"`` stay apart. Its first write is then the text every
-    later read and write gives. Two files are equal when their parameters
-    and their multisets of entries are.
+    ``repeats[i]`` the count of records that carry ``distinct[i]``. Every
+    builder merges by value: the readers and completion fill a merge map
+    for :meth:`unchecked`, and a file built here from a sequence of
+    entries, after their size and range check, counts them under the entry
+    and its multiplicity's type, so count ``1`` and weight ``"1"`` stay
+    apart. No two of a file's entries are equal, and its first write is
+    the text every later read and write gives. Two files are equal when
+    their parameters and their multisets of entries are.
     """
 
     params: ElectionParams
@@ -245,17 +248,18 @@ class RawBallotFile:
                           repeats=tuple(times.values()))
 
     @classmethod
-    def unchecked(
-        cls, params: ElectionParams, distinct: tuple[BallotEntry, ...], repeats: tuple[int, ...]
-    ) -> RawBallotFile:
-        """The file holding ``distinct`` and ``repeats`` themselves, built without the checks.
+    def unchecked(cls, params: ElectionParams, merged: dict[object, list]) -> RawBallotFile:
+        """The file of a merge map ``{key: [entry, repeats]}``, built without the checks.
 
+        The map's values, in its order, become ``distinct`` and ``repeats``.
         The caller guarantees that every entry has 1..j members, all in
-        1..n, and that ``repeats`` holds one positive count per entry:
-        :func:`loads_ballot_file` builds them from records it checked, and
-        :func:`complete_short_lists` from a checked file's entries and
+        1..n, that each repeat count is positive, and that its key tells
+        entries apart by value, so no two entries are equal:
+        :func:`loads_ballot_file` builds the map from records it checked,
+        and :func:`complete_short_lists` from a checked file's entries and
         center members. Input from outside goes through ``RawBallotFile(...)``.
         """
+        distinct, repeats = tuple(zip(*merged.values())) or ((), ())
         raw = object.__new__(cls)
         vars(raw).update(params=params, distinct=distinct, repeats=repeats)
         return raw
@@ -386,9 +390,11 @@ def complete_short_lists(raw: RawBallotFile, center: CandidateSubset, radius: in
     ParameterError. Every entry must end up inside the ball: an entry with
     no valid completion raises HypothesisViolation naming the first such
     entry. Multiplicities are preserved. Each distinct entry is completed
-    and checked once, and the result shares the input's repeat counts, so
-    a repeated record costs nothing here; :func:`loads_ballot_file` gives
-    all records with the same list and count or weight one entry.
+    and checked once, so a repeated record costs nothing here. Entries
+    that complete to one list with one count or weight merge into one
+    entry, in order of the first, with their repeat counts summed; the
+    key is the list's mask with the multiplicity's numerator, denominator
+    and type, so count ``1`` and weight ``"1"`` stay apart.
     """
     params = raw.params
     validate_list(center, params)
@@ -396,8 +402,8 @@ def complete_short_lists(raw: RawBallotFile, center: CandidateSubset, radius: in
     j = params.j
     # a full list's distance from the center is the count of its members outside it
     outside = ~center.mask
-    done: list[BallotEntry] = []
-    for entry in raw.distinct:
+    merged: dict[tuple, list] = {}
+    for entry, times in zip(raw.distinct, raw.repeats):
         subset = full = entry.subset
         mask = subset.mask
         missing = j - mask.bit_count()
@@ -412,8 +418,14 @@ def complete_short_lists(raw: RawBallotFile, center: CandidateSubset, radius: in
                 f"entry {subset} has no size-{j} superset within "
                 f"distance {radius} of {center}"
             )
-        done.append(entry if full is subset else BallotEntry.unchecked(full, entry.multiplicity))
-    return RawBallotFile.unchecked(params, tuple(done), raw.repeats)
+        m = entry.multiplicity
+        key = (full.mask, m.numerator, m.denominator, type(m))
+        slot = merged.get(key)
+        if slot is None:
+            merged[key] = [entry if full is subset else BallotEntry.unchecked(full, m), times]
+        else:
+            slot[1] += times
+    return RawBallotFile.unchecked(params, merged)
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +512,6 @@ def _entry(
     known = weights.get(value)
     if known is None:
         try:
-            # a weight is written "p/q" bare; parse_rational strips
-            # whitespace for the command-line options
-            if value.strip() != value:
-                raise ValueError(f"not an exact rational literal: {value!r}")
             multiplicity = parse_rational(value)
         except ValueError as exc:
             raise _RecordError(str(exc)) from exc
@@ -567,9 +575,7 @@ def _loads_canonical(text: str) -> RawBallotFile | None:
     # values of an accepted record. A weight text not yet seen has no key
     # until it is parsed, so it takes the checks.
     weights: dict[str, tuple[str, Fraction]] = {}
-    keys: dict[tuple, int] = {}
-    distinct: list[BallotEntry] = []
-    repeats: list[int] = []
+    merged: dict[tuple, list] = {}
     for (record, copies), match, members in zip(times.items(), matches, lists):
         _, count, weight = match.groups()
         ordered = tuple(sorted(members))
@@ -578,8 +584,8 @@ def _loads_canonical(text: str) -> RawBallotFile | None:
         else:
             known = weights.get(weight)
             key = None if known is None else (ordered, known[0])
-        at = keys.get(key)
-        if at is None:
+        slot = merged.get(key)
+        if slot is None:
             kind, value = ("count", int(count)) if weight is None else ("weight", weight)
             try:
                 entry = _entry(members, ordered, kind, value, n, j, weights)
@@ -587,12 +593,9 @@ def _loads_canonical(text: str) -> RawBallotFile | None:
                 raise BallotFormatError(f"ballot {texts.index(record)}: {exc}") from exc
             if key is None:
                 key = (ordered, weights[weight][0])
-            at = keys.setdefault(key, len(distinct))
-            if at == len(distinct):
-                distinct.append(entry)
-                repeats.append(0)
-        repeats[at] += copies
-    return RawBallotFile.unchecked(params, tuple(distinct), tuple(repeats))
+            slot = merged.setdefault(key, [entry, 0])
+        slot[1] += copies
+    return RawBallotFile.unchecked(params, merged)
 
 
 def _loads_json(text: str) -> RawBallotFile:
@@ -619,9 +622,7 @@ def _loads_json(text: str) -> RawBallotFile:
     if not isinstance(doc["ballots"], list):
         raise BallotFormatError('"ballots" must be an array')
     weights: dict[str, tuple[str, Fraction]] = {}
-    keys: dict[tuple, int] = {}
-    distinct: list[BallotEntry] = []
-    repeats: list[int] = []
+    merged: dict[tuple, list] = {}
     for i, rec in enumerate(doc["ballots"]):
         if not isinstance(rec, dict) or not _ENTRY_KEYS.issuperset(rec):
             raise BallotFormatError(f"ballot {i}: keys must be among {sorted(_ENTRY_KEYS)}")
@@ -639,12 +640,8 @@ def _loads_json(text: str) -> RawBallotFile:
         except _RecordError as exc:
             raise BallotFormatError(f"ballot {i}: {exc}") from exc
         key = (ordered, value) if kind == "count" else (ordered, weights[value][0])
-        at = keys.setdefault(key, len(distinct))
-        if at == len(distinct):
-            distinct.append(entry)
-            repeats.append(0)
-        repeats[at] += 1
-    return RawBallotFile.unchecked(params, tuple(distinct), tuple(repeats))
+        merged.setdefault(key, [entry, 0])[1] += 1
+    return RawBallotFile.unchecked(params, merged)
 
 
 def dumps_ballot_file(raw: RawBallotFile) -> str:

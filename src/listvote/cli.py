@@ -20,7 +20,8 @@ their library function where they run. A command reads each at call time,
 so a wrapper set on one (``cli.normalize = traced``) is the one it calls.
 
 Exit codes: 0 ok, 1 verification failure or a tally below its floor,
-2 I/O or malformed file, 3 parameter inconsistency, 4 hypothesis violation.
+2 I/O or malformed file, 3 parameter inconsistency or a run out of memory
+or stack, 4 hypothesis violation.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def _parse_params(text: str) -> ElectionParams:
 
 def _parse_alpha(text: str) -> Fraction:
     try:
-        alpha = parse_rational(text)
+        alpha = parse_rational(text.strip())
     except ValueError as exc:
         raise ParameterError(f"bad --alpha: {exc}") from exc
     if not 0 <= alpha <= 1:
@@ -142,7 +143,7 @@ def _parse_alpha(text: str) -> Fraction:
 
 def _parse_weights(text: str) -> tuple[Fraction, ...]:
     try:
-        return tuple(parse_rational(p) for p in text.split(","))
+        return tuple(parse_rational(p.strip()) for p in text.split(","))
     except ValueError as exc:
         raise ParameterError(f"bad --weights {text!r}: {exc}") from exc
 
@@ -647,6 +648,14 @@ def main(argv: list[str] | None = None) -> int:
     except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+    # The message is fixed, as str() of either is usually empty, and printed
+    # once the handler has dropped the traceback and the frames it holds.
+    except MemoryError:
+        failure = "ran out of memory"
+    except RecursionError:
+        failure = "recursed too deeply"
+    print(f"error: {args.command} {failure}", file=sys.stderr)
+    return EXIT_PARAMS
 
 
 if __name__ == "__main__":

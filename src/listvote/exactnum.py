@@ -15,23 +15,23 @@ from fractions import Fraction
 
 from .errors import ParameterError
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q", in ASCII digits, into a Fraction.
+    """Parse "p" or "p/q", in ASCII digits with no whitespace, into a Fraction.
 
-    Decimal notation is rejected on purpose: inputs must be exact.
+    Decimal notation is rejected on purpose: inputs must be exact. The
+    text is matched as given; a caller that admits padding strips it first.
     """
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not an exact rational literal: {text!r}")
-    if "/" in s:
-        p, q = s.split("/")
+    if "/" in text:
+        p, q = text.split("/")
         if int(q) == 0:
             raise ValueError(f"zero denominator: {text!r}")
         return Fraction(int(p), int(q))
-    return Fraction(int(s))
+    return Fraction(int(text))
 
 
 def format_rational(value: Fraction) -> str:

@@ -56,7 +56,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, lt
 
 from .ballots import VoterDistribution
 from .errors import ParameterError
@@ -83,7 +83,8 @@ class TallyResult(_CheckedRecord,
     ) -> TallyResult:
         if not winners:
             raise ParameterError("a tally result needs at least one winner")
-        if list(winners) != sorted(winners):
+        # strictly increasing, so no committee is counted twice
+        if not all(map(lt, winners, winners[1:])):
             raise ParameterError("winners must be sorted lexicographically")
         return tuple.__new__(cls, (best_value, winners, strategy_used))
 

@@ -29,6 +29,13 @@ def record_entries(raw: RawBallotFile) -> tuple[BallotEntry, ...]:
     return tuple(chain.from_iterable(map(repeat, raw.distinct, raw.repeats)))
 
 
+def complete_by_rule(short: CandidateSubset, center: CandidateSubset, j: int) -> CandidateSubset:
+    """``short`` completed by the documented rule: the smallest center members it lacks."""
+    members = short.members
+    fill = [c for c in center.members if c not in members][:j - len(members)]
+    return CandidateSubset(members + tuple(fill))
+
+
 def assert_canonical(s: CandidateSubset, n: int) -> None:
     """Fail unless ``s`` keeps ``CandidateSubset``'s contract: members sorted,
     distinct and within 1..n, and ``mask`` the OR of their bits.

@@ -39,7 +39,7 @@ from listvote import (
     worst_case_concentric,
 )
 from listvote.oracle import approval, class_of, committees_in_class_containing, iter_committees
-from conftest import record_entries
+from conftest import complete_by_rule
 
 V123 = CandidateSubset((1, 2, 3))
 
@@ -297,9 +297,12 @@ def test_criterion_9_short_list_and_alpha_pipelines():
                 entries.append(BallotEntry(CandidateSubset(short), rng.randint(1, 5)))
             raw = RawBallotFile(params, tuple(entries))
             completed = complete_short_lists(raw, center, radius)
-            for before, after in zip(record_entries(raw), record_entries(completed)):
-                assert before.subset.issubset(after.subset)
-                assert len(after.subset) == params.j
+            # a file is a multiset: it equals the records completed one by one
+            # by the documented rule, the smallest center members each lacks
+            by_rule = [BallotEntry(complete_by_rule(e.subset, center, params.j), e.multiplicity)
+                       for e in entries]
+            assert completed == RawBallotFile(params, by_rule)
+            assert all(len(e.subset) == params.j for e in completed.distinct)
             dist = normalize(completed)
             assert set(dist.support) <= set(pool)
             assert best_committees(dist).best_value >= floor

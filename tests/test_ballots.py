@@ -8,7 +8,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from listvote import (
@@ -37,7 +37,14 @@ from listvote import (
 )
 from listvote.ballots import _loads_canonical, _loads_json
 from listvote.exactnum import parse_rational
-from conftest import assert_canonical, assert_reduced, dist_from, record_entries, subset
+from conftest import (
+    assert_canonical,
+    assert_reduced,
+    complete_by_rule,
+    dist_from,
+    record_entries,
+    subset,
+)
 
 P643 = ElectionParams(6, 4, 3)
 V123 = CandidateSubset((1, 2, 3))
@@ -298,6 +305,22 @@ class TestCompleteShortLists:
             assert CandidateSubset(short).issubset(completed)
             assert distance(completed, V123) <= 2
             assert len(completed) == 3
+
+    def test_entries_completing_to_one_list_merge(self):
+        # {1,2} completes to {1,2,3}, which the file holds with the same count
+        raw = RawBallotFile(P643, (entry((1, 2), 1), entry((4, 5, 6), 1), entry((1, 2, 3), 1)))
+        done = complete_short_lists(raw, V123, 3)
+        assert done.distinct == (entry((1, 2, 3), 1), entry((4, 5, 6), 1))
+        assert done.repeats == (2, 1)
+        assert normalize(done).units == {V123: 2, subset(4, 5, 6): 1}
+
+    def test_a_count_stays_apart_from_an_equal_weight(self):
+        raw = RawBallotFile(P643, (entry((1, 2), 1), entry((1, 2, 3), Fraction(1)),
+                                   entry((1, 3), Fraction(2, 2))))
+        done = complete_short_lists(raw, V123, 1)
+        assert typed(done.distinct) == [(entry((1, 2, 3), 1), int),
+                                        (entry((1, 2, 3), 1), Fraction)]
+        assert done.repeats == (1, 2)
 
 
 EXAMPLE_FILE = """{
@@ -1006,6 +1029,29 @@ def test_repeats_in_any_member_order_parse_alike_in_both_layouts(case):
     assert parsed is not None
     assert sum(parsed.repeats) == count
     assert_same_parse(parsed, loads_ballot_file(text))
+
+
+@given(files_near_a_ball(), dumps_options, st.data())
+def test_completed_entries_are_distinct_in_both_layouts(case, options, data):
+    raw, center, radius = case
+    # some entries again as the list they complete to, with their multiplicity,
+    # so completion meets entries equal to ones the file already holds
+    again = data.draw(st.lists(st.sampled_from(raw.distinct), max_size=4))
+    raw = RawBallotFile(raw.params, record_entries(raw) + tuple(
+        BallotEntry(complete_by_rule(e.subset, center, raw.params.j), e.multiplicity)
+        for e in again))
+    expected = reference_complete_and_normalize(raw, center, radius)
+    assume(not isinstance(expected, CandidateSubset))
+    text = dumps_ballot_file(raw)
+    for layout in (text, json.dumps(json.loads(text), **options)):
+        completed = complete_short_lists(loads_ballot_file(layout), center, radius)
+        # no two entries equal in list, multiplicity type and value
+        assert len(set(typed(completed.distinct))) == len(completed.distinct)
+        assert sum(completed.repeats) == sum(raw.repeats)
+        dist = normalize(completed)
+        assert {frozenset(lst.members): w for lst, w in dist.items()} == expected
+        written = dumps_ballot_file(completed)
+        assert dumps_ballot_file(loads_ballot_file(written)) == written
 
 
 def _members(record):

@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -605,6 +609,42 @@ def test_both_ballot_readers_reject_a_padded_weight(capsys, tmp_path):
     assert results[0] == results[1]
     assert results[0] == (2, "", "error: ballot 1: not an exact rational literal: "
                                  "'\\u3000 2/15\\n'\n")
+
+
+def test_padded_options_are_stripped_before_parsing(capsys):
+    # the option parsers strip padding, the library's parse_rational takes none
+    code, out, _ = run(capsys, "bounds", "--params", "6,4,3", "--radius", "1",
+                       "--alpha", " 1/2 ")
+    assert code == 0 and "floor (fraction 1/2 of voters in the ball)" in out
+    code, out, _ = run(capsys, "generate", "--mode", "concentric", "--params", "7,4,3",
+                       "--center", "1,2,3", "--weights", "0, 1/3, 2/3")
+    unpadded = run(capsys, "generate", "--mode", "concentric", "--params", "7,4,3",
+                   "--center", "1,2,3", "--weights", "0,1/3,2/3")
+    assert code == 0 and (code, out, "") == unpadded
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Caps the child's own address space once the CLI is imported, then runs it.
+CAPPED_MAIN = """
+import resource, sys
+from listvote.cli import main
+cap = 256 << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+def test_running_out_of_memory_exits_3_with_one_line(tmp_path):
+    # uniform-all at (60,30,20) would hold C(60,20), about 4.2e15, lists
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, "generate", "--mode", "uniform-all",
+         "--params", "60,30,20"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "error: generate ran out of memory\n")
 
 
 # Nested JSON values, with tuples (which json writes as arrays) and all-int

@@ -80,7 +80,8 @@ class TestSerialization:
     def test_parse(self, text, value):
         assert parse_rational(text) == value
 
-    @pytest.mark.parametrize("bad", ["1.5", "", "1/0", "1/-3", "a/b", "1/2/3", "1e3", "١/٢"])
+    @pytest.mark.parametrize("bad", ["1.5", "", "1/0", "1/-3", "a/b", "1/2/3", "1e3", "١/٢",
+                                     " 1/2", "1/2\n"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)

@@ -71,6 +71,9 @@ RECORDS = [
          "^a tally result needs at least one winner$"),
         (lambda: TallyResult(HALF, (subset(1, 2, 3, 5), subset(1, 2, 3, 4)), "sparse"),
          ParameterError, "^winners must be sorted lexicographically$"),
+        # a tie counted twice is not sorted strictly
+        (lambda: TallyResult(HALF, (subset(1, 2, 3, 4), subset(1, 2, 3, 4)), "sparse"),
+         ParameterError, "^winners must be sorted lexicographically$"),
     ], id="TallyResult"),
     pytest.param(worst, "value", True, [
         (lambda: theory.WorstCaseResult(Fraction(1, 5), ()), TypeError, "achieving_class"),
