@@ -9,9 +9,15 @@ Both rules run on one integer subset-sum (zeta) transform, in the
 distribution's integer units over one total. Containment seeds each
 list. A threshold s >= 1 uses the identity
 1[|X| >= s] = sum over T in X, |T| >= s, of (-1)^(|T|-s) C(|T|-1, s-1):
-each t-subset of each list, t = s..j, is seeded with that coefficient
-times the list's units. s = 0 seeds the empty set with the whole total.
-After the transform every k-set holds its committee's exact approval.
+each t-set T, t = s..j, is seeded with that coefficient c_t times h_t(T),
+the units of the lists containing T. s = 0 seeds the empty set with the
+whole total. Rank j is the lists themselves, and each lower rank runs
+the cheaper of two forms: per list, writing every t-subset of every list
+(support·C(j,t) updates), or downward from rank t + 1, adding each
+(t+1)-set into its t-subsets and dividing exactly by j - t
+(|rank t + 1|·(t + 1) updates), a tie going downward. So a dense support
+with large j seeds in time bounded by its distinct t-sets. After the
+transform every k-set holds its committee's exact approval.
 The seeds, the read-out of the best value and the winner decode are
 shared by two ways to run the transform; the result's strategy names
 the one that ran.
@@ -40,13 +46,14 @@ the one that ran.
   runs sparse.
 
 Each call picks its path from counts known before any work starts. With
-seeds_t seeded t-sets (the support times C(j,t)), the sparse path makes
-at most n times the sum over ranks r = s..k-1 of
+seeds_t = support·C(j,t), a bound on the seeded t-sets, the sparse path
+makes at most n times the sum over ranks r = s..k-1 of
 min(C(n,r), sum over t of seeds_t · C(n-t, r-t)) table updates. The
 packed path costs its lattice bytes times n over
 ``PACKED_BYTES_PER_UPDATE``, plus C(n,k) lane reads. The cheaper one
 runs, and packed only while its lattice fits ``PACKED_MAX_BYTES`` and
-its lane is a machine word.
+its lane is a machine word. Seeding runs the same way before either
+path, so it does not enter the comparison.
 """
 
 from __future__ import annotations
@@ -163,29 +170,60 @@ def choose_path(n: int, k: int, j: int, s: int, support: int, width: int) -> str
 def _seed(
     k: int, j: int, s: int, scale: int, units: dict[CandidateSubset, int]
 ) -> list[dict[int, int]]:
-    """One table per rank 0..k, mapping each seeded set's bitmask to its units."""
+    """One table per rank 0..k, mapping each seeded set's bitmask to its units.
+
+    A t-set T is seeded with c_t·h_t(T), where c_t is its Moebius
+    coefficient and h_t(T) is the sum of u_L over the lists L containing T.
+    Rank j holds the lists themselves. Each rank t from j - 1 down to s
+    runs whichever form is priced cheaper when it is reached, a tie going
+    downward:
+
+    - per list, support·C(j,t) updates: every t-subset of every list adds
+      c_t·u_L, each list's members decoded once for all such ranks;
+    - downward, |rank t + 1|·(t + 1) updates: each (t+1)-set T' adds its
+      value into T' - b for each member b of its mask. A t-set of a list
+      lies in j - t of the list's (t+1)-subsets, so one exact division, by
+      j - t and by the coefficient rank t + 1 carries, leaves h_t.
+
+    Rank j - 1 always runs downward, as both prices are support·j there.
+    """
     ranks: list[dict[int, int]] = [{} for _ in range(k + 1)]
     if s == 0:
         ranks[0][0] = scale
         return ranks
     # the Moebius coefficient of a t-subset, t = s..j
     coefficient = {t: (-1) ** (t - s) * comb(t - 1, s - 1) for t in range(s, j + 1)}
-    # Rank j's one subset of a list is the list itself: its mask is seeded
-    # directly, once per distinct support list. Only a threshold below j
-    # decodes members for the smaller subsets; rank j - 1's drop one each.
-    top = ranks[j]
-    for lst, u in units.items():
-        top[lst.mask] = coefficient[j] * u
-        if s == j:
-            continue
-        members = [1 << c for c in lst.members]
-        for t in range(s, j):
-            seed = coefficient[t] * u
+    above = {lst.mask: u for lst, u in units.items()}
+    c = coefficient[j]
+    ranks[j] = above if c == 1 else {m: c * u for m, u in above.items()}
+    # ``above`` holds the rank above as ``carried`` times its h
+    carried, support, decoded = 1, len(units), None
+    for t in range(j - 1, s - 1, -1):
+        c = coefficient[t]
+        if len(above) * (t + 1) <= support * comb(j, t):
+            table: dict[int, int] = {}
+            get = table.get
+            for mask, v in above.items():
+                rest = mask
+                while rest:
+                    b = rest & -rest
+                    sub = mask ^ b
+                    table[sub] = get(sub, 0) + v
+                    rest ^= b
+            d = carried * (j - t)
+            if c != d:
+                table = {m: v * c // d for m, v in table.items()}
+            ranks[t] = table
+        else:
+            if decoded is None:
+                decoded = [([1 << x for x in lst.members], u) for lst, u in units.items()]
             table = ranks[t]
-            subs = (map(lst.mask.__xor__, members) if t == j - 1
-                    else map(sum, combinations(members, t)))
-            for sub in subs:
-                table[sub] = table.get(sub, 0) + seed
+            get = table.get
+            for members, u in decoded:
+                seed = c * u
+                for sub in map(sum, combinations(members, t)):
+                    table[sub] = get(sub, 0) + seed
+        above, carried = table, c
     return ranks
 
 

@@ -715,15 +715,13 @@ def test_member_order_does_not_change_the_parse(raw, data):
     parsed = loads_ballot_file(json.dumps(doc))
     assert parsed == loads_ballot_file(text) == raw
     assert typed(record_entries(parsed)) == typed(record_entries(raw))
-    # records with the same list and count or weight share one entry, and
-    # completion maps that entry to one completed entry
+    # a file is a multiset, so the completed file is compared as one: it
+    # equals the parsed records completed one by one by the documented rule
     center = CandidateSubset(tuple(range(1, raw.params.j + 1)))
     completed = complete_short_lists(parsed, center, raw.params.diameter)
-    groups = {}
-    for entry, full in zip(record_entries(parsed), record_entries(completed)):
-        key = (entry.subset.mask, type(entry.multiplicity), entry.multiplicity)
-        groups.setdefault(key, set()).add((id(entry), id(full)))
-    assert all(len(pairs) == 1 for pairs in groups.values())
+    by_rule = [BallotEntry(complete_by_rule(e.subset, center, raw.params.j), e.multiplicity)
+               for e in record_entries(parsed)]
+    assert completed == RawBallotFile(raw.params, by_rule)
 
 
 def reference_complete_and_normalize(raw, center, radius):

@@ -1,6 +1,9 @@
+import json
 from contextlib import nullcontext
 from fractions import Fraction
+from itertools import combinations
 from math import comb
+from pathlib import Path
 from random import Random
 from unittest.mock import patch
 
@@ -25,8 +28,10 @@ from listvote import (
 from listvote import tally
 from listvote.johnson import CandidateSubset
 from listvote.oracle import approval, iter_committees, threshold_approval
-from listvote.tally import PACKED_MAX_BYTES, choose_path, lane_bytes
+from listvote.tally import PACKED_MAX_BYTES, _seed, choose_path, lane_bytes
 from conftest import dist_from, subset
+
+PATH_RULE_TABLE = Path(__file__).parent / "data" / "path_rule.json"
 
 
 def _rule(dist: VoterDistribution, s: int) -> str:
@@ -297,6 +302,91 @@ def test_both_paths_match_brute_force_for_every_threshold(dist):
                 _check_paths(dist, s)
 
 
+def _naive_seeds(dist: VoterDistribution, s: int) -> list[dict[int, int]]:
+    """The rank tables by definition: every t-subset T of the candidates,
+    t = s..j, holds c_t times the units of the lists containing T, where
+    c_t = (-1)**(t - s) * C(t - 1, s - 1); a T in no list is absent."""
+    p = dist.params
+    ranks = [{} for _ in range(p.k + 1)]
+    if s == 0:
+        ranks[0][0] = dist.total
+        return ranks
+    for t in range(s, p.j + 1):
+        c = (-1) ** (t - s) * comb(t - 1, s - 1)
+        for members in combinations(range(1, p.n + 1), t):
+            mask = sum(1 << x for x in members)
+            h = sum(u for lst, u in dist.units.items() if lst.mask & mask == mask)
+            if h:
+                ranks[t][mask] = c * h
+    return ranks
+
+
+def _forms(j: int, s: int, ranks: list[dict[int, int]], support: int) -> list[str]:
+    """The seeding form each rank t = j - 1..s is priced to run, from the finished tables."""
+    return ["downward" if len(ranks[t + 1]) * (t + 1) <= support * comb(j, t) else "per list"
+            for t in range(j - 1, s - 1, -1)]
+
+
+@settings(deadline=None)
+@given(kernel_cases())
+def test_seeds_match_their_definition_for_every_threshold(dist):
+    p = dist.params
+    for s in range(p.j + 1):
+        assert _seed(p.k, p.j, s, dist.total, dist.units) == _naive_seeds(dist, s)
+
+
+class TestSeeding:
+    def test_full_support_runs_downward_with_every_divisor(self):
+        # (14,10,10) over 2**63 - 25: every list holds 1 unit but the last,
+        # which holds the rest, so a t-set T lies in C(14 - t, 10 - t) lists
+        # and h_t(T) has a closed form. Every rank below 10 runs downward,
+        # and rank 4 divides by 10 - 4 = 6 and by the coefficient of rank 5.
+        params = ElectionParams(14, 10, 10)
+        lists = sorted(iter_lists(params))
+        total = 2**63 - 25
+        units = dict.fromkeys(lists, 1)
+        units[lists[-1]] = total - (len(lists) - 1)
+        heavy = lists[-1].mask
+        ranks = _seed(10, 10, 4, total, units)
+        for t in range(4, 11):
+            c = (-1) ** (t - 4) * comb(t - 1, 3)
+            expected = {}
+            for members in combinations(range(1, 15), t):
+                mask = sum(1 << x for x in members)
+                extra = total - len(lists) if heavy & mask == mask else 0
+                expected[mask] = c * (comb(14 - t, 10 - t) + extra)
+            assert ranks[t] == expected, t
+        assert _forms(10, 4, ranks, len(lists)) == ["downward"] * 6
+
+    @pytest.mark.parametrize("n, k, j, s, size, forms", [
+        # rank 7 ties and runs downward; each lower rank has more t-sets
+        # above it than its lists have t-subsets, and runs per list
+        (20, 10, 8, 3, 100, ["downward"] + ["per list"] * 4),
+        # rank 2 runs downward again from rank 3, which ran per list, so it
+        # divides by j - t = 4 times rank 3's coefficient, -2
+        (16, 10, 6, 2, 300, ["downward", "per list", "per list", "downward"]),
+    ])
+    def test_sparse_supports_reach_the_per_list_form(self, n, k, j, s, size, forms):
+        # lists of j drawn at random from n candidates share few t-subsets
+        rng = Random(n)
+        lists = set()
+        while len(lists) < size:
+            lists.add(CandidateSubset(rng.sample(range(1, n + 1), j)))
+        units = {lst: rng.randint(1, 30) for lst in sorted(lists)}
+        ranks = _seed(k, j, s, sum(units.values()), units)
+        # the reference adds each list's units into each of its t-subsets,
+        # as the t-sets of n candidates are too many to scan
+        for t in range(s, j + 1):
+            c = (-1) ** (t - s) * comb(t - 1, s - 1)
+            expected = {}
+            for lst, u in units.items():
+                for members in combinations(lst.members, t):
+                    mask = sum(1 << x for x in members)
+                    expected[mask] = expected.get(mask, 0) + c * u
+            assert ranks[t] == expected, t
+        assert _forms(j, s, ranks, size) == forms
+
+
 class TestPackedPath:
     def test_lane_width_at_the_byte_edges(self):
         # containment and s = 0: the full set's lane holds the whole total,
@@ -354,6 +444,23 @@ class TestPackedPath:
         assert choose_path(40, 4, 3, 3, 112, lane_bytes(20000, 3, 3)) == "sparse"
         # one list at (16,4,3) touches 13 committees
         assert choose_path(16, 4, 3, 3, 1, lane_bytes(1, 3, 3)) == "sparse"
+
+    def test_rule_picks_the_recorded_path_on_every_cell(self):
+        # The rule's calibration grid: n in {10, 11, 12, 14, 16, 18}, (k, j)
+        # in {(4, 3), (n/2, 4)}, supports of 1, 10, 100 and 600 lists (capped
+        # at C(n, j)) over 3000 voters, s in {j - 1, j}; then 2-byte lanes at
+        # the lattice cap, whose 4 MiB hold n = 21 and not the uniform
+        # radius-2 ball of 991 lists at (22,11,4); then three exact price
+        # ties, which run sparse. Changing the bytes per update, the cap or
+        # the comparison moves at least one cell.
+        cells = json.loads(PATH_RULE_TABLE.read_text())
+        assert len(cells) == 107
+        assert {c["path"] for c in cells[:96]} == {"packed", "sparse"}
+        for c in cells:
+            width = lane_bytes(c["total"], c["j"], c["s"])
+            expected = c["path"] if tally.packs(width) else "sparse"
+            got = choose_path(c["n"], c["k"], c["j"], c["s"], c["support"], width)
+            assert got == expected, c
 
     def test_strategy_reports_the_path_that_ran(self):
         params = ElectionParams(14, 7, 4)
