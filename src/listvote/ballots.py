@@ -25,16 +25,16 @@ give the same result and the same errors:
 - ``json.loads`` reads every other layout. There every record is checked
   in full, then merged under its key.
 
-Both readers and completion build a :class:`RawBallotFile` from one merge
-map, ``{key: [entry, repeats]}``, keyed by the entry's value, so every file
-holds each distinct entry once, in order of its first record, with the
-count of records that carry it. Completion and :func:`normalize` each run
-once per distinct entry, so no stage after the parser walks the records.
-A file with no repeated entry, as every file the tool writes, round-trips
-byte-identically. :func:`normalize` sums per list in integer units, and
-the distribution stores only those units over their reduced total, the
-one form the tally kernel reads; a list's ``Fraction`` weight is built
-only when read. Nothing is cached between files.
+Every builder of a :class:`RawBallotFile` (both readers, completion and
+its constructor) fills one merge map, ``{key: [entry, repeats]}``, so a
+file holds each distinct entry once, in order of its first record, with
+the count of records that carry it. Outside the readers' per-text keys,
+"same entry" has one identity: the list's mask with the multiplicity's
+numerator, denominator and type, and ``==`` compares files by it.
+Completion and :func:`normalize` each run once per distinct entry. A file
+with no repeated entry, as every file the tool writes, round-trips
+byte-identically. :func:`normalize` adds integer units per list, over the
+LCM of every denominator, and builds no ``Fraction``. Nothing is cached.
 
 Each input rule is checked once, by the stage where the value enters;
 later stages build from proven values with the ``unchecked`` constructors
@@ -212,6 +212,11 @@ class BallotEntry(_CheckedRecord, namedtuple("BallotEntry", ["subset", "multipli
         return tuple.__new__(cls, (subset, multiplicity))
 
 
+def _identity(mask: int, multiplicity: int | Fraction) -> tuple:
+    """The key of one entry: count ``1`` and weight ``"1"`` differ by type."""
+    return (mask, multiplicity.numerator, multiplicity.denominator, type(multiplicity))
+
+
 class RawBallotFile:
     """Parsed ballot file: election parameters plus a multiset of raw entries.
 
@@ -221,13 +226,13 @@ class RawBallotFile:
     A record's place has no meaning, so the file holds each distinct entry
     once in ``distinct``, in order of its first record, and in
     ``repeats[i]`` the count of records that carry ``distinct[i]``. Every
-    builder merges by value: the readers and completion fill a merge map
-    for :meth:`unchecked`, and a file built here from a sequence of
-    entries, after their size and range check, counts them under the entry
-    and its multiplicity's type, so count ``1`` and weight ``"1"`` stay
-    apart. No two of a file's entries are equal, and its first write is
-    the text every later read and write gives. Two files are equal when
-    their parameters and their multisets of entries are.
+    builder fills a merge map for :meth:`unchecked`; completion and this
+    constructor, after each entry's size and range check, key it by the
+    entry's identity, its list with its multiplicity's value and type. Two
+    files are equal when their parameters are and each identity carries as
+    many records in both, so a count never equals an equal weight, and
+    equal files write the same records. No two of a file's entries share
+    an identity, and its first write is the text every later pass gives.
     """
 
     params: ElectionParams
@@ -236,16 +241,16 @@ class RawBallotFile:
     __hash__ = None  # equal by value over a multiset
 
     def __init__(self, params: ElectionParams, entries: Iterable[BallotEntry]):
-        entries = tuple(entries)
         n, j = params.n, params.j
-        for subset, _ in entries:
+        merged: dict[tuple, list] = {}
+        for entry in entries:
+            subset, m = entry
             if not 1 <= subset.mask.bit_count() <= j:
                 raise ParameterError(f"entry {subset} has size {len(subset)}, expected 1..{j}")
             if subset.mask >> (n + 1):
                 raise ParameterError(f"entry {subset} outside candidates 1..{n}")
-        times = Counter((entry, type(entry.multiplicity)) for entry in entries)
-        vars(self).update(params=params, distinct=tuple(entry for entry, _ in times),
-                          repeats=tuple(times.values()))
+            merged.setdefault(_identity(subset.mask, m), [entry, 0])[1] += 1
+        vars(self).update(vars(self.unchecked(params, merged)))
 
     @classmethod
     def unchecked(cls, params: ElectionParams, merged: dict[object, list]) -> RawBallotFile:
@@ -256,8 +261,8 @@ class RawBallotFile:
         1..n, that each repeat count is positive, and that its key tells
         entries apart by value, so no two entries are equal:
         :func:`loads_ballot_file` builds the map from records it checked,
-        and :func:`complete_short_lists` from a checked file's entries and
-        center members. Input from outside goes through ``RawBallotFile(...)``.
+        :func:`complete_short_lists` from a checked file's entries and
+        center members, and ``RawBallotFile(...)`` from entries it checked.
         """
         distinct, repeats = tuple(zip(*merged.values())) or ((), ())
         raw = object.__new__(cls)
@@ -266,16 +271,14 @@ class RawBallotFile:
 
     __setattr__ = __delattr__ = _refuse_assignment
 
-    def _counts(self) -> Counter:  # the multiset: records per entry
-        counts: Counter = Counter()
-        for entry, times in zip(self.distinct, self.repeats):
-            counts[entry] += times
-        return counts
-
     def __eq__(self, other):
         if not isinstance(other, RawBallotFile):
             return NotImplemented
-        return self.params == other.params and self._counts() == other._counts()
+        # no two of a file's entries share an identity, so each map is its multiset
+        mine, theirs = ({_identity(subset.mask, m): times
+                         for (subset, m), times in zip(raw.distinct, raw.repeats)}
+                        for raw in (self, other))
+        return self.params == other.params and mine == theirs
 
     def __repr__(self) -> str:
         return (f"RawBallotFile(params={self.params!r}, distinct={self.distinct!r}, "
@@ -287,35 +290,28 @@ def normalize(raw: RawBallotFile) -> VoterDistribution:
 
     Duplicate lists are merged by addition. Entries shorter than j are
     rejected; complete them first. Runs once per distinct entry, adding
-    its multiplicity times its repeat count; a record costs nothing.
+    its multiplicity times its repeat count in integer units over the LCM
+    of every denominator; it builds no ``Fraction``.
     """
     if not raw.distinct:
         raise BallotFormatError("ballot file has no entries")
-    # Sum per list in the multiplicities' own type: integer counts stay
-    # ints, and a Fraction is built once per distinct list (the product is
-    # skipped at one repeat, where it would build a new Fraction).
-    totals: dict[CandidateSubset, int | Fraction] = {}
-    for (lst, multiplicity), times in zip(raw.distinct, raw.repeats):
-        m = multiplicity if times == 1 else multiplicity * times
-        if lst in totals:
-            totals[lst] += m
-        else:
-            totals[lst] = m
+    # An int is its own numerator over 1, so a file of counts has scale 1.
+    scale = lcm(*(m.denominator for _, m in raw.distinct))
+    units: dict[CandidateSubset, int] = {}
+    for (lst, m), times in zip(raw.distinct, raw.repeats):
+        u = m.numerator * (scale // m.denominator) * times
+        units[lst] = units[lst] + u if lst in units else u
     j = raw.params.j
-    if any(lst.mask.bit_count() < j for lst in totals):
+    if any(lst.mask.bit_count() < j for lst in units):
         short = [(e.subset, times) for e, times in zip(raw.distinct, raw.repeats)
                  if e.subset.mask.bit_count() < j]
         raise BallotFormatError(
             f"{sum(times for _, times in short)} entries shorter than j={j} "
             f"(first: {short[0][0]}); run complete_short_lists first"
         )
-    # Scale the totals to integer units over the LCM of their denominators
-    # (1 for counts), then divide out the units' common factor. The lists
-    # passed the file's size and range check and the length test above, and
-    # the units are positive with their sum as total, so the distribution is
-    # built without its constructor's checks.
-    scale = lcm(*(m.denominator for m in totals.values()))
-    units = {lst: m.numerator * (scale // m.denominator) for lst, m in totals.items()}
+    # Divide out the units' common factor. The lists passed the size, range
+    # and length checks, and the units are positive with their sum as
+    # total, so the distribution is built without its constructor's checks.
     common = gcd(*units.values())
     if common > 1:
         units = {lst: u // common for lst, u in units.items()}
@@ -392,9 +388,9 @@ def complete_short_lists(raw: RawBallotFile, center: CandidateSubset, radius: in
     entry. Multiplicities are preserved. Each distinct entry is completed
     and checked once, so a repeated record costs nothing here. Entries
     that complete to one list with one count or weight merge into one
-    entry, in order of the first, with their repeat counts summed; the
-    key is the list's mask with the multiplicity's numerator, denominator
-    and type, so count ``1`` and weight ``"1"`` stay apart.
+    entry, in order of the first, with their repeat counts summed, under
+    the identity the constructor and ``==`` use, so count ``1`` and weight
+    ``"1"`` stay apart.
     """
     params = raw.params
     validate_list(center, params)
@@ -404,25 +400,26 @@ def complete_short_lists(raw: RawBallotFile, center: CandidateSubset, radius: in
     outside = ~center.mask
     merged: dict[tuple, list] = {}
     for entry, times in zip(raw.distinct, raw.repeats):
-        subset = full = entry.subset
+        subset, m = entry
         mask = subset.mask
         missing = j - mask.bit_count()
         if missing:
             # Center members the entry lacks: distinct from its own, so the
             # completed mask is the OR of the two.
             fill = tuple([c for c in center.members if not mask >> c & 1][:missing])
-            fill_mask = sum(1 << c for c in fill)
-            full = CandidateSubset.unchecked(tuple(sorted(subset.members + fill)), mask | fill_mask)
-        if (full.mask & outside).bit_count() > radius:
+            mask |= sum(1 << c for c in fill)
+        if (mask & outside).bit_count() > radius:
             raise HypothesisViolation(
                 f"entry {subset} has no size-{j} superset within "
                 f"distance {radius} of {center}"
             )
-        m = entry.multiplicity
-        key = (full.mask, m.numerator, m.denominator, type(m))
+        key = _identity(mask, m)
         slot = merged.get(key)
         if slot is None:
-            merged[key] = [entry if full is subset else BallotEntry.unchecked(full, m), times]
+            if missing:
+                full = CandidateSubset.unchecked(tuple(sorted(subset.members + fill)), mask)
+                entry = BallotEntry.unchecked(full, m)
+            merged[key] = [entry, times]
         else:
             slot[1] += times
     return RawBallotFile.unchecked(params, merged)

@@ -69,27 +69,30 @@ def global_floor(params: ElectionParams) -> Fraction:
     return Fraction(binomial(k, j), binomial(n, j))
 
 
+def _class_lists(params: ElectionParams, r: int, m: int) -> int:
+    """The ring-r lists inside one class-m committee: C(j-m, j-r) * C(k+m-j, r).
+
+    The committee keeps j-m center members and k+m-j outsiders, and the
+    list takes j-r of the former and r of the latter, so the count is 0
+    when r < m. The binomial form with zero extension is total, where the
+    factorial form breaks down at degenerate indices.
+    """
+    k, j = params.k, params.j
+    return binomial(j - m, j - r) * binomial(k + m - j, r)
+
+
 def ring_coverage(params: ElectionParams) -> tuple[tuple[Fraction, ...], ...]:
     """The coverage table: one row per ring 0..diameter, one column per
     class 0..max_class, every entry in [0, 1].
 
-    entry[r][m] = C(j-m, j-r) * C(k+m-j, r) / ring_size(params, r):
-    a class-m committee keeps j-m center members and k+m-j outsiders, and
-    a ring-r list inside it must take j-r of the former and r of the
-    latter, so the entry is 0 when r < m. The equivalent factorial form
-    breaks down at degenerate indices; the binomial form with zero
-    extension is total.
+    entry[r][m] = :func:`_class_lists` (params, r, m) / ring_size(params, r),
+    the share of ring r inside a class-m committee.
     """
-    k, j = params.k, params.j
+    classes = range(params.max_class + 1)
     rows = []
     for r in range(params.diameter + 1):
         den = ring_size(params, r)
-        rows.append(
-            tuple(
-                Fraction(binomial(j - m, j - r) * binomial(k + m - j, r), den)
-                for m in range(params.max_class + 1)
-            )
-        )
+        rows.append(tuple(Fraction(_class_lists(params, r, m), den) for m in classes))
     return tuple(rows)
 
 
@@ -234,8 +237,8 @@ def worst_case_concentric(params: ElectionParams, radius: int) -> WorstCaseResul
     :func:`_lex_simplex`.
 
     The tableau holds only ints. Column r is scaled by |ring r|
-    (y_r = |ring r| * y'_r), so the coverage entries become
-    C(j-m, j-r) * C(k+m-j, r) and the costs +-|ring r|; a positive column
+    (y_r = |ring r| * y'_r), so the coverage entries become the counts
+    :func:`_class_lists` and the costs +-|ring r|; a positive column
     scale keeps every reduced-cost sign and every ratio-test argmin, so
     the pivots are those of the rational tableau. Fractions appear only
     in the result, read off the final tableau: class m's approval is
@@ -252,7 +255,6 @@ def worst_case_concentric(params: ElectionParams, radius: int) -> WorstCaseResul
     space and the value is :func:`global_floor`.
     """
     params.check_radius(radius)
-    k, j = params.k, params.j
     classes = range(params.max_class + 1)
     size = radius + 1
     sizes = [ring_size(params, r) for r in range(size)]
@@ -262,7 +264,7 @@ def worst_case_concentric(params: ElectionParams, radius: int) -> WorstCaseResul
     # the others are slacks. No coefficient is negative and every y'_r has
     # a positive one, so the feasible region is bounded.
     rows = [
-        [binomial(j - m, j - r) * binomial(k + m - j, r) for r in range(size)]
+        [_class_lists(params, r, m) for r in range(size)]
         + [1 if c == m else 0 for c in classes]
         + [1]
         for m in classes

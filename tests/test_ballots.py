@@ -379,6 +379,15 @@ class TestBallotFiles:
         assert raw.repeats == (2, 1)
         assert typed(loads_ballot_file(dumps_ballot_file(raw)).distinct) == typed(raw.distinct)
 
+    def test_a_count_never_equals_an_equal_weight(self):
+        # count 1 and weight 1 hold the same value, but the files write
+        # different records, so they are different multisets of entries
+        mixed = RawBallotFile(P643, [BallotEntry(V123, 1), BallotEntry(V123, Fraction(1))])
+        counts = RawBallotFile(P643, [BallotEntry(V123, 1)] * 2)
+        assert dumps_ballot_file(mixed) != dumps_ballot_file(counts)
+        assert mixed != counts and counts != mixed
+        assert mixed == RawBallotFile(P643, [BallotEntry(V123, Fraction(1)), BallotEntry(V123, 1)])
+
     @pytest.mark.parametrize(
         "mutation",
         [
@@ -868,7 +877,7 @@ def test_parsed_entries_keep_the_constructor_contracts(raw, data):
                     record["count"] if "count" in record else parse_rational(record["weight"]))
         for record in doc["ballots"]
     ]
-    assert Counter(typed(record_entries(parsed))) == Counter(typed(checked))
+    assert parsed == RawBallotFile(raw.params, checked)
 
 
 @given(files_near_a_ball())
@@ -990,6 +999,49 @@ def in_dumps_layout(params, records, options):
 def record_texts(text):
     """The record texts of a written file, as written."""
     return [json.dumps(record) for record in json.loads(text)["ballots"]]
+
+
+# Lists valid at both j = 2 and j = 3, so two files can share entries
+# under different headers.
+EQUALITY_POOL = (subset(1, 2), subset(1, 3), subset(4,))
+equality_params = st.sampled_from([ElectionParams(6, 4, 3), ElectionParams(6, 4, 2)])
+equality_entries = st.lists(
+    st.builds(BallotEntry, st.sampled_from(EQUALITY_POOL), small_multiplicities), max_size=6
+)
+
+
+def other_kind(e):
+    """``e`` with a whole value held as the other kind: a count as a weight, or back."""
+    m = e.multiplicity
+    if m.denominator != 1:
+        return e
+    return BallotEntry(e.subset, Fraction(m) if type(m) is int else m.numerator)
+
+
+@st.composite
+def file_pairs(draw):
+    """Two files of counts and weights with repeats, often equal as multisets.
+
+    The second is drawn afresh, or is the first reordered, some whole
+    values maybe held as the other kind: equal in value, not as entries.
+    """
+    first = draw(equality_entries)
+    reordered = st.permutations(first)
+    second = draw(st.one_of(equality_entries, reordered, reordered.flatmap(
+        lambda es: st.tuples(*[st.sampled_from([e, other_kind(e)]) for e in es]))))
+    params = draw(equality_params)
+    return (RawBallotFile(params, first),
+            RawBallotFile(draw(st.one_of(st.just(params), equality_params)), second))
+
+
+@given(file_pairs())
+def test_files_are_equal_exactly_when_they_write_the_same_records(pair):
+    a, b = pair
+    texts = [dumps_ballot_file(raw) for raw in pair]
+    heads = [text[:text.index('"ballots"')] for text in texts]
+    records = [Counter(record_texts(text)) for text in texts]
+    same = heads[0] == heads[1] and records[0] == records[1]
+    assert (a == b) == same and (b == a) == same
 
 
 def assert_same_parse(got, expected):

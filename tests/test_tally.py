@@ -32,6 +32,7 @@ from listvote.tally import PACKED_MAX_BYTES, _seed, choose_path, lane_bytes
 from conftest import dist_from, subset
 
 PATH_RULE_TABLE = Path(__file__).parent / "data" / "path_rule.json"
+FULL_SUPPORT_TABLE = Path(__file__).parent / "data" / "path_rule_full_support.json"
 
 
 def _rule(dist: VoterDistribution, s: int) -> str:
@@ -457,6 +458,34 @@ class TestPackedPath:
         assert len(cells) == 107
         assert {c["path"] for c in cells[:96]} == {"packed", "sparse"}
         for c in cells:
+            width = lane_bytes(c["total"], c["j"], c["s"])
+            expected = c["path"] if tally.packs(width) else "sparse"
+            got = choose_path(c["n"], c["k"], c["j"], c["s"], c["support"], width)
+            assert got == expected, c
+
+    def test_rule_picks_the_recorded_path_at_full_support(self):
+        # Every full-support shape (n, k, j, s) with 10 <= n <= 16,
+        # C(n, j) <= 2000 and s in {j - 1, j}, at each of the table's totals:
+        # row [n, j, s, *paths] holds per total one letter per k in j..n-1,
+        # "p" for packed and "s" for sparse. Then (16,15,3) at s = 1, where
+        # the sparse price ignores the ranks _sparse frees as k nears n. A
+        # change to the rule moves recorded cells, so each one it moves is
+        # listed when the table is rewritten.
+        table = json.loads(FULL_SUPPORT_TABLE.read_text())
+        assert {tuple(row[:3]) for row in table["rows"]} == {
+            (n, j, s) for n in range(10, 17) for j in range(1, n) if comb(n, j) <= 2000
+            for s in (j - 1, j)
+        }
+        cells = [
+            {"n": n, "k": k, "j": j, "s": s, "support": comb(n, j), "total": total,
+             "path": {"p": "packed", "s": "sparse"}[letter]}
+            for n, j, s, *paths in table["rows"]
+            for total, letters in zip(table["totals"], paths, strict=True)
+            for k, letter in zip(range(j, n), letters, strict=True)
+        ]
+        assert len(cells) == 1696
+        assert sum(c["path"] == "packed" for c in cells) == 915
+        for c in cells + table["cells"]:
             width = lane_bytes(c["total"], c["j"], c["s"])
             expected = c["path"] if tally.packs(width) else "sparse"
             got = choose_path(c["n"], c["k"], c["j"], c["s"], c["support"], width)
