@@ -172,7 +172,9 @@ class BallotEntry(_CheckedRecord, namedtuple("BallotEntry", ["subset", "multipli
     """One ballot-file record: a candidate set plus its multiplicity.
 
     An ``int`` multiplicity is a raw voter count; a ``Fraction`` is an
-    exact pre-normalized share. The distinction is preserved on write.
+    exact pre-normalized share, and one of a ``Fraction`` subclass is kept
+    as the plain ``Fraction`` it equals, so entries that write the same
+    record are equal. The distinction is preserved on write.
     A count, numerator or denominator longer than the interpreter's
     int-to-str digit limit is rejected, since no file could hold it.
     The value is the named tuple record ``(subset, multiplicity)``, so it
@@ -185,6 +187,8 @@ class BallotEntry(_CheckedRecord, namedtuple("BallotEntry", ["subset", "multipli
         m = multiplicity
         if not _exact(m):
             raise ParameterError(f"multiplicity {m!r} is not an int or a Fraction")
+        if type(m) is not int:
+            m = Fraction(m)
         limit = sys.get_int_max_str_digits()
         # An int is its own numerator over 1. The product has at least the
         # bits of either part, and a part of at most 3 * limit bits is below

@@ -212,9 +212,10 @@ def _json_text(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True, default=_json_value)``, byte for byte.
 
     ``json.dumps`` encodes in pure Python whenever it indents; here an
-    all-int list (a winner) is one ``str.join`` and a string goes through
-    json's own C escaper. Dict keys are strings. ``indent`` is the newline
-    and indentation of the enclosing level.
+    all-int list (a winner) is one ``str.join``, a sequence of subsets (a
+    tie set) one comprehension with a join per subset, and a string goes
+    through json's own C escaper. Dict keys are strings. ``indent`` is the
+    newline and indentation of the enclosing level.
     """
     inner = indent + "  "
     # tuple records first: a subset is written as its members, the others as objects
@@ -227,6 +228,11 @@ def _json_text(value, indent: str = "\n") -> str:
             return "[]"
         if {int}.issuperset(map(type, value)):
             items = map(str, value)
+        elif {CandidateSubset}.issuperset(map(type, value)):
+            deeper = inner + "  "
+            sep = "," + deeper
+            items = ["[" + deeper + sep.join(map(str, subset.members)) + inner + "]"
+                     if subset.members else "[]" for subset in value]
         else:
             items = [_json_text(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
@@ -308,7 +314,8 @@ def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
 
     declared_ball = args.center is not None
     if declared_ball:
-        outside = sorted(dist.units.keys() - ball(args.center, args.radius, params))
+        declared = ball(args.center, args.radius, params)
+        outside = sorted(lst for lst in dist.units if lst not in declared)
         if outside:
             raise HypothesisViolation(
                 f"support outside declared ball (radius {args.radius} of "

@@ -4,8 +4,11 @@ Voters submit j-element subsets ("lists") of the candidate pool {1..n};
 the outcome is a k-element subset (a "committee"). Two lists are at
 distance m when they differ in exactly m members, i.e. share j - m. This
 is the graph metric of the Johnson graph J(n, j), but no graph is ever
-materialized: rings and balls are generated by direct combinatorial
-construction, and the distance is closed-form.
+materialized: rings are generated by direct combinatorial construction,
+and the distance is closed-form. A ball is a lazy view: membership is one
+popcount against its center, and only iterating it builds its lists, ring
+by ring, so testing a support against a declared ball costs the support,
+not the ball.
 
 Candidates are 1-based everywhere. All values are immutable and all
 functions pure, so everything here is safe to share across workers.
@@ -14,6 +17,7 @@ functions pure, so everything here is safe to share across workers.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Set
 from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
@@ -193,17 +197,54 @@ def ring(center: CandidateSubset, r: int, params: ElectionParams) -> set[Candida
     return out
 
 
-def ball(center: CandidateSubset, radius: int, params: ElectionParams) -> set[CandidateSubset]:
+class Ball(Set):
+    """The lists within distance ``radius`` of ``center``: a read-only set view.
+
+    Nothing is built up front. ``in`` is one popcount: a value is a member
+    when it is a :class:`CandidateSubset` of j candidates within 1..n with
+    at most ``radius`` of them outside the center. Iteration builds the
+    lists ring by ring, 0 to ``radius``, and ``len`` sums :func:`ring_size`.
+    The set operators (``&``, ``|``, ``-``, ``^``) each return a plain
+    ``set``, and ``==`` compares with any set by members, either way round.
+    """
+
+    __slots__ = ("center", "radius", "params")
+
+    def __init__(self, center: CandidateSubset, radius: int, params: ElectionParams):
+        params.check_radius(radius)
+        validate_list(center, params)
+        self.center, self.radius, self.params = center, radius, params
+
+    def __contains__(self, lst: object) -> bool:
+        if not isinstance(lst, CandidateSubset):
+            return False
+        mask = lst.mask
+        return (mask.bit_count() == self.params.j and not mask >> (self.params.n + 1)
+                and (mask & ~self.center.mask).bit_count() <= self.radius)
+
+    def __iter__(self) -> Iterator[CandidateSubset]:
+        for r in range(self.radius + 1):
+            yield from ring(self.center, r, self.params)
+
+    def __len__(self) -> int:
+        return sum(ring_size(self.params, r) for r in range(self.radius + 1))
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[CandidateSubset]) -> set[CandidateSubset]:
+        return set(it)
+
+    def __repr__(self) -> str:
+        return f"Ball(center={self.center!r}, radius={self.radius!r}, params={self.params!r})"
+
+
+def ball(center: CandidateSubset, radius: int, params: ElectionParams) -> Ball:
     """All lists within distance ``radius`` of ``center``, for radius in 0..diameter.
 
-    Covers the whole list space exactly when the radius reaches the
-    diameter.
+    A lazy :class:`Ball` view: the center and radius are checked here, and
+    no list is built until the view is iterated. It covers the whole list
+    space exactly when the radius reaches the diameter.
     """
-    params.check_radius(radius)
-    out: set[CandidateSubset] = set()
-    for r in range(radius + 1):
-        out |= ring(center, r, params)
-    return out
+    return Ball(center, radius, params)
 
 
 def ring_monotone_threshold(params: ElectionParams) -> Fraction:

@@ -388,6 +388,19 @@ class TestBallotFiles:
         assert mixed != counts and counts != mixed
         assert mixed == RawBallotFile(P643, [BallotEntry(V123, Fraction(1)), BallotEntry(V123, 1)])
 
+    def test_a_fraction_subclass_is_the_weight_it_equals(self):
+        # both entries write the record "weight": "1/2", so they are one entry
+        class Half(Fraction):
+            pass
+
+        sub, plain = BallotEntry(V123, Half(1, 2)), BallotEntry(V123, Fraction(1, 2))
+        assert type(sub.multiplicity) is Fraction and sub == plain
+        a, b = RawBallotFile(P643, [sub]), RawBallotFile(P643, [plain])
+        assert dumps_ballot_file(a) == dumps_ballot_file(b)
+        assert a == b and b == a
+        both = RawBallotFile(P643, [sub, plain])
+        assert both.distinct == (plain,) and both.repeats == (2,)
+
     @pytest.mark.parametrize(
         "mutation",
         [

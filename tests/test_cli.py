@@ -647,6 +647,25 @@ def test_running_out_of_memory_exits_3_with_one_line(tmp_path):
         3, "", "error: generate ran out of memory\n")
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+def test_a_large_declared_ball_is_tested_not_built(tmp_path):
+    # the radius-5 ball about {1..6} at (40,10,6) holds over 2.4 million
+    # lists; the three records span {1..8}, so 496 committees take them all
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    records = ",\n    ".join(f'{{"list": {m}, "count": 1}}' for m in
+                              ([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 7, 8], [1, 2, 5, 6, 7, 8]))
+    (tmp_path / "wide.json").write_text(
+        f'{{\n  "n": 40,\n  "k": 10,\n  "j": 6,\n  "ballots": [\n    {records}\n  ]\n}}\n')
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, "tally", "--input", "wide.json",
+         "--center", "1,2,3,4,5,6", "--radius", "5", "--format", "structured"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout)
+    assert doc["best_value"] == "1" and len(doc["winners"]) == 496
+
+
 # Nested JSON values, with tuples (which json writes as arrays) and all-int
 # lists (which the writer joins in one go) made likely.
 json_documents = st.recursive(
@@ -669,7 +688,9 @@ def test_structured_writer_renders_exact_objects_like_json():
     report = theory.VerificationReport("suite", (theory.CheckedCell("cell", True),
                                                  theory.CheckedCell("other", False, "why")))
     records = {"params": ElectionParams(7, 4, 3), "worst_case": worst, "suites": [report]}
+    # a tie set is written one subset per join; an empty subset is "[]"
     doc = {"value": Fraction(8, 15), "winners": [CandidateSubset((4, 5, 6, 7))],
+           "ties": (CandidateSubset((1, 2)), CandidateSubset(()), CandidateSubset((9,))),
            "none": [], "empty": {}, **records}
     # json.dumps writes any tuple as an array and never asks `default` about
     # it, so the reference takes the tuple records already converted

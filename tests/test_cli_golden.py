@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from listvote import johnson
 from listvote.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -190,3 +191,17 @@ def test_golden(name, tmp_path, monkeypatch, capsys, request):
 
 def test_every_golden_file_has_a_case():
     assert {path.stem for path in GOLDEN.glob("*.txt")} == set(CASES)
+
+
+# Every golden tally that declares a ball, errors included: none builds a list of it.
+DECLARED_BALL = sorted(name for name, argv in CASES.items()
+                       if argv[:1] == ["tally"] and "--center" in argv and "--radius" in argv)
+
+
+@pytest.mark.parametrize("name", DECLARED_BALL)
+def test_a_declared_ball_is_never_enumerated(name, tmp_path, monkeypatch, capsys, request):
+    def enumerated(*args):
+        raise AssertionError("a declared ball was enumerated")
+
+    monkeypatch.setattr(johnson, "ring", enumerated)
+    test_golden(name, tmp_path, monkeypatch, capsys, request)

@@ -245,6 +245,64 @@ class TestBalls:
         with pytest.raises(ParameterError, match=r"radius -1 outside 0\.\.3"):
             ball(subset(1, 2, 3), -1, p)
 
+    @pytest.mark.parametrize("center, message", [
+        ((1, 2), r"^\{1,2\} is not a 3-element list$"),
+        ((1, 2, 7), r"^\{1,2,7\} has candidates outside 1\.\.6$"),
+    ], ids=["size", "range"])
+    def test_bad_center_rejected_when_the_ball_is_made(self, center, message):
+        with pytest.raises(ParameterError, match=message):
+            ball(CandidateSubset(center), 1, ElectionParams(6, 4, 3))
+
+    def test_equals_its_lists_either_way_round(self):
+        p = ElectionParams(6, 4, 3)
+        b = ball(subset(1, 2, 3), 1, p)
+        lists = ring(subset(1, 2, 3), 0, p) | ring(subset(1, 2, 3), 1, p)
+        assert b == lists and lists == b
+        assert b == frozenset(lists) and frozenset(lists) == b
+        fewer = lists - {subset(1, 2, 3)}
+        assert b != fewer and fewer != b
+        assert fewer < b and b > fewer and b <= lists and lists >= b
+
+    def test_set_operators_return_plain_sets(self):
+        p = ElectionParams(6, 4, 3)
+        b = ball(subset(1, 2, 3), 1, p)
+        far, near = subset(4, 5, 6), subset(1, 2, 4)
+        assert b & {far, near} == {near} and type(b & {far, near}) is set
+        assert {far, near} - b == {far} and type({far, near} - b) is set
+        assert type(b | {far}) is set and len(b | {far}) == len(b) + 1
+        assert b - b == set() and type(b ^ {near}) is set
+
+    @pytest.mark.parametrize("value", [
+        subset(1, 2), subset(1, 2, 3, 4), subset(1, 2, 7), subset(1, 2, 1000),
+        (1, 2, 3), ((1, 2, 3), 14), [1, 2, 3], frozenset({1, 2, 3}), "{1,2,3}", 14, None,
+    ], ids=["short", "long", "beyond-n", "far-beyond-n", "members", "record", "list",
+            "frozenset", "text", "mask", "none"])
+    def test_only_lists_of_the_space_are_members(self, value):
+        # the radius reaches the diameter, so every 3-list of 1..6 is a member
+        p = ElectionParams(6, 4, 3)
+        assert value not in ball(subset(1, 2, 3), p.diameter, p)
+
+
+@st.composite
+def small_balls(draw):
+    n = draw(st.integers(2, 8))
+    j = draw(st.integers(1, n - 1))
+    p = ElectionParams(n, j, j)
+    center = draw(st.lists(st.integers(1, n), min_size=j, max_size=j, unique=True))
+    return CandidateSubset(center), draw(st.integers(0, p.diameter)), p
+
+
+@given(small_balls())
+def test_a_ball_holds_exactly_the_lists_within_its_radius(drawn):
+    center, radius, p = drawn
+    b = ball(center, radius, p)
+    for lst in iter_lists(p):
+        assert (lst in b) == (distance(lst, center) <= radius)
+    lists = list(b)
+    rings = [ring(center, r, p) for r in range(radius + 1)]
+    assert len(lists) == len(set(lists)) == len(b) == sum(ring_size(p, r) for r in range(radius + 1))
+    assert set(lists) == set().union(*rings)
+
 
 class TestRingMonotoneThreshold:
     def test_j42(self):
