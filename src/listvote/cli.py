@@ -215,15 +215,13 @@ def _json_text(value, indent: str = "\n") -> str:
     all-int list (a winner) is one ``str.join``, a sequence of subsets (a
     tie set) one comprehension with a join per subset, and a string goes
     through json's own C escaper. Dict keys are strings. ``indent`` is the
-    newline and indentation of the enclosing level.
+    newline and indentation of the enclosing level. Only JSON's own types
+    are written here, by exact type; every other object, a tuple record
+    included, is written as its :func:`_json_value`.
     """
     inner = indent + "  "
-    # tuple records first: a subset is written as its members, the others as objects
-    if isinstance(value, CandidateSubset):
-        value = value.members
-    elif isinstance(value, _OBJECT_RECORDS):
-        value = _json_value(value)
-    if isinstance(value, (list, tuple)):
+    kind = type(value)
+    if kind is list or kind is tuple:
         if not value:
             return "[]"
         if {int}.issuperset(map(type, value)):
@@ -236,23 +234,26 @@ def _json_text(value, indent: str = "\n") -> str:
         else:
             items = [_json_text(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(value, dict):
+    if kind is dict:
         if not value:
             return "{}"
         items = [encode_basestring_ascii(key) + ": " + _json_text(item, inner)
                  for key, item in sorted(value.items())]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, str):
+    if kind is str:
         return encode_basestring_ascii(value)
-    if value is None or isinstance(value, (int, float)):
+    if value is None or kind is bool or kind is int or kind is float:
         return json.dumps(value)
     return _json_text(_json_value(value), indent)
 
 
 def _json_value(value):
-    """Structured form of the exact objects a result holds."""
+    """Structured form of the exact objects a result holds: a subset is
+    written as its members, the other tuple records as objects."""
     if isinstance(value, Fraction):
         return format_rational(value)
+    if isinstance(value, CandidateSubset):
+        return value.members
     if isinstance(value, ElectionParams):
         return {"n": value.n, "k": value.k, "j": value.j}
     if isinstance(value, theory.WorstCaseResult):
@@ -261,10 +262,6 @@ def _json_value(value):
         cells = [cell._asdict() for cell in value.cells]
         return {"name": value.name, "cells": cells, "passed": value.passed}
     raise TypeError(f"no structured form for {type(value).__name__}")
-
-
-# The tuple records a result holds that are written as JSON objects.
-_OBJECT_RECORDS = (ElectionParams, theory.WorstCaseResult, theory.VerificationReport)
 
 
 def _human_text(part, approx: bool) -> str:
@@ -538,14 +535,13 @@ def _domination_trial(dist: VoterDistribution, rng: Random) -> tuple[str, bool, 
 
 
 def _oracle_trial(dist: VoterDistribution, rng: Random) -> tuple[str, bool, str]:
-    """Both kernel paths and the brute-force oracle agree on the value and every winner."""
+    """Each kernel path that can run agrees with brute force on the value and every winner."""
     from . import oracle, tally
 
     j = dist.params.j
     s = j if rng.random() < 0.5 else rng.randint(0, j)
     reference = oracle.brute_best(dist, s)
-    packs = tally.packs(tally.lane_bytes(dist.total, j, s))
-    paths = ("packed", "sparse") if packs else ("sparse",)
+    paths = tally.paths(dist.params, s, len(dist), dist.total)
     results = [best_committees(dist, s=s, _path=path) for path in paths]
     ok = all((r.best_value, r.winners) == (reference.best_value, reference.winners)
              for r in results)

@@ -26,12 +26,10 @@ def parse_rational(text: str) -> Fraction:
     """
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not an exact rational literal: {text!r}")
-    if "/" in text:
-        p, q = text.split("/")
-        if int(q) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(p), int(q))
-    return Fraction(int(text))
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:

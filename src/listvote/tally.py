@@ -45,15 +45,16 @@ the one that ran.
   host, the k-set lanes row by row of 2^(n//2) lanes, and a wider lane
   runs sparse.
 
-Each call picks its path from counts known before any work starts. With
-seeds_t = support·C(j,t), a bound on the seeded t-sets, the sparse path
-makes at most n times the sum over ranks r = s..k-1 of
+:func:`paths` owns the path rule, from counts known before any work
+starts. Sparse can always run, packed only when its lane is a machine
+word. With seeds_t = support·C(j,t), a bound on the seeded t-sets, the
+sparse path makes at most n times the sum over ranks r = s..k-1 of
 min(C(n,r), sum over t of seeds_t · C(n-t, r-t)) table updates. The
 packed path costs its lattice bytes times n over
 ``PACKED_BYTES_PER_UPDATE``, plus C(n,k) lane reads. The cheaper one
-runs, and packed only while its lattice fits ``PACKED_MAX_BYTES`` and
-its lane is a machine word. Seeding runs the same way before either
-path, so it does not enter the comparison.
+runs, and packed only while its lattice fits ``PACKED_MAX_BYTES``.
+Seeding runs the same way before either path, so it does not enter the
+comparison.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from operator import itemgetter, lt
 
 from .ballots import VoterDistribution
 from .errors import ParameterError
-from .johnson import CandidateSubset, _CheckedRecord
+from .johnson import CandidateSubset, ElectionParams, _CheckedRecord
 
 # Lattice bytes the packed path moves in the time of one sparse table
 # update, fitted on a grid of 96 shapes with 10 <= n <= 18 (CHANGES.md).
@@ -102,10 +103,10 @@ def best_committees(
     """Exact maximum approval over all committees, with every argmax.
 
     ``s`` relaxes the rule to threshold approval (default: full
-    containment, s = j). The result's strategy is the path that ran,
-    ``"packed"`` or ``"sparse"``; ``_path`` forces one, for checks that
-    compare the two. Forcing ``"packed"`` where :func:`packs` is false
-    raises ``ParameterError``.
+    containment, s = j). The result's strategy is the path that ran, the
+    first of :func:`paths`; ``_path`` forces one, for checks that compare
+    the two. Forcing a path that :func:`paths` does not list raises
+    ``ParameterError``.
     """
     p = dist.params
     if s is None:
@@ -114,10 +115,11 @@ def best_committees(
         raise ParameterError(f"threshold {s} outside 0..{p.j}")
     scale, units = dist.total, dist.units
     width = lane_bytes(scale, p.j, s)
-    path = _path or choose_path(p.n, p.k, p.j, s, len(units), width)
-    if path == "packed" and not packs(width):
-        raise ParameterError(
-            f"packed needs a lane of 1, 2, 4 or 8 bytes on a little-endian host, got {width}")
+    listed = paths(p, s, len(units), scale)
+    path = _path or listed[0]
+    if path not in listed:
+        raise ParameterError(f"{path!r} is not one of {listed}: packed needs a lane of 1, 2, "
+                             f"4 or 8 bytes on a little-endian host, got {width}")
     ranks = _seed(p.k, p.j, s, scale, units)
     if path == "packed":
         best, masks = _packed(p.n, p.k, ranks, width, 0 < s < p.j)
@@ -140,31 +142,32 @@ def lane_bytes(scale: int, j: int, s: int) -> int:
     return width if width > 8 else 1 << (width - 1).bit_length()
 
 
-def packs(width: int) -> bool:
-    """Whether the packed path runs on lanes of ``width`` bytes: a machine word of this host."""
-    return width in _WORDS
+def paths(params: ElectionParams, s: int, support: int, total: int) -> tuple[str, ...]:
+    """The paths that can run at threshold ``s`` on ``support`` lists over
+    ``total`` units, the one the shape predicts cheaper first.
 
-
-def choose_path(n: int, k: int, j: int, s: int, support: int, width: int) -> str:
-    """``"packed"`` or ``"sparse"``, whichever the shape predicts cheaper.
-
-    The sparse cost is the rank-table bound in updates, the packed cost
-    its lattice bytes times n over ``PACKED_BYTES_PER_UPDATE`` plus one
-    read per committee, with ``width`` from :func:`lane_bytes`, guard bit
-    included. A lattice above ``PACKED_MAX_BYTES`` is never
-    built, nor one whose lane is not a machine word on this host.
+    ``("sparse",)`` when the lane from :func:`lane_bytes` is not a machine
+    word of this host; otherwise both, packed first when its cost is below
+    sparse's. The sparse cost is the rank-table bound in updates, the
+    packed cost its lattice bytes times n over ``PACKED_BYTES_PER_UPDATE``
+    plus one read per committee. Packed is never picked for a lattice above
+    ``PACKED_MAX_BYTES``, and a price tie picks sparse.
     """
+    n, k, j = params
+    width = lane_bytes(total, j, s)
+    if width not in _WORDS:
+        return ("sparse",)
     # a lattice of 2**64 lanes is far above the cap; the shift stays small
     lattice = width << min(n, 64)
-    if lattice > PACKED_MAX_BYTES or not packs(width):
-        return "sparse"
+    if lattice > PACKED_MAX_BYTES:
+        return ("sparse", "packed")
     seeds = {0: 1} if s == 0 else {t: support * comb(j, t) for t in range(s, j + 1)}
     sparse = n * sum(
         min(comb(n, r), sum(c * comb(n - t, r - t) for t, c in seeds.items() if t <= r))
         for r in range(s, k)
     )
     packed = lattice * n // PACKED_BYTES_PER_UPDATE + comb(n, k)
-    return "packed" if packed < sparse else "sparse"
+    return ("packed", "sparse") if packed < sparse else ("sparse", "packed")
 
 
 def _seed(

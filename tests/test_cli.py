@@ -212,8 +212,7 @@ class TestTally:
         [dist] = seen
         assert "support" not in vars(dist)
         for s in range(dist.params.j + 1):
-            packs = tally.packs(tally.lane_bytes(dist.total, dist.params.j, s))
-            for way in ("packed", "sparse") if packs else ("sparse",):
+            for way in tally.paths(dist.params, s, len(dist), dist.total):
                 cli.best_committees(dist, s, _path=way)
         assert "support" not in vars(dist)
 
@@ -666,6 +665,54 @@ def test_a_large_declared_ball_is_tested_not_built(tmp_path):
     assert doc["best_value"] == "1" and len(doc["winners"]) == 496
 
 
+# generate's options, tally's options, then the path that runs, its lane
+# width in bytes, the best value and the winner count
+TALLY_PATHS = [
+    # a dense (14,7,4) radius-2 ball runs the packed lattice
+    pytest.param(["--mode", "uniform-ball", "--params", "14,7,4", "--center", "1,2,3,4",
+                  "--radius", "2"], ["--center", "1,2,3,4", "--radius", "2"],
+                 "packed", 2, "31/311", 120, id="dense-ball"),
+    # 20,000 voters at (40,4,3) would need 2**40 lanes, and run the sparse rank tables
+    pytest.param(["--mode", "random-ball", "--params", "40,4,3", "--center", "1,2,3",
+                  "--radius", "1", "--voters", "20000", "--seed", "1"],
+                 ["--center", "1,2,3", "--radius", "1"],
+                 "sparse", 2, "397/10000", 1, id="wide-random-ball"),
+    # a (10,8,3) total above 2**64 needs 9-byte lanes, not a machine word
+    pytest.param(["--mode", "concentric", "--params", "10,8,3", "--center", "1,2,3",
+                  "--weights", "1/18446744073709551629,1/18446744073709551629,"
+                  "18446744073709551627/18446744073709551629,0"], [],
+                 "sparse", 9, "61489146912365172102/129127208515966861403", 21,
+                 id="nine-byte-lanes"),
+    # at s = 2, (10,8,3) over the prime 2**63 - 25 packs on 8-byte residue
+    # lanes, the total's 63 bits and one guard bit; a lane bound per Moebius
+    # sign (3 times the total) would need 9 bytes
+    pytest.param(["--mode", "concentric", "--params", "10,8,3", "--center", "1,2,3",
+                  "--weights", "4/9223372036854775783,42/9223372036854775783,"
+                  "9223372036854775737/9223372036854775783,0"], ["--threshold", "2"],
+                 "packed", 8, "9223372036854775765/9223372036854775783", 3,
+                 id="guarded-eight-byte-lanes"),
+    # every (14,10,10) list meets every committee in at least 6 members, so
+    # at s = 4 all 1001 committees win with value 1; seeding runs downward
+    # at every rank, dividing by up to 6
+    pytest.param(["--mode", "uniform-all", "--params", "14,10,10"], ["--threshold", "4"],
+                 "packed", 2, "1", 1001, id="full-support-threshold"),
+]
+
+
+@pytest.mark.parametrize("generate, options, path, width, value, winners", TALLY_PATHS)
+def test_generated_files_run_each_tally_path(capsys, tmp_path, generate, options, path, width,
+                                              value, winners):
+    ballots = tmp_path / "ballots.json"
+    assert main(["generate", *generate, "--output", str(ballots)]) == 0
+    code, out, _ = run(capsys, "tally", "--input", str(ballots), *options,
+                       "--format", "structured")
+    assert code == 0
+    doc = json.loads(out)
+    dist = normalize(loads_ballot_file(ballots.read_text()))
+    assert tally.lane_bytes(dist.total, dist.params.j, doc["threshold"]) == width
+    assert (doc["strategy"], doc["best_value"], len(doc["winners"])) == (path, value, winners)
+
+
 # Nested JSON values, with tuples (which json writes as arrays) and all-int
 # lists (which the writer joins in one go) made likely.
 json_documents = st.recursive(
@@ -706,7 +753,7 @@ def test_structured_writer_renders_exact_objects_like_json():
 
 
 def test_a_lone_subset_renders_as_its_members():
-    # a subset is a tuple record (members, mask); both renderers test for it first
+    # a subset is a tuple record (members, mask), written as its members alone
     s = CandidateSubset((3, 1, 2))
     assert _json_text(s) == json.dumps([1, 2, 3], indent=2)
     assert cli._human_text(s, approx=False) == "{1,2,3}"

@@ -1,4 +1,5 @@
 import json
+import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import combinations
@@ -28,38 +29,43 @@ from listvote import (
 from listvote import tally
 from listvote.johnson import CandidateSubset
 from listvote.oracle import approval, iter_committees, threshold_approval
-from listvote.tally import PACKED_MAX_BYTES, _seed, choose_path, lane_bytes
+from listvote.tally import PACKED_MAX_BYTES, _seed, lane_bytes, paths
 from conftest import dist_from, subset
 
 PATH_RULE_TABLE = Path(__file__).parent / "data" / "path_rule.json"
 FULL_SUPPORT_TABLE = Path(__file__).parent / "data" / "path_rule_full_support.json"
 
 
-def _rule(dist: VoterDistribution, s: int) -> str:
-    """The path the selection rule picks for ``dist`` at threshold ``s``."""
-    p = dist.params
-    return choose_path(p.n, p.k, p.j, s, len(dist), lane_bytes(dist.total, p.j, s))
+def _paths(dist: VoterDistribution, s: int) -> tuple[str, ...]:
+    """The paths that can run on ``dist`` at threshold ``s``, the rule's pick first."""
+    return paths(dist.params, s, len(dist), dist.total)
 
 
 def _check_paths(dist: VoterDistribution, s: int) -> None:
-    """Each path the lane width allows matches brute force at threshold ``s``.
-
-    Where packed cannot run on the lane (not a machine word of this host),
-    the rule picks sparse, and forcing packed is refused with the width named.
-    """
+    """At threshold ``s`` the rule's pick runs, each path :func:`paths` lists
+    matches brute force when forced, and forcing an unlisted one is refused
+    with the lane width named."""
     reference = brute_best(dist, s)
-    width = lane_bytes(dist.total, dist.params.j, s)
-    packs = tally.packs(width)
-    if not packs:
-        assert _rule(dist, s) == "sparse"
-        with pytest.raises(ParameterError, match=f"on a little-endian host, got {width}$"):
-            best_committees(dist, s=s, _path="packed")
-    for path in ("packed", "sparse") if packs else ("sparse",):
+    listed = _paths(dist, s)
+    assert best_committees(dist, s=s).strategy_used == listed[0]
+    for path in ("packed", "sparse"):
+        if path not in listed:
+            width = lane_bytes(dist.total, dist.params.j, s)
+            with pytest.raises(ParameterError, match=f"on a little-endian host, got {width}$"):
+                best_committees(dist, s=s, _path=path)
+            continue
         result = best_committees(dist, s=s, _path=path)
         assert result.strategy_used == path
         assert result.best_value == reference.best_value
         assert [w.mask for w in result.winners] == [w.mask for w in reference.winners]
         assert result.winners == reference.winners
+
+
+def _check_recorded(cell: dict) -> None:
+    """:func:`paths` puts a recorded cell's path first wherever packed can run."""
+    params = ElectionParams(cell["n"], cell["k"], cell["j"])
+    listed = paths(params, cell["s"], cell["support"], cell["total"])
+    assert listed[0] == (cell["path"] if "packed" in listed else "sparse"), cell
 
 
 class TestApproval:
@@ -158,7 +164,7 @@ class TestBestCommittees:
             result = best_committees(dist)
             reference = brute_best(dist)
             assert (result.best_value, result.winners) == (reference.best_value, reference.winners)
-            assert result.strategy_used == _rule(dist, dist.params.j)
+            assert result.strategy_used == _paths(dist, dist.params.j)[0]
 
     def test_full_support_strategies_agree(self):
         params = ElectionParams(7, 4, 3)
@@ -167,7 +173,7 @@ class TestBestCommittees:
             result = best_committees(full, s=s)
             reference = brute_best(full, s)
             assert (result.best_value, result.winners) == (reference.best_value, reference.winners)
-            assert result.strategy_used == _rule(full, s)
+            assert result.strategy_used == _paths(full, s)[0]
 
     def test_threshold_strategies_agree(self, example_distribution):
         rng = Random(103)
@@ -210,7 +216,7 @@ class TestBestCommittees:
         full = uniform_on(params, iter_lists(params))
         result = best_committees(full)
         # 2**29 lanes are far above the packed lattice cap
-        assert result.strategy_used == _rule(full, 2) == "sparse"
+        assert result.strategy_used == _paths(full, 2)[0] == "sparse"
         assert result.best_value == Fraction(3, 406)
         assert len(result.winners) == comb(29, 3)
         # thresholds on the point mass: s = 1 needs one of 1, 2, 3 on the
@@ -301,6 +307,43 @@ def test_both_paths_match_brute_force_for_every_threshold(dist):
         with lanes:
             for s in range(dist.params.j + 1):
                 _check_paths(dist, s)
+
+
+# The lane widths packed runs on: machine words, read as a little-endian host's.
+_HOST_WORDS = (1, 2, 4, 8) if sys.byteorder == "little" else ()
+
+
+@st.composite
+def edge_cases(draw):
+    """A shape with n <= 7, a threshold, and two to six lists over a total at
+    a word edge, so the lanes just fit, or just overflow, a machine word."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, n - 1))
+    j = draw(st.integers(1, k))
+    params = ElectionParams(n, k, j)
+    lists = sorted(iter_lists(params))
+    chosen = draw(st.lists(st.sampled_from(lists), min_size=2, max_size=min(len(lists), 6),
+                           unique=True))
+    # lists of one unit each fix the reduced total at the drawn one
+    total = draw(st.sampled_from(_EDGE_TOTALS + _GUARD_TOTALS))
+    counts = [1] * len(chosen)
+    counts[-1] += total - len(chosen)
+    dist = VoterDistribution(params, {lst: Fraction(c, total) for lst, c in zip(chosen, counts)})
+    assert dist.total == total
+    return dist, draw(st.integers(0, j))
+
+
+@settings(deadline=None)
+@given(edge_cases(), st.booleans())
+def test_paths_list_sparse_always_and_packed_on_word_lanes(case, wordless):
+    # wordless: no machine-word lanes, as on a big-endian host
+    dist, s = case
+    width = lane_bytes(dist.total, dist.params.j, s)
+    words = () if wordless else _HOST_WORDS
+    with patch.object(tally, "_WORDS", {}) if wordless else nullcontext():
+        listed = _paths(dist, s)
+        assert sorted(listed) == (["packed", "sparse"] if width in words else ["sparse"])
+        _check_paths(dist, s)
 
 
 def _naive_seeds(dist: VoterDistribution, s: int) -> list[dict[int, int]]:
@@ -401,7 +444,7 @@ class TestPackedPath:
         # (10,8,3) at s = 2 over the largest prime below 2**63: a bound per
         # Moebius sign, 3 units per list unit, would need 9 bytes
         assert lane_bytes(2**63 - 25, 3, 2) == 8
-        assert choose_path(10, 8, 3, 2, 85, 8) == "packed"
+        assert paths(ElectionParams(10, 8, 3), 2, 85, 2**63 - 25)[0] == "packed"
 
     @pytest.mark.parametrize("width, wider", [(1, 2), (2, 4), (4, 8), (8, 9)])
     def test_residues_wrap_at_every_word_edge(self, width, wider):
@@ -435,16 +478,17 @@ class TestPackedPath:
         # the tally-ball shape, a radius-2 ball of 311 lists at (14,7,4), and
         # the tally-threshold shape, 60 to 140 lists at (13,6,4) with s = 3,
         # each over 3000 voters
-        assert choose_path(14, 7, 4, 4, 311, lane_bytes(3000, 4, 4)) == "packed"
+        assert paths(ElectionParams(14, 7, 4), 4, 311, 3000)[0] == "packed"
         for support in (60, 100, 140):
-            assert choose_path(13, 6, 4, 3, support, lane_bytes(3000, 4, 3)) == "packed"
+            assert paths(ElectionParams(13, 6, 4), 3, support, 3000)[0] == "packed"
 
     def test_rule_picks_sparse_on_wide_or_thin_supports(self):
-        # 112 lists at (40,4,3): 2**40 lanes are far above the lattice cap
+        # 112 lists at (40,4,3): 2**40 lanes are far above the lattice cap,
+        # and packed stays listed, so a check can still force it
         assert (1 << 40) > PACKED_MAX_BYTES
-        assert choose_path(40, 4, 3, 3, 112, lane_bytes(20000, 3, 3)) == "sparse"
+        assert paths(ElectionParams(40, 4, 3), 3, 112, 20000) == ("sparse", "packed")
         # one list at (16,4,3) touches 13 committees
-        assert choose_path(16, 4, 3, 3, 1, lane_bytes(1, 3, 3)) == "sparse"
+        assert paths(ElectionParams(16, 4, 3), 3, 1, 1) == ("sparse", "packed")
 
     def test_rule_picks_the_recorded_path_on_every_cell(self):
         # The rule's calibration grid: n in {10, 11, 12, 14, 16, 18}, (k, j)
@@ -458,10 +502,7 @@ class TestPackedPath:
         assert len(cells) == 107
         assert {c["path"] for c in cells[:96]} == {"packed", "sparse"}
         for c in cells:
-            width = lane_bytes(c["total"], c["j"], c["s"])
-            expected = c["path"] if tally.packs(width) else "sparse"
-            got = choose_path(c["n"], c["k"], c["j"], c["s"], c["support"], width)
-            assert got == expected, c
+            _check_recorded(c)
 
     def test_rule_picks_the_recorded_path_at_full_support(self):
         # Every full-support shape (n, k, j, s) with 10 <= n <= 16,
@@ -486,10 +527,7 @@ class TestPackedPath:
         assert len(cells) == 1696
         assert sum(c["path"] == "packed" for c in cells) == 915
         for c in cells + table["cells"]:
-            width = lane_bytes(c["total"], c["j"], c["s"])
-            expected = c["path"] if tally.packs(width) else "sparse"
-            got = choose_path(c["n"], c["k"], c["j"], c["s"], c["support"], width)
-            assert got == expected, c
+            _check_recorded(c)
 
     def test_strategy_reports_the_path_that_ran(self):
         params = ElectionParams(14, 7, 4)
@@ -508,7 +546,7 @@ class TestPackedPath:
         packed = best_committees(dense)
         assert packed.strategy_used == "packed"
         monkeypatch.setattr(tally, "_WORDS", {})
-        assert _rule(dense, 4) == "sparse"
+        assert _paths(dense, 4) == ("sparse",)
         result = best_committees(dense)
         assert result == (packed.best_value, packed.winners, "sparse")
         with pytest.raises(ParameterError, match="little-endian host, got 2$"):
