@@ -63,6 +63,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping, Sequence
@@ -201,19 +202,17 @@ class BallotEntry(_CheckedRecord, namedtuple("BallotEntry", ["subset", "multipli
             raise ParameterError(f"multiplicity must be positive, got {m}")
         return tuple.__new__(cls, (subset, m))
 
-    @classmethod
-    def unchecked(cls, subset: CandidateSubset, multiplicity: int | Fraction) -> BallotEntry:
-        """The entry, built without the constructor's checks.
-
-        The caller guarantees what the constructor would check: the
-        multiplicity is a positive ``int`` (not ``bool``) or ``Fraction``
-        within the int-to-str digit limit. Callers take it from values
-        already proven: :func:`loads_ballot_file` from a count or weight
-        text it accepted (``json.loads`` and ``int()`` enforce the digit
-        limit), and :func:`complete_short_lists` from an accepted entry.
-        Input from outside goes through ``BallotEntry(...)``.
-        """
-        return tuple.__new__(cls, (subset, multiplicity))
+    # ``BallotEntry.unchecked((subset, multiplicity))`` is the entry of that
+    # record, built by ``tuple.__new__`` itself, with no checks and no Python
+    # call frame, as ``CandidateSubset.unchecked`` is. The caller guarantees
+    # what the constructor would check: the multiplicity is a positive
+    # ``int`` (not ``bool``) or ``Fraction`` within the int-to-str digit
+    # limit. Callers take it from values already proven:
+    # :func:`loads_ballot_file` from a count or weight text it accepted
+    # (``json.loads`` and ``int()`` enforce the digit limit), and
+    # :func:`complete_short_lists` from an accepted entry. Input from outside
+    # goes through ``BallotEntry(...)``.
+    unchecked = classmethod(tuple.__new__)
 
 
 def _identity(mask: int, multiplicity: int | Fraction) -> tuple:
@@ -293,20 +292,28 @@ def normalize(raw: RawBallotFile) -> VoterDistribution:
     """Turn raw multiplicities into a distribution summing to exactly 1.
 
     Duplicate lists are merged by addition. Entries shorter than j are
-    rejected; complete them first. Runs once per distinct entry, adding
-    its multiplicity times its repeat count in integer units over the LCM
-    of every denominator; it builds no ``Fraction``.
+    rejected; complete them first. One pass over the distinct entries
+    takes each one's multiplicity times its repeat count in integer units
+    over the LCM of every denominator, and one ``dict`` build in C keys
+    them by list, hashing each list once; only a list that appears under
+    two multiplicities sends the units through a second, summing pass. One
+    ``min`` of the lists' bit counts is the length test. It builds no
+    ``Fraction``.
     """
     if not raw.distinct:
         raise BallotFormatError("ballot file has no entries")
+    lists, ms = zip(*raw.distinct)
     # An int is its own numerator over 1, so a file of counts has scale 1.
-    scale = lcm(*(m.denominator for _, m in raw.distinct))
-    units: dict[CandidateSubset, int] = {}
-    for (lst, m), times in zip(raw.distinct, raw.repeats):
-        u = m.numerator * (scale // m.denominator) * times
-        units[lst] = units[lst] + u if lst in units else u
+    scale = lcm(*map(attrgetter("denominator"), ms))
+    each = [m.numerator * (scale // m.denominator) * times for m, times in zip(ms, raw.repeats)]
+    units = dict(zip(lists, each))
+    if len(units) < len(each):
+        units = dict.fromkeys(lists, 0)
+        for lst, u in zip(lists, each):
+            units[lst] += u
     j = raw.params.j
-    if any(lst.mask.bit_count() < j for lst in units):
+    # a subset is the record (members, mask)
+    if min(map(int.bit_count, map(itemgetter(1), units))) < j:
         short = [(e.subset, times) for e, times in zip(raw.distinct, raw.repeats)
                  if e.subset.mask.bit_count() < j]
         raise BallotFormatError(
@@ -421,8 +428,8 @@ def complete_short_lists(raw: RawBallotFile, center: CandidateSubset, radius: in
         slot = merged.get(key)
         if slot is None:
             if missing:
-                full = CandidateSubset.unchecked(tuple(sorted(subset.members + fill)), mask)
-                entry = BallotEntry.unchecked(full, m)
+                full = CandidateSubset.unchecked((tuple(sorted(subset.members + fill)), mask))
+                entry = BallotEntry.unchecked((full, m))
             merged[key] = [entry, times]
         else:
             slot[1] += times
@@ -489,6 +496,9 @@ def _entry(
     to its id and value, so a text is parsed once and a bad one is never
     stored. The id is the value's reduced ``"p/q"``, so equal values in any
     spelling share it, and it never equals a count or a count's text.
+    The subset and the entry are built by their ``unchecked`` constructors,
+    ``tuple.__new__`` over each record, so building them opens no Python
+    call frame.
     """
     # The range before the mask is built as wide as the largest member.
     if ordered is None or (ordered and not (ordered[0] > 0 and ordered[-1] <= n)):
@@ -501,13 +511,13 @@ def _entry(
     size = mask.bit_count()
     if size != len(ordered):
         raise _RecordError(f"bad list {members}: duplicate candidates in {ordered}")
-    subset = CandidateSubset.unchecked(ordered, mask)
+    subset = CandidateSubset.unchecked((ordered, mask))
     if not 1 <= size <= j:
         raise _RecordError(f"entry {subset} has size {size}, expected 1..{j}")
     if kind == "count":
         if type(value) is not int or value <= 0:
             raise _RecordError("count must be a positive integer")
-        return BallotEntry.unchecked(subset, value)
+        return BallotEntry.unchecked((subset, value))
     if not isinstance(value, str):
         raise _RecordError('weight must be a string like "7/15"')
     known = weights.get(value)
@@ -520,7 +530,7 @@ def _entry(
             raise _RecordError("weight must be positive")
         wid = f"{multiplicity.numerator}/{multiplicity.denominator}"
         known = weights[value] = (wid, multiplicity)
-    return BallotEntry.unchecked(subset, known[1])
+    return BallotEntry.unchecked((subset, known[1]))
 
 
 def loads_ballot_file(text: str) -> RawBallotFile:

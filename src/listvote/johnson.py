@@ -52,27 +52,24 @@ class CandidateSubset(tuple):
             mask |= 1 << c
         return tuple.__new__(cls, (members, mask))
 
-    @classmethod
-    def unchecked(cls, members: tuple[int, ...], mask: int) -> CandidateSubset:
-        """The subset with these members and this mask, built without the constructor.
-
-        The caller guarantees the contract the constructor would enforce:
-        ``members`` is sorted, distinct and within 1..n, and ``mask`` is the
-        OR of ``1 << c`` over them. A wrong mask makes a subset that compares
-        unequal to the right one. Callers derive both from values already
-        proven:
-
-        - ``loads_ballot_file``: a record's members after the range check, once
-          the mask's bit count has shown them distinct;
-        - ``complete_short_lists``: an accepted entry plus center members it
-          lacks;
-        - ``ring`` (so ``ball`` and every generator on them): center members
-          plus candidates outside the center;
-        - ``best_committees``: the winners, decoded from their masks.
-
-        Input from outside goes through ``CandidateSubset(...)``.
-        """
-        return tuple.__new__(cls, (members, mask))
+    # ``CandidateSubset.unchecked((members, mask))`` is the subset of that
+    # record, built by ``tuple.__new__`` itself, with no checks and no Python
+    # call frame. The caller guarantees the contract the constructor would
+    # enforce: ``members`` is sorted, distinct and within 1..n, and ``mask``
+    # is the OR of ``1 << c`` over them. A wrong mask makes a subset that
+    # compares unequal to the right one. Callers derive both from values
+    # already proven:
+    #
+    # - ``loads_ballot_file``: a record's members after the range check, once
+    #   the mask's bit count has shown them distinct;
+    # - ``complete_short_lists``: an accepted entry plus center members it
+    #   lacks;
+    # - ``ring`` (so ``ball`` and every generator on them): center members
+    #   plus candidates outside the center;
+    # - ``best_committees``: the winners, decoded from their masks.
+    #
+    # Input from outside goes through ``CandidateSubset(...)``.
+    unchecked = classmethod(tuple.__new__)
 
     def __reduce__(self):  # pickle and copy rebuild through the checked constructor
         return type(self), (self.members,)
@@ -193,7 +190,8 @@ def ring(center: CandidateSubset, r: int, params: ElectionParams) -> set[Candida
     for kept in combinations(center.members, params.j - r):
         kept_mask = sum(1 << c for c in kept)
         for added, added_mask in additions:
-            out.add(CandidateSubset.unchecked(tuple(sorted(kept + added)), kept_mask | added_mask))
+            members = tuple(sorted(kept + added))
+            out.add(CandidateSubset.unchecked((members, kept_mask | added_mask)))
     return out
 
 
@@ -202,8 +200,10 @@ class Ball(Set):
 
     Nothing is built up front. ``in`` is one popcount: a value is a member
     when it is a :class:`CandidateSubset` of j candidates within 1..n with
-    at most ``radius`` of them outside the center. Iteration builds the
-    lists ring by ring, 0 to ``radius``, and ``len`` sums :func:`ring_size`.
+    at most ``radius`` of them outside the center; :meth:`strays` applies
+    that distance rule alone to lists already proven j-lists of 1..n.
+    Iteration builds the lists ring by ring, 0 to ``radius``, and ``len``
+    sums :func:`ring_size`.
     The set operators (``&``, ``|``, ``-``, ``^``) each return a plain
     ``set``, and ``==`` compares with any set by members, either way round.
     """
@@ -220,7 +220,17 @@ class Ball(Set):
             return False
         mask = lst.mask
         return (mask.bit_count() == self.params.j and not mask >> (self.params.n + 1)
-                and (mask & ~self.center.mask).bit_count() <= self.radius)
+                and not self.strays((lst,)))
+
+    def strays(self, lists: Iterable[CandidateSubset]) -> list[CandidateSubset]:
+        """The lists among ``lists`` farther than ``radius`` from the center, in order.
+
+        Each list must already be proven a j-list of 1..n (as every support
+        list of a :func:`~listvote.ballots.normalize` result is), so the test
+        is one popcount per list: its members outside the center.
+        """
+        outside, radius = ~self.center.mask, self.radius
+        return [lst for lst in lists if (lst.mask & outside).bit_count() > radius]
 
     def __iter__(self) -> Iterator[CandidateSubset]:
         for r in range(self.radius + 1):

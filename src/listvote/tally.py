@@ -20,7 +20,9 @@ with large j seeds in time bounded by its distinct t-sets. After the
 transform every k-set holds its committee's exact approval.
 The seeds, the read-out of the best value and the winner decode are
 shared by two ways to run the transform; the result's strategy names
-the one that ran.
+the one that ran. The decode tests each candidate of each winning mask,
+or, for a tie set larger than 2^(n//2), looks each mask's low and high
+halves up in two member tables of the halves that occur.
 
 - ``sparse``: one table per rank t maps a t-set's bitmask to its units.
   For each candidate b in turn and each rank from k - 1 down, every entry
@@ -43,7 +45,8 @@ the one that ran.
   the total's bits, plus the guard bit, rounded up to 1, 2, 4 or 8
   bytes; lanes are read and written as machine words of a little-endian
   host, the k-set lanes row by row of 2^(n//2) lanes, and a wider lane
-  runs sparse.
+  runs sparse. The read-out takes each row's maximum once and scans the
+  lanes of only the rows whose maximum is the best value.
 
 :func:`paths` owns the path rule, from counts known before any work
 starts. Sparse can always run, packed only when its lane is a machine
@@ -125,11 +128,34 @@ def best_committees(
         best, masks = _packed(p.n, p.k, ranks, width, 0 < s < p.j)
     else:
         best, masks = _sparse(p.n, p.k, s, ranks)
-    candidates = range(1, p.n + 1)
-    # subsets sort by their members, the order winners are reported in
-    winners = sorted(CandidateSubset.unchecked(tuple([c for c in candidates if m >> c & 1]), m)
-                     for m in masks)
+    # Winners are reported in the order of their members, which are distinct
+    # between winners; a key of plain tuples compares faster than the records.
+    winners = sorted(map(CandidateSubset.unchecked, zip(_members(p.n, masks), masks)),
+                     key=itemgetter(0))
     return TallyResult(Fraction(best, scale), tuple(winners), path)
+
+
+def _members(n: int, masks: list[int]) -> list[tuple[int, ...]]:
+    """Each mask's members, sorted, in the order of ``masks``.
+
+    A tie set larger than the 2^(n//2) low halves a mask can have is decoded
+    through two member tables, one for candidates 1..n//2 and one for the
+    rest, each holding only the halves that occur, so a candidate is tested
+    once per distinct half, not once per winner. A smaller one tests each
+    candidate of each mask.
+    """
+    half = n // 2
+    if len(masks) <= 1 << half:
+        candidates = range(1, n + 1)
+        return [tuple([c for c in candidates if m >> c & 1]) for m in masks]
+    # bit c of a mask is candidate c: the low half is bits 1..half, and the
+    # high half counts from candidate half + 1
+    cut = (1 << half + 1) - 1
+    low = {b: tuple([c for c in range(1, half + 1) if b >> c & 1])
+           for b in {m & cut for m in masks}}
+    high = {b: tuple([half + 1 + i for i in range(n - half) if b >> i & 1])
+            for b in {m >> half + 1 for m in masks}}
+    return [low[m & cut] + high[m >> half + 1] for m in masks]
 
 
 def lane_bytes(scale: int, j: int, s: int) -> int:
@@ -300,6 +326,8 @@ def _packed(
     rows = [(high, k - high.bit_count()) for high in range(0, 1 << n, step)
             if 0 <= k - high.bit_count() <= low]
     values = [pick[rest](lanes[high:high + step]) for high, rest in rows]
-    best = max(map(max, values))
-    return best, [(high | x) << 1 for (high, rest), got in zip(rows, values) if best in got
-                  for x, v in zip(columns[rest], got) if v == best]
+    tops = list(map(max, values))
+    best = max(tops)
+    # only a row whose maximum is the best value holds a winner
+    return best, [(high | x) << 1 for (high, rest), got, top in zip(rows, values, tops)
+                  if top == best for x, v in zip(columns[rest], got) if v == best]

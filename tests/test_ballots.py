@@ -570,7 +570,7 @@ class TestBallotEntry:
             assert type(twin) is BallotEntry and type(twin.subset) is CandidateSubset
             assert twin == e and hash(twin) == hash(e)
         # every copy is rebuilt through the checked constructor
-        bad = BallotEntry.unchecked(V123, -1)
+        bad = BallotEntry.unchecked((V123, -1))
         rebuilds = [lambda p=p: pickle.loads(pickle.dumps(bad, p)) for p in protocols]
         for rebuild in rebuilds + [lambda: copy.copy(bad), lambda: copy.deepcopy(bad)]:
             with pytest.raises(ParameterError, match="^multiplicity must be positive, got -1$"):
@@ -836,6 +836,44 @@ def test_distinct_entries_carry_every_record(case, data):
         return
     dist = normalize(complete_short_lists(parsed, center, radius))
     assert {frozenset(lst.members): w for lst, w in dist.items()} == expected
+
+
+def normalize_by_fractions(raw):
+    """Each list's multiplicities times their repeats, summed as ``Fraction``
+    values, over the sum of them all."""
+    totals = {}
+    for (lst, m), times in zip(raw.distinct, raw.repeats):
+        totals[lst] = totals.get(lst, 0) + Fraction(m) * times
+    grand = sum(totals.values())
+    return {lst: t / grand for lst, t in totals.items()}
+
+
+small_fractions = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def files_with_a_list_under_two_multiplicities(draw):
+    """A file of j-lists, each entry repeated up to three times, in which one
+    list carries a count and a weight, or two weights."""
+    params = draw(election_params())
+    lists = sorted(iter_lists(params))
+    shared = draw(st.sampled_from(lists))
+    pair = draw(st.tuples(st.integers(1, 10**6), small_fractions)
+                | st.tuples(small_fractions, small_fractions).filter(lambda p: p[0] != p[1]))
+    others = draw(st.lists(st.builds(BallotEntry, st.sampled_from(lists),
+                                     small_multiplicities | small_fractions), max_size=8))
+    entries = [BallotEntry(shared, m) for m in pair] + others
+    repeated = [e for e in entries for _ in range(draw(st.integers(1, 3)))]
+    return RawBallotFile(params, draw(st.permutations(repeated))), shared
+
+
+@given(files_with_a_list_under_two_multiplicities())
+def test_normalize_sums_a_list_under_two_multiplicities(case):
+    raw, shared = case
+    assert sum(e.subset == shared for e in raw.distinct) >= 2
+    dist = normalize(raw)
+    assert_reduced(dist)
+    assert dist.support == normalize_by_fractions(raw)
 
 
 @given(documents_with_repeats(), st.sampled_from(["true", "1.0"]))

@@ -1,26 +1,35 @@
+import functools
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from listvote import (
+    BallotEntry,
     CandidateSubset,
     ElectionParams,
+    RawBallotFile,
     TallyResult,
+    ball,
+    dumps_ballot_file,
+    iter_lists,
     loads_ballot_file,
     normalize,
     parse_rational,
     theory,
 )
-from listvote import cli, tally
+from listvote import ballots, cli, tally
 from listvote.cli import _json_text, main
 from conftest import record_entries
 
@@ -215,6 +224,49 @@ class TestTally:
             for way in tally.paths(dist.params, s, len(dist), dist.total):
                 cli.best_committees(dist, s, _path=way)
         assert "support" not in vars(dist)
+
+    def test_complete_refuses_a_full_list_outside_the_ball_itself(self, capsys, tmp_path):
+        # completion refuses the full-length {4,5,6} with its own message, so
+        # the declared-ball test it makes redundant never runs
+        path = tmp_path / "far.json"
+        path.write_text(
+            '{"n": 6, "k": 4, "j": 3, "ballots": ['
+            '{"list": [1, 2], "count": 1}, {"list": [4, 5, 6], "count": 1}]}'
+        )
+        code, out, err = run(capsys, "tally", "--input", str(path),
+                             "--complete", "--center", "1,2,3", "--radius", "1")
+        assert (code, out) == (4, "")
+        assert err == ("error: entry {4,5,6} has no size-3 superset within distance 1 "
+                       "of {1,2,3}\n")
+
+    @pytest.mark.parametrize("complete", [False, True], ids=["declared", "completed"])
+    def test_a_declared_ball_is_made_once_and_the_file_parsed_once(self, capsys, monkeypatch,
+                                                                    tmp_path, complete):
+        # the traced benchmark records its johnson.ball and ballots.parse spans
+        # at these two boundaries, so each must be entered on every such tally
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "ball", counted("ball", cli.ball))
+        monkeypatch.setattr(ballots, "loads_ballot_file",
+                            counted("parse", ballots.loads_ballot_file))
+        path = tmp_path / "ball.json"
+        path.write_text(
+            '{"n": 6, "k": 4, "j": 3, "ballots": ['
+            '{"list": [1, 2], "count": 2}, {"list": [1, 2, 4], "count": 1}]}'
+            if complete else
+            '{"n": 6, "k": 4, "j": 3, "ballots": ['
+            '{"list": [1, 2, 3], "count": 2}, {"list": [1, 2, 4], "count": 1}]}'
+        )
+        code, out, _ = run(capsys, "tally", "--input", str(path), "--center", "1,2,3",
+                           "--radius", "1", *(["--complete"] if complete else []))
+        assert code == 0 and "best approval: 1" in out
+        assert calls == {"ball": 1, "parse": 1}
 
 
 class TestBounds:
@@ -663,6 +715,71 @@ def test_a_large_declared_ball_is_tested_not_built(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
     doc = json.loads(proc.stdout)
     assert doc["best_value"] == "1" and len(doc["winners"]) == 496
+
+
+def run_quietly(*argv):
+    """``main``'s exit code, stdout and stderr, captured without a fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def ballot_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("property") / "ballots.json"
+
+
+@st.composite
+def supports_and_balls(draw):
+    """A ballot file of counted j-lists with n <= 9, and a center and radius."""
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(1, n - 1))
+    params = ElectionParams(n, k, draw(st.integers(1, k)))
+    lists = sorted(iter_lists(params))
+    support = draw(st.lists(st.sampled_from(lists), min_size=1, max_size=12, unique=True))
+    raw = RawBallotFile(params, [BallotEntry(lst, draw(st.integers(1, 5))) for lst in support])
+    return raw, draw(st.sampled_from(lists)), draw(st.integers(0, params.diameter))
+
+
+@settings(deadline=None)
+@given(supports_and_balls())
+def test_tally_refuses_exactly_the_support_outside_the_ball_view(ballot_path, case):
+    raw, center, radius = case
+    view = ball(center, radius, raw.params)
+    outside = sorted(e.subset for e in raw.distinct if e.subset not in view)
+    # the view's popcount agrees with the lists its rings build
+    built = set(view)
+    assert outside == sorted(e.subset for e in raw.distinct if e.subset not in built)
+    ballot_path.write_text(dumps_ballot_file(raw))
+    code, out, err = run_quietly("tally", "--input", str(ballot_path), "--center",
+                                 ",".join(map(str, center.members)), "--radius", str(radius))
+    if outside:
+        assert (code, out) == (4, "")
+        assert err == (f"error: support outside declared ball (radius {radius} of {center}): "
+                       f"{', '.join(map(str, outside[:5]))}\n")
+    else:
+        assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("path", ["packed", "sparse"])
+def test_a_wide_tie_decodes_every_winner(capsys, monkeypatch, tmp_path, path):
+    # every (20,10,3) committee holding the one list {1,10,20} wins: C(17,7)
+    # = 19,448 of them, more than the 2**10 low halves of a mask, so they are
+    # decoded through the half-mask tables, and the list spans both halves
+    monkeypatch.setattr(cli, "best_committees",
+                        functools.partial(tally.best_committees, _path=path))
+    ballots_file = tmp_path / "one.json"
+    ballots_file.write_text(
+        '{"n": 20, "k": 10, "j": 3, "ballots": [{"list": [1, 10, 20], "count": 1}]}')
+    code, out, _ = run(capsys, "tally", "--input", str(ballots_file), "--format", "structured")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["strategy"], doc["best_value"], len(doc["winners"])) == (path, "1", 19448)
+    winners = doc["winners"]
+    assert winners == sorted(winners) and len(set(map(tuple, winners))) == 19448
+    assert all(len(w) == 10 and w == sorted(set(w)) and {1, 10, 20} <= set(w)
+               and w[-1] <= 20 for w in winners)
 
 
 # generate's options, tally's options, then the path that runs, its lane

@@ -69,9 +69,9 @@ class TestCandidateSubset:
 
     def test_unchecked_with_a_wrong_mask_compares_unequal(self):
         s = subset(1, 2, 3)
-        assert CandidateSubset.unchecked((1, 2, 3), s.mask) == s
-        assert CandidateSubset.unchecked((1, 2, 3), 0b1111) != s
-        assert CandidateSubset.unchecked((1, 2, 3), 0) != s
+        assert CandidateSubset.unchecked(((1, 2, 3), s.mask)) == s
+        assert CandidateSubset.unchecked(((1, 2, 3), 0b1111)) != s
+        assert CandidateSubset.unchecked(((1, 2, 3), 0)) != s
 
 
 @given(st.lists(st.frozensets(st.integers(1, 12), max_size=6), max_size=8))
@@ -296,8 +296,11 @@ def small_balls(draw):
 def test_a_ball_holds_exactly_the_lists_within_its_radius(drawn):
     center, radius, p = drawn
     b = ball(center, radius, p)
-    for lst in iter_lists(p):
+    lists = list(iter_lists(p))
+    for lst in lists:
         assert (lst in b) == (distance(lst, center) <= radius)
+    # strays, on lists already proven j-lists, keeps the rest in their order
+    assert b.strays(lists) == [lst for lst in lists if distance(lst, center) > radius]
     lists = list(b)
     rings = [ring(center, r, p) for r in range(radius + 1)]
     assert len(lists) == len(set(lists)) == len(b) == sum(ring_size(p, r) for r in range(radius + 1))

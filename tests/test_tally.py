@@ -29,7 +29,7 @@ from listvote import (
 from listvote import tally
 from listvote.johnson import CandidateSubset
 from listvote.oracle import approval, iter_committees, threshold_approval
-from listvote.tally import PACKED_MAX_BYTES, _seed, lane_bytes, paths
+from listvote.tally import PACKED_MAX_BYTES, _members, _seed, lane_bytes, paths
 from conftest import dist_from, subset
 
 PATH_RULE_TABLE = Path(__file__).parent / "data" / "path_rule.json"
@@ -551,6 +551,54 @@ class TestPackedPath:
         assert result == (packed.best_value, packed.winners, "sparse")
         with pytest.raises(ParameterError, match="little-endian host, got 2$"):
             best_committees(dense, _path="packed")
+
+
+class TestReadOut:
+    """Both paths against brute force where the read-out and the decode are
+    at their edges: ties in every row, one winner in the first or the last
+    row of k-sets, and lanes at the guard-bit edge."""
+
+    def test_ties_spread_over_every_row(self):
+        # every (14,7,4) committee holds C(7,4) lists of uniform-all: 3,432 ties
+        params = ElectionParams(14, 7, 4)
+        dist = uniform_on(params, iter_lists(params))
+        assert _paths(dist, 4) == ("packed", "sparse")
+        _check_paths(dist, 4)
+        assert len(best_committees(dist, _path="packed").winners) == comb(14, 7) == 3432
+
+    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("top", [False, True], ids=["first-row", "last-row"])
+    def test_a_single_winner_in_the_first_or_last_row(self, n, top):
+        # {1,2,3,4} sits in the first row of k-set lanes, the low candidates'
+        # own; the four top candidates sit in the last row holding k-sets
+        winner = tuple(range(n - 3, n + 1)) if top else (1, 2, 3, 4)
+        dist = dist_from(ElectionParams(n, 4, 2), {winner[:2]: Fraction(1, 2),
+                                                   winner[2:]: Fraction(1, 2)})
+        for s in range(3):
+            _check_paths(dist, s)
+        for path in ("packed", "sparse"):
+            assert best_committees(dist, _path=path).winners == (subset(*winner),)
+
+    @pytest.mark.parametrize("total", _GUARD_TOTALS)
+    def test_guard_edge_totals(self, total):
+        # residue lanes that just fit, or just overflow, a 1- and an 8-byte lane
+        params = ElectionParams(8, 5, 3)
+        dist = dist_from(params, {(1, 2, 3): Fraction(total - 2, total),
+                                  (1, 2, 4): Fraction(1, total),
+                                  (6, 7, 8): Fraction(1, total)})
+        assert dist.total == total
+        for s in range(4):
+            _check_paths(dist, s)
+
+
+@given(st.integers(2, 12), st.data())
+def test_half_tables_decode_as_the_bit_test_does(n, data):
+    # tie sets either side of the 2**(n//2) cut take the two decodes
+    drawn = data.draw(st.lists(st.integers(1, 2**n - 1).map(lambda x: x << 1), unique=True,
+                               max_size=2 * 2 ** (n // 2) + 2))
+    for masks in (drawn, [x << 1 for x in range(1, 2**n)]):
+        expected = [tuple(c for c in range(1, n + 1) if m >> c & 1) for m in masks]
+        assert _members(n, masks) == expected
 
 
 class TestAverageApproval:
