@@ -63,7 +63,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping, Sequence
@@ -77,6 +77,7 @@ from .johnson import (
     ball,
     distance,
     iter_lists,
+    mask_of,
     ring,
     ring_size,
     validate_list,
@@ -312,8 +313,7 @@ def normalize(raw: RawBallotFile) -> VoterDistribution:
         for lst, u in zip(lists, each):
             units[lst] += u
     j = raw.params.j
-    # a subset is the record (members, mask)
-    if min(map(int.bit_count, map(itemgetter(1), units))) < j:
+    if min(map(int.bit_count, map(mask_of, units))) < j:
         short = [(e.subset, times) for e, times in zip(raw.distinct, raw.repeats)
                  if e.subset.mask.bit_count() < j]
         raise BallotFormatError(

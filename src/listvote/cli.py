@@ -312,9 +312,8 @@ def cmd_tally(args: argparse.Namespace) -> tuple[int, list[Fact]]:
     declared_ball = args.center is not None
     if declared_ball:
         declared = ball(args.center, args.radius, params)
-        # normalize proved every support list a j-list of 1..n, and completion
-        # has already refused any entry outside the ball
-        outside = [] if args.complete else sorted(declared.strays(dist.units))
+        # normalize proved every support list a j-list of 1..n
+        outside = sorted(declared.strays(dist.units))
         if outside:
             raise HypothesisViolation(
                 f"support outside declared ball (radius {args.radius} of "

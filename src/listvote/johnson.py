@@ -26,6 +26,11 @@ from typing import Iterable, Iterator
 from .errors import ParameterError
 from .exactnum import binomial
 
+# A CandidateSubset is the record (members, mask); these read its fields
+# where a C-level key or map is wanted.
+members_of = itemgetter(0)
+mask_of = itemgetter(1)
+
 
 class CandidateSubset(tuple):
     """A set of candidates in canonical sorted form.
@@ -38,8 +43,8 @@ class CandidateSubset(tuple):
     """
 
     __slots__ = ()
-    members = property(itemgetter(0), doc="The candidates, sorted and distinct.")
-    mask = property(itemgetter(1), doc="The OR of ``1 << c`` over the members.")
+    members = property(members_of, doc="The candidates, sorted and distinct.")
+    mask = property(mask_of, doc="The OR of ``1 << c`` over the members.")
 
     def __new__(cls, members: Iterable[int]) -> CandidateSubset:
         members = tuple(sorted(members))
@@ -220,7 +225,7 @@ class Ball(Set):
             return False
         mask = lst.mask
         return (mask.bit_count() == self.params.j and not mask >> (self.params.n + 1)
-                and not self.strays((lst,)))
+                and (mask & ~self.center.mask).bit_count() <= self.radius)
 
     def strays(self, lists: Iterable[CandidateSubset]) -> list[CandidateSubset]:
         """The lists among ``lists`` farther than ``radius`` from the center, in order.

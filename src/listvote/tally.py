@@ -20,9 +20,7 @@ with large j seeds in time bounded by its distinct t-sets. After the
 transform every k-set holds its committee's exact approval.
 The seeds, the read-out of the best value and the winner decode are
 shared by two ways to run the transform; the result's strategy names
-the one that ran. The decode tests each candidate of each winning mask,
-or, for a tie set larger than 2^(n//2), looks each mask's low and high
-halves up in two member tables of the halves that occur.
+the one that ran.
 
 - ``sparse``: one table per rank t maps a t-set's bitmask to its units.
   For each candidate b in turn and each rank from k - 1 down, every entry
@@ -71,7 +69,7 @@ from operator import itemgetter, lt
 
 from .ballots import VoterDistribution
 from .errors import ParameterError
-from .johnson import CandidateSubset, ElectionParams, _CheckedRecord
+from .johnson import CandidateSubset, ElectionParams, _CheckedRecord, members_of
 
 # Lattice bytes the packed path moves in the time of one sparse table
 # update, fitted on a grid of 96 shapes with 10 <= n <= 18 (CHANGES.md).
@@ -128,34 +126,12 @@ def best_committees(
         best, masks = _packed(p.n, p.k, ranks, width, 0 < s < p.j)
     else:
         best, masks = _sparse(p.n, p.k, s, ranks)
+    candidates = range(1, p.n + 1)
+    members = [tuple([c for c in candidates if m >> c & 1]) for m in masks]
     # Winners are reported in the order of their members, which are distinct
     # between winners; a key of plain tuples compares faster than the records.
-    winners = sorted(map(CandidateSubset.unchecked, zip(_members(p.n, masks), masks)),
-                     key=itemgetter(0))
+    winners = sorted(map(CandidateSubset.unchecked, zip(members, masks)), key=members_of)
     return TallyResult(Fraction(best, scale), tuple(winners), path)
-
-
-def _members(n: int, masks: list[int]) -> list[tuple[int, ...]]:
-    """Each mask's members, sorted, in the order of ``masks``.
-
-    A tie set larger than the 2^(n//2) low halves a mask can have is decoded
-    through two member tables, one for candidates 1..n//2 and one for the
-    rest, each holding only the halves that occur, so a candidate is tested
-    once per distinct half, not once per winner. A smaller one tests each
-    candidate of each mask.
-    """
-    half = n // 2
-    if len(masks) <= 1 << half:
-        candidates = range(1, n + 1)
-        return [tuple([c for c in candidates if m >> c & 1]) for m in masks]
-    # bit c of a mask is candidate c: the low half is bits 1..half, and the
-    # high half counts from candidate half + 1
-    cut = (1 << half + 1) - 1
-    low = {b: tuple([c for c in range(1, half + 1) if b >> c & 1])
-           for b in {m & cut for m in masks}}
-    high = {b: tuple([half + 1 + i for i in range(n - half) if b >> i & 1])
-            for b in {m >> half + 1 for m in masks}}
-    return [low[m & cut] + high[m >> half + 1] for m in masks]
 
 
 def lane_bytes(scale: int, j: int, s: int) -> int:

@@ -226,8 +226,8 @@ class TestTally:
         assert "support" not in vars(dist)
 
     def test_complete_refuses_a_full_list_outside_the_ball_itself(self, capsys, tmp_path):
-        # completion refuses the full-length {4,5,6} with its own message, so
-        # the declared-ball test it makes redundant never runs
+        # completion refuses the full-length {4,5,6} with its own message,
+        # before the declared-ball test runs
         path = tmp_path / "far.json"
         path.write_text(
             '{"n": 6, "k": 4, "j": 3, "ballots": ['
@@ -765,8 +765,7 @@ def test_tally_refuses_exactly_the_support_outside_the_ball_view(ballot_path, ca
 @pytest.mark.parametrize("path", ["packed", "sparse"])
 def test_a_wide_tie_decodes_every_winner(capsys, monkeypatch, tmp_path, path):
     # every (20,10,3) committee holding the one list {1,10,20} wins: C(17,7)
-    # = 19,448 of them, more than the 2**10 low halves of a mask, so they are
-    # decoded through the half-mask tables, and the list spans both halves
+    # = 19,448 of them, spread over most rows of the packed read-out
     monkeypatch.setattr(cli, "best_committees",
                         functools.partial(tally.best_committees, _path=path))
     ballots_file = tmp_path / "one.json"

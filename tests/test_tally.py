@@ -29,7 +29,7 @@ from listvote import (
 from listvote import tally
 from listvote.johnson import CandidateSubset
 from listvote.oracle import approval, iter_committees, threshold_approval
-from listvote.tally import PACKED_MAX_BYTES, _members, _seed, lane_bytes, paths
+from listvote.tally import PACKED_MAX_BYTES, _seed, lane_bytes, paths
 from conftest import dist_from, subset
 
 PATH_RULE_TABLE = Path(__file__).parent / "data" / "path_rule.json"
@@ -554,9 +554,9 @@ class TestPackedPath:
 
 
 class TestReadOut:
-    """Both paths against brute force where the read-out and the decode are
-    at their edges: ties in every row, one winner in the first or the last
-    row of k-sets, and lanes at the guard-bit edge."""
+    """Both paths against brute force where the read-out is at its edges:
+    ties in every row, one winner in the first or the last row of k-sets,
+    and lanes at the guard-bit edge."""
 
     def test_ties_spread_over_every_row(self):
         # every (14,7,4) committee holds C(7,4) lists of uniform-all: 3,432 ties
@@ -589,16 +589,6 @@ class TestReadOut:
         assert dist.total == total
         for s in range(4):
             _check_paths(dist, s)
-
-
-@given(st.integers(2, 12), st.data())
-def test_half_tables_decode_as_the_bit_test_does(n, data):
-    # tie sets either side of the 2**(n//2) cut take the two decodes
-    drawn = data.draw(st.lists(st.integers(1, 2**n - 1).map(lambda x: x << 1), unique=True,
-                               max_size=2 * 2 ** (n // 2) + 2))
-    for masks in (drawn, [x << 1 for x in range(1, 2**n)]):
-        expected = [tuple(c for c in range(1, n + 1) if m >> c & 1) for m in masks]
-        assert _members(n, masks) == expected
 
 
 class TestAverageApproval:
